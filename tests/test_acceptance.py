@@ -20,10 +20,12 @@ Tolerances are pinned here and inside matball.verify:
   9. inversion error decreasing over r in {0.9,...,0.9999}, final
      <= 1e-2 ||f||_2;
  10. kernel mass within a factor-10 band of its growth rate;
- 11. the verify-all command exits 0 on the default (rank <= 2) suite.
+ 11. the verify-all command exits 0 on the default (rank <= 2) suite and
+     writes the CSV pinned in tests/golden/verify-all.csv.
 """
 
 import time
+from pathlib import Path
 
 from matball import verify
 from matball.cli import main
@@ -80,10 +82,13 @@ def test_criterion_10_kernel_mass_growth():
 
 def test_criterion_11_verify_all_gate(tmp_path, capsys):
     t0 = time.time()
-    code = main(["verify-all", "--out", str(tmp_path / "verify.csv")])
+    out = tmp_path / "verify.csv"
+    code = main(["verify-all", "--out", str(out)])
     elapsed = time.time() - t0
     err = capsys.readouterr().err
     print(f"[{'PASS' if code == 0 else 'FAIL'}] verify_all_gate: "
           f"exit={code}  [{elapsed:.1f}s]")
     assert code == 0, err
     assert elapsed <= 600.0
+    golden = Path(__file__).parent / "golden" / "verify-all.csv"
+    assert out.read_bytes() == golden.read_bytes()
