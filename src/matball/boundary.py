@@ -19,9 +19,13 @@ import numpy as np
 from .errors import CoincidentAnglesError, DomainError, SingularError
 from .report import CheckReport, make_report
 from .special import SpectralParams
-from .spherical import phi_scalar_core, validate_radius, validate_signature, weyl_dimension
+from .spherical import (log_boundary_weight, phi_scalar_core, validate_radius,
+                        validate_signature, weyl_dimension)
 
 MIN_ANGLE_GAP = 1e-8
+# The rank-3 N = 256 grid-refinement gate is the largest grid a shipped check
+# builds; its angle array alone takes 400 MB.
+MAX_GRID_NODES = 1 << 24
 
 
 def validate_ball_point(Z: np.ndarray) -> np.ndarray:
@@ -62,6 +66,10 @@ class TorusGrid:
         if self.points_per_dim < 8:
             raise DomainError(
                 f"grid needs N >= 8 points per dimension, got {self.points_per_dim}")
+        if self.points_per_dim ** self.n > MAX_GRID_NODES:
+            raise DomainError(
+                f"grid of {self.points_per_dim}^{self.n} nodes exceeds the "
+                f"limit of {MAX_GRID_NODES} nodes")
 
     @cached_property
     def angles(self) -> np.ndarray:
@@ -265,11 +273,9 @@ def hardy_norm(p: SpectralParams, F, pexp: float, r: float,
     if pexp < 1.0:
         raise DomainError(f"norm exponent must be >= 1, got {pexp}")
     r = validate_radius(r)
-    n, nu, s = p.n, p.nu, p.s
 
     def integrand(angles):
         return np.abs(np.asarray(F(r, angles))) ** pexp
 
     integral = weyl_integrate(integrand, grid).real
-    weight = math.exp(-n * (n - nu - s.real) / 2.0 * math.log1p(-r * r)) if r > 0 else 1.0
-    return weight * integral ** (1.0 / pexp)
+    return math.exp(-log_boundary_weight(p, r).real) * integral ** (1.0 / pexp)

@@ -22,17 +22,16 @@ import numpy as np
 from . import __version__
 from .boundary import TorusGrid, fourier_mode_check, spherical_oracle
 from .errors import MatballError
-from .experiments import (DEFAULT_RADII, KTypeFunction, forelli_rudin_growth,
-                          inversion_experiment, key_lemma_sweep, norm_sandwich)
+from .experiments import (DEFAULT_RADII, KTypeFunction, SweepResult,
+                          forelli_rudin_growth, inversion_experiment,
+                          key_lemma_sweep, norm_sandwich)
 from .hua import hua_residual
-from .identities import (e9_identity_check, lemma_a_sides,
-                         lemma_b_printed_sign, lemma_b_ratio,
+from .identities import (lemma_a_sides, lemma_b_printed_sign, lemma_b_ratio,
                          lemma_b_resolved_sign)
-from .errors import GuardError, PoleError
 from .special import SpectralParams
 from .spherical import phi_big
-from .verify import (draw_appendix_params, oracle_grid, run_all,
-                     signatures_up_to)
+from .verify import (draw_appendix_params, draw_hua_point, e9_sweep,
+                     oracle_grid, run_all, signatures_up_to)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -91,7 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
            radii_default=(0.1, 0.3, 0.5, 0.7))
     common(sub.add_parser("kernel", help="kernel Fourier modes vs closed form"),
            radii_default=(0.3, 0.6))
-    common(sub.add_parser("hua-check", help="operator eigen-equation residuals"))
+    hc = sub.add_parser("hua-check", help="operator eigen-equation residuals")
+    common(hc)
+    hc.set_defaults(fd_step=4e-4)
     common(sub.add_parser("lemma-a", help="determinant shift identity"),
            radii_default=(0.3, 0.6, 0.9))
     common(sub.add_parser("lemma-b", help="determinant asymptotic ratio"),
@@ -113,20 +114,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def resolve_params(args, parser, need_asymptotic=False,
-                   need_generic=False) -> SpectralParams:
+def resolve_params(args, parser) -> SpectralParams:
+    """s from --s, --s-re/--s-im or the default n + 1, checked against the
+    guards of the command."""
     if args.s is not None:
         s = args.s
     elif args.s_re is not None:
         s = complex(args.s_re, args.s_im)
     else:
         s = complex(args.n + 1.0)
-    if args.n < 1:
-        parser.error(f"--n must be >= 1, got {args.n}")
     p = SpectralParams(args.n, args.nu, s)
-    if need_asymptotic and not p.in_asymptotic_range:
+    if args.command in ASYMPTOTIC_COMMANDS and not p.in_asymptotic_range:
         parser.error(f"s={s} violates Re(s) > n-1 (asymptotic range guard)")
-    if need_generic and not p.in_generic_set:
+    if args.command in GENERIC_COMMANDS and not p.in_generic_set:
         parser.error(f"s={s} lies on the excluded lattice n-2+/-nu-2k "
                      "(generic-set guard)")
     return p
@@ -172,202 +172,108 @@ def write_csv(out_path: str, command: str, config: dict, columns, rows) -> None:
             fh.write(text)
 
 
-def _config_of(args, parser_keys=("n", "nu", "grid", "fd_step", "seed", "max_m")):
-    cfg = {k: getattr(args, k) for k in parser_keys if hasattr(args, k)}
-    if getattr(args, "radii", None) is not None:
-        cfg["radii"] = ";".join(f"{r:.17g}" for r in args.radii)
-    return cfg
+def _rowwise(columns, rows) -> SweepResult:
+    """A sweep whose last column is the per-row pass flag."""
+    return SweepResult(columns, rows, passed=all(row[-1] for row in rows))
 
 
-def cmd_phi(args, parser) -> int:
-    p = resolve_params(args, parser)
-    sigs = list(signatures_up_to(p.n, args.max_m))
+# Each command maps (args, params) to a SweepResult; params is the resolved
+# SpectralParams for the commands in SPECTRAL_COMMANDS and None otherwise.
+
+def cmd_phi(args, p) -> SweepResult:
     rows = []
-    all_ok = True
-    for m in sigs:
+    for m in signatures_up_to(p.n, args.max_m):
         for r in args.radii:
             det_val = phi_big(p, m, r)
             grid = oracle_grid(p.n, r) if args.grid <= 48 else TorusGrid(p.n, args.grid)
             orc = spherical_oracle(p, m, r, grid)
             rel = abs(det_val - orc) / max(abs(det_val), 1e-30)
-            ok = rel <= 1e-6
-            all_ok &= ok
-            rows.append((";".join(map(str, m)), r, det_val, orc, rel, ok))
-    cfg = _config_of(args); cfg["s"] = p.s
-    write_csv(args.out, "phi", cfg,
-              ("m", "r", "profile", "oracle", "rel_error", "passed"), rows)
-    return EXIT_PASS if all_ok else EXIT_CHECK_FAILED
+            rows.append((";".join(map(str, m)), r, det_val, orc, rel, rel <= 1e-6))
+    return _rowwise(("m", "r", "profile", "oracle", "rel_error", "passed"), rows)
 
 
-def cmd_kernel(args, parser) -> int:
-    p = resolve_params(args, parser)
+def cmd_kernel(args, p) -> SweepResult:
     rows = []
-    all_ok = True
     for k in range(-args.max_m - 1, args.max_m + 2):
         for r in args.radii:
             rep = fourier_mode_check(p, k, r, max(args.grid, 512))
-            all_ok &= rep.passed
             rows.append((k, r, rep.computed, rep.reference, rep.rel_error,
                          rep.passed))
-    cfg = _config_of(args); cfg["s"] = p.s
-    write_csv(args.out, "kernel", cfg,
-              ("k", "r", "quadrature", "closed_form", "rel_error", "passed"),
-              rows)
-    return EXIT_PASS if all_ok else EXIT_CHECK_FAILED
+    return _rowwise(("k", "r", "quadrature", "closed_form", "rel_error", "passed"),
+                    rows)
 
 
-def cmd_hua_check(args, parser) -> int:
-    p = resolve_params(args, parser, need_generic=True)
+def cmd_hua_check(args, p) -> SweepResult:
     rng = np.random.default_rng(args.seed)
     rows = []
-    all_ok = True
-    tol = 1e-4
-    h = args.fd_step if args.fd_step is not None else 4e-4
     for draw in range(6):
-        if p.n == 1:
-            Z = np.array([[complex(rng.uniform(0.1, 0.3),
-                                   rng.uniform(-0.2, 0.2))]])
-            U = np.eye(1)
-        else:
-            Z = 0.1 * (rng.standard_normal((p.n, p.n))
-                       + 1j * rng.standard_normal((p.n, p.n)))
-            U, _ = np.linalg.qr(rng.standard_normal((p.n, p.n))
-                                + 1j * rng.standard_normal((p.n, p.n)))
-        rep = hua_residual(p, Z, U, h=h, tol=tol)
-        all_ok &= rep.passed
-        rows.append((draw, h, rep.extras["top_residual"],
+        Z, U = draw_hua_point(rng, p.n, 0.1)
+        rep = hua_residual(p, Z, U, h=args.fd_step, tol=1e-4)
+        rows.append((draw, args.fd_step, rep.extras["top_residual"],
                      rep.extras["bottom_residual"], rep.passed))
-    cfg = _config_of(args); cfg["s"] = p.s; cfg["fd_step"] = h
-    write_csv(args.out, "hua-check", cfg,
-              ("draw", "h", "top_residual", "bottom_residual", "passed"), rows)
-    return EXIT_PASS if all_ok else EXIT_CHECK_FAILED
+    return _rowwise(("draw", "h", "top_residual", "bottom_residual", "passed"),
+                    rows)
 
 
-def cmd_lemma_a(args, parser) -> int:
-    if args.n < 1:
-        parser.error(f"--n must be >= 1, got {args.n}")
+def cmd_lemma_a(args, p) -> SweepResult:
     rng = np.random.default_rng(args.seed)
     rows = []
-    all_ok = True
     for draw in range(20):
         ap = draw_appendix_params(rng, args.n)
         for r in args.radii:
             lhs, rhs = lemma_a_sides(ap, r)
             rel = abs(lhs - rhs) / abs(lhs)
-            ok = rel <= 1e-8
-            all_ok &= ok
-            rows.append((draw, r, lhs, rhs, rel, ok))
-    write_csv(args.out, "lemma-a", _config_of(args),
-              ("draw", "r", "lhs", "rhs", "rel_error", "passed"), rows)
-    return EXIT_PASS if all_ok else EXIT_CHECK_FAILED
+            rows.append((draw, r, lhs, rhs, rel, rel <= 1e-8))
+    return _rowwise(("draw", "r", "lhs", "rhs", "rel_error", "passed"), rows)
 
 
-def cmd_lemma_b(args, parser) -> int:
-    if args.n < 1:
-        parser.error(f"--n must be >= 1, got {args.n}")
+def cmd_lemma_b(args, p) -> SweepResult:
     rng = np.random.default_rng(args.seed)
-    radii = sorted(args.radii)
     rows = []
-    all_ok = True
+    passed = True
     for draw in range(5):
         ap = draw_appendix_params(rng, args.n)
         devs = []
-        for r in radii:
+        for r in sorted(args.radii):
             ratio = lemma_b_ratio(ap, r)
-            dev = abs(ratio - 1.0)
-            devs.append(dev)
-            rows.append((draw, r, ratio, dev,
+            devs.append(abs(ratio - 1.0))
+            rows.append((draw, r, ratio, devs[-1],
                          lemma_b_resolved_sign(args.n),
                          lemma_b_printed_sign(args.n)))
-        all_ok &= devs[-1] <= 5e-2 and devs[-1] <= devs[0]
-    write_csv(args.out, "lemma-b", _config_of(args),
-              ("draw", "r", "ratio", "deviation", "resolved_sign",
-               "printed_sign"), rows)
-    return EXIT_PASS if all_ok else EXIT_CHECK_FAILED
+        passed &= devs[-1] <= 5e-2 and devs[-1] <= devs[0]
+    return SweepResult(("draw", "r", "ratio", "deviation", "resolved_sign",
+                        "printed_sign"), rows, passed=passed)
 
 
-def cmd_e9(args, parser) -> int:
-    rows = []
-    all_ok = True
-    for n in (1, 2, 3):
-        for nu in range(-3, 4):
-            for s in (n - 0.4, n + 1.0, n + 2.5, complex(n + 1, 1.0)):
-                try:
-                    rep = e9_identity_check(SpectralParams(n, nu, s))
-                except (PoleError, GuardError):
-                    continue
-                all_ok &= rep.passed
-                rows.append((n, nu, complex(s), rep.computed, rep.reference,
-                             rep.rel_error, rep.passed))
-    write_csv(args.out, "e9", _config_of(args),
-              ("n", "nu", "s", "lhs", "rhs", "rel_error", "passed"), rows)
-    return EXIT_PASS if all_ok else EXIT_CHECK_FAILED
-
-
-def cmd_key_lemma(args, parser) -> int:
-    p = resolve_params(args, parser, need_asymptotic=True, need_generic=True)
-    sigs = [m for m in signatures_up_to(p.n, args.max_m)]
-    sweep = key_lemma_sweep(p, sigs, sorted(args.radii))
-    cfg = _config_of(args); cfg["s"] = p.s
-    write_csv(args.out, "key-lemma", cfg, sweep.columns, sweep.rows)
-    return EXIT_PASS if sweep.passed else EXIT_CHECK_FAILED
-
-
-def cmd_forelli_rudin(args, parser) -> int:
-    p = resolve_params(args, parser, need_asymptotic=True)
-    sweep = forelli_rudin_growth(p, sorted(args.radii),
-                                 TorusGrid(p.n, max(args.grid, 32)))
-    cfg = _config_of(args); cfg["s"] = p.s
-    write_csv(args.out, "forelli-rudin", cfg, sweep.columns, sweep.rows)
-    return EXIT_PASS if sweep.passed else EXIT_CHECK_FAILED
+def cmd_e9(args, p) -> SweepResult:
+    rows = [(q.n, q.nu, q.s, rep.computed, rep.reference, rep.rel_error,
+             rep.passed) for q, rep in e9_sweep() if rep is not None]
+    return _rowwise(("n", "nu", "s", "lhs", "rhs", "rel_error", "passed"), rows)
 
 
 def _default_ktype(n: int) -> KTypeFunction:
-    if n == 1:
-        return KTypeFunction({(0,): 1.0, (1,): 0.5 - 0.25j})
-    base = {(0,) * n: 1.0}
-    base[(1,) + (0,) * (n - 1)] = 0.5 - 0.25j
-    return KTypeFunction(base)
+    return KTypeFunction({(0,) * n: 1.0, (1,) + (0,) * (n - 1): 0.5 - 0.25j})
 
 
-def cmd_sandwich(args, parser) -> int:
-    p = resolve_params(args, parser, need_asymptotic=True, need_generic=True)
-    if args.pexp < 1.0:
-        parser.error(f"--pexp must be >= 1, got {args.pexp}")
-    f = _default_ktype(p.n)
-    sweep = norm_sandwich(p, f, args.pexp, sorted(args.radii),
+def cmd_sandwich(args, p) -> SweepResult:
+    sweep = norm_sandwich(p, _default_ktype(p.n), args.pexp, sorted(args.radii),
                           TorusGrid(p.n, max(args.grid, 32)))
-    cfg = _config_of(args); cfg["s"] = p.s; cfg["pexp"] = args.pexp
-    rows = sweep.rows + []
-    write_csv(args.out, "sandwich", cfg, sweep.columns, rows)
     md = sweep.metadata
     print(f"lower bound |c| ||f||_p = {md['c_modulus'] * md['boundary_norm']:.6g}"
           f" <= hardy norm = {md['hardy_norm']:.6g}; "
           f"upper ratio = {md['upper_ratio']:.6g}", file=sys.stderr)
-    return EXIT_PASS if sweep.passed else EXIT_CHECK_FAILED
+    return sweep
 
 
-def cmd_invert(args, parser) -> int:
-    p = resolve_params(args, parser, need_asymptotic=True, need_generic=True)
-    f = _default_ktype(p.n)
-    sweep = inversion_experiment(p, f, sorted(args.radii))
-    cfg = _config_of(args); cfg["s"] = p.s
-    write_csv(args.out, "invert", cfg, sweep.columns, sweep.rows)
-    return EXIT_PASS if sweep.passed else EXIT_CHECK_FAILED
-
-
-def cmd_verify_all(args, parser) -> int:
+def cmd_verify_all(args, p) -> SweepResult:
     results, elapsed = run_all(extended=args.extended,
                                emit=lambda line: print(line, file=sys.stderr))
     print(f"suite finished in {elapsed:.1f}s", file=sys.stderr)
     rows = [(res.name, res.passed,
              "; ".join(f"{k}={v}" for k, v in res.details.items()))
             for res in results]
-    cfg = _config_of(args)
-    cfg["extended"] = args.extended
-    write_csv(args.out, "verify-all", cfg, ("criterion", "passed", "details"),
-              rows)
-    return EXIT_PASS if all(r.passed for r in results) else EXIT_CHECK_FAILED
+    return SweepResult(("criterion", "passed", "details"), rows,
+                       passed=all(res.passed for res in results))
 
 
 COMMANDS = {
@@ -377,22 +283,45 @@ COMMANDS = {
     "lemma-a": cmd_lemma_a,
     "lemma-b": cmd_lemma_b,
     "e9": cmd_e9,
-    "key-lemma": cmd_key_lemma,
-    "forelli-rudin": cmd_forelli_rudin,
+    "key-lemma": lambda args, p: key_lemma_sweep(
+        p, list(signatures_up_to(p.n, args.max_m)), sorted(args.radii)),
+    "forelli-rudin": lambda args, p: forelli_rudin_growth(
+        p, sorted(args.radii), TorusGrid(p.n, max(args.grid, 32))),
     "sandwich": cmd_sandwich,
-    "invert": cmd_invert,
+    "invert": lambda args, p: inversion_experiment(
+        p, _default_ktype(p.n), sorted(args.radii)),
     "verify-all": cmd_verify_all,
 }
+
+# the commands that take s, and the guards their s must pass
+ASYMPTOTIC_COMMANDS = {"key-lemma", "forelli-rudin", "sandwich", "invert"}
+GENERIC_COMMANDS = {"hua-check", "key-lemma", "sandwich", "invert"}
+SPECTRAL_COMMANDS = {"phi", "kernel"} | ASYMPTOTIC_COMMANDS | GENERIC_COMMANDS
+
+CONFIG_KEYS = ("n", "nu", "grid", "fd_step", "seed", "max_m", "pexp", "extended")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # e9 and verify-all sweep their own ranks and ignore --n
+    if args.command not in ("e9", "verify-all") and args.n < 1:
+        parser.error(f"--n must be >= 1, got {args.n}")
     try:
-        return COMMANDS[args.command](args, parser)
+        p = resolve_params(args, parser) if args.command in SPECTRAL_COMMANDS else None
+        if getattr(args, "pexp", 1.0) < 1.0:
+            parser.error(f"--pexp must be >= 1, got {args.pexp}")
+        sweep = COMMANDS[args.command](args, p)
     except MatballError as exc:
         print(f"numerical guard: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    config = {k: getattr(args, k) for k in CONFIG_KEYS if hasattr(args, k)}
+    if args.radii is not None:
+        config["radii"] = ";".join(f"{r:.17g}" for r in args.radii)
+    if p is not None:
+        config["s"] = p.s
+    write_csv(args.out, args.command, config, sweep.columns, sweep.rows)
+    return EXIT_PASS if sweep.passed else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

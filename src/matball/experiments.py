@@ -18,7 +18,9 @@ from .boundary import (TorusGrid, hardy_norm, poisson_kernel_torus,
 from .errors import DomainError
 from .report import CheckReport, make_report
 from .special import SpectralParams, c_function
-from .spherical import phi_big, validate_radius, validate_signature, weyl_dimension
+from .spherical import (_require_asymptotic, _require_asymptotic_range,
+                        key_lemma_ratio, log_boundary_weight, phi_big,
+                        validate_radius, validate_signature, weyl_dimension)
 
 DEFAULT_RADII = tuple(1.0 - 2.0 ** (-j) for j in range(1, 15))
 
@@ -77,23 +79,8 @@ class KTypeFunction:
     def poisson_slice(self, p: SpectralParams, r: float):
         """Callable (r, angles) -> values of the Poisson extension at radius
         r: sum_m coeffs[m] Phi_m(r) phi_m(angles)."""
-        weights = [(m, c * phi_big(p, m, r)) for m, c in self.items()]
-
-        def F(_r, angles):
-            out = 0
-            for m, w in weights:
-                out = out + w * schur_character(m, angles)
-            return out
-
-        return F
-
-
-def _require_asymptotic(p: SpectralParams) -> None:
-    if not p.in_generic_set:
-        raise DomainError(f"s={p.s} lies on the excluded spectral lattice")
-    if not p.in_asymptotic_range:
-        raise DomainError(
-            f"requires Re(s) > n-1 (asymptotic range), got s={p.s}, n={p.n}")
+        extension = KTypeFunction({m: c * phi_big(p, m, r) for m, c in self.items()})
+        return lambda _r, angles: extension.evaluate(angles)
 
 
 def key_lemma_sweep(p: SpectralParams, sigs, radii) -> SweepResult:
@@ -107,14 +94,12 @@ def key_lemma_sweep(p: SpectralParams, sigs, radii) -> SweepResult:
     if any(r < 0.9 for r in radii) or radii != sorted(radii):
         raise DomainError("radii must be an increasing list inside [0.9, 1)")
     sigs = [validate_signature(m, p.n) for m in sigs]
-    cf = c_function(p)
     rows = []
     worst_by_r = []
     for r in radii:
         worst = 0.0
-        denom = cf * _boundary_decay(p, r)
         for m in sigs:
-            ratio = phi_big(p, m, r) / denom
+            ratio = key_lemma_ratio(p, m, r)
             dev = abs(ratio - 1.0)
             worst = max(worst, dev)
             rows.append((";".join(map(str, m)), r, ratio, dev))
@@ -128,11 +113,6 @@ def key_lemma_sweep(p: SpectralParams, sigs, radii) -> SweepResult:
                   "deviations_decreasing": decreasing})
 
 
-def _boundary_decay(p: SpectralParams, r: float) -> complex:
-    import cmath
-    return cmath.exp(p.n * (p.n - p.nu - p.s) / 2.0 * math.log1p(-r * r))
-
-
 def forelli_rudin_growth(p: SpectralParams, radii, grid: TorusGrid) -> SweepResult:
     """Kernel mass against its predicted growth rate: rows of
 
@@ -142,8 +122,7 @@ def forelli_rudin_growth(p: SpectralParams, radii, grid: TorusGrid) -> SweepResu
     requires more points.  Passes when the ratio stays within a factor-10
     band over the radii.
     """
-    if not p.in_asymptotic_range:
-        raise DomainError(f"requires Re(s) > n-1, got s={p.s}, n={p.n}")
+    _require_asymptotic_range(p)
     radii = [validate_radius(r) for r in radii]
     rows = []
     ratios = []
@@ -157,8 +136,7 @@ def forelli_rudin_growth(p: SpectralParams, radii, grid: TorusGrid) -> SweepResu
                 g = g.refined()
         integral = weyl_integrate(
             lambda a: np.abs(poisson_kernel_torus(p, r, a)), g).real
-        reference = math.exp(
-            p.n * (p.n - p.nu - p.s.real) / 2.0 * math.log1p(-r * r)) if r > 0 else 1.0
+        reference = math.exp(log_boundary_weight(p, r).real)
         ratio = integral / reference
         ratios.append(ratio)
         rows.append((r, integral, reference, ratio, g.points_per_dim))
@@ -226,8 +204,7 @@ def inversion_experiment(p: SpectralParams, f: KTypeFunction,
     rows = []
     errs = []
     for r in radii:
-        weight = math.exp(-p.n * (p.n - p.nu - p.s.real) * math.log1p(-r * r)) \
-            if r > 0 else 1.0
+        weight = math.exp(-2.0 * log_boundary_weight(p, r).real)
         err2 = 0.0
         for m, c in f.items():
             kappa = abs(phi_big(p, m, r)) ** 2 * weight / cmod2

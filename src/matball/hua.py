@@ -8,7 +8,7 @@ readings; see the module tests):
     the base point; only the scalar field is differentiated;
   * the first-order term of the bottom block carries the right factor B
     (the variant with right factor A fails the eigen-equation for nu != 0
-    and n >= 2; it is kept behind ``bottom_nu_convention='printed'``).
+    and n >= 2, as a module test shows).
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ def _wirtinger_hessian(F, Z: np.ndarray, h: float) -> np.ndarray:
     return H
 
 
-def hua_apply(p: SpectralParams, F, Z: np.ndarray, h: float = DEFAULT_FD_STEP,
-              bottom_nu_convention: str = "derived") -> HuaResult:
+def hua_apply(p: SpectralParams, F, Z: np.ndarray,
+              h: float = DEFAULT_FD_STEP) -> HuaResult:
     """Apply the matrix operator to a scalar field at Z by finite differences.
 
     With A = I - Z Z*, B = I - Z*Z frozen at Z:
@@ -107,13 +107,8 @@ def hua_apply(p: SpectralParams, F, Z: np.ndarray, h: float = DEFAULT_FD_STEP,
         top_{pq}    =  sum A_{pa} B_{bc} d2F/(dzbar_{ab} dz_{qc})
                        - nu sum A_{pa} (Z*)_{bq} dF/dzbar_{ab}
         bottom_{pq} = -sum A_{ab} B_{cq} d2F/(dz_{ap} dzbar_{bc})
-                       + nu sum (Z*)_{pa} W_{bq} dF/dzbar_{ab}
-
-    where W = B under the default convention and W = A under 'printed'.
+                       + nu sum (Z*)_{pa} B_{bq} dF/dzbar_{ab}
     """
-    if bottom_nu_convention not in ("derived", "printed"):
-        raise DomainError(
-            f"unknown bottom_nu_convention {bottom_nu_convention!r}")
     Z = validate_ball_point(Z)
     if Z.shape[0] != p.n:
         raise DomainError(f"ball point size {Z.shape[0]} != rank {p.n}")
@@ -133,8 +128,7 @@ def hua_apply(p: SpectralParams, F, Z: np.ndarray, h: float = DEFAULT_FD_STEP,
     # bottom second-order part: d2F/(dz_{ap} dzbar_{bc}) = H[b,c,a,p]
     bottom = -np.einsum("ab,cq,bcap->pq", A, B, H)
     if nu != 0:
-        W = B if bottom_nu_convention == "derived" else A
-        bottom = bottom + nu * np.einsum("pa,bq,ab->pq", Zs, W, dbarF)
+        bottom = bottom + nu * np.einsum("pa,bq,ab->pq", Zs, B, dbarF)
     return HuaResult(top=top, bottom=bottom)
 
 
@@ -182,8 +176,7 @@ def hua_eigenvalue(p: SpectralParams) -> complex:
 
 
 def hua_residual(p: SpectralParams, Z: np.ndarray, U: np.ndarray,
-                 h: float = DEFAULT_FD_STEP, tol: float = 1e-4,
-                 bottom_nu_convention: str = "derived") -> CheckReport:
+                 h: float = DEFAULT_FD_STEP, tol: float = 1e-4) -> CheckReport:
     """Eigen-equation residual of the kernel under the matrix operator:
     top should equal mu P I and bottom should equal -mu P I, with
     mu = (s^2 - (n-nu)^2)/4.  Reports the worse of the two relative
@@ -192,8 +185,7 @@ def hua_residual(p: SpectralParams, Z: np.ndarray, U: np.ndarray,
     Z = validate_ball_point(Z)
     U = np.asarray(U)
     P = poisson_kernel(p, Z, U)
-    res = hua_apply(p, lambda W: poisson_kernel(p, W, U), Z, h,
-                    bottom_nu_convention=bottom_nu_convention)
+    res = hua_apply(p, lambda W: poisson_kernel(p, W, U), Z, h)
     mu = hua_eigenvalue(p)
     eye = np.eye(p.n)
     top_res = float(np.linalg.norm(res.top - mu * P * eye) / abs(P))

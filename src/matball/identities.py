@@ -109,6 +109,14 @@ def _hyp_det(entries) -> complex:
     return complex(_det_ld(np.array(entries, dtype=_LD)))
 
 
+def _shifted_det(ap: AppendixParams, x: float) -> complex:
+    """det( 2F1(alpha+n-j, beta+p_i+n; alpha+beta+n-j; x) )_{i,j=1..n}."""
+    n, alpha, beta, p = ap.n, ap.alpha, ap.beta, ap.p
+    return _hyp_det([[_eval_2f1_ld(alpha + n - (j + 1), beta + p[i] + n,
+                                   alpha + beta + n - (j + 1), x)
+                      for j in range(n)] for i in range(n)])
+
+
 def lemma_a_sides(ap: AppendixParams, r: float):
     """Both sides of the column-shift determinant identity at x = 1 - r^2:
 
@@ -125,14 +133,11 @@ def lemma_a_sides(ap: AppendixParams, r: float):
     x = 1.0 - r * r
     lhs = _hyp_det([[_eval_2f1_ld(alpha, beta + p[i] + (j + 1), alpha + beta, x)
                      for j in range(n)] for i in range(n)])
-    det2 = _hyp_det([[_eval_2f1_ld(alpha + n - (j + 1), beta + p[i] + n,
-                                   alpha + beta + n - (j + 1), x)
-                      for j in range(n)] for i in range(n)])
     q0 = n * (n - 1) // 2
     pref = complex((-1) ** q0) * x ** q0
     for k in range(1, n):
         pref *= ((alpha + k - 1) / (alpha + beta + k - 1)) ** (n - k)
-    return lhs, pref * det2
+    return lhs, pref * _shifted_det(ap, x)
 
 
 def dp_factor(p) -> complex:
@@ -192,12 +197,8 @@ def lemma_b_ratio(ap: AppendixParams, r: float) -> complex:
     divided by the asymptotic reference; tends to 1 as r -> 1-."""
     check_asymptotic_guard(ap)
     r = validate_radius(r)
-    n, alpha, beta, p = ap.n, ap.alpha, ap.beta, ap.p
-    x = 1.0 - r * r
-    det = _hyp_det([[_eval_2f1_ld(alpha + n - (j + 1), beta + p[i] + n,
-                                  alpha + beta + n - (j + 1), x)
-                     for j in range(n)] for i in range(n)])
-    return det / dp_factor(p) / lemma_b_reference(ap, r)
+    return (_shifted_det(ap, 1.0 - r * r) / dp_factor(ap.p)
+            / lemma_b_reference(ap, r))
 
 
 def pochhammer_product_check(a: complex, n: int, tol: float = 1e-11) -> CheckReport:

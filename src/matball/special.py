@@ -123,13 +123,6 @@ def _series_2f1(a: complex, b: complex, c: complex, x: float) -> complex:
         f"2F1 series did not converge: a={a}, b={b}, c={c}, x={x}")
 
 
-def _terminating_order(a: complex) -> int | None:
-    """If a is within 1e-12 of a non-positive integer -n, return n."""
-    if _near_nonpositive_integer(a):
-        return -round(complex(a).real)
-    return None
-
-
 def _series_2f1_terminating(a: complex, b: complex, c: complex, x: float,
                             order: int) -> complex:
     term = 1.0 + 0.0j
@@ -215,10 +208,10 @@ def gauss_2f1(a: complex, b: complex, c: complex, x: float) -> complex:
         raise PoleError(f"2F1 lower parameter c={c} is a non-positive integer")
     a, b, c = complex(a), complex(b), complex(c)
 
-    na, nb = _terminating_order(a), _terminating_order(b)
-    if na is not None or nb is not None:
-        order = min(k for k in (na, nb) if k is not None)
-        return _series_2f1_terminating(a, b, c, x, order)
+    # a or b within 1e-12 of a non-positive integer -k: a polynomial of degree k
+    orders = [-round(v.real) for v in (a, b) if _near_nonpositive_integer(v)]
+    if orders:
+        return _series_2f1_terminating(a, b, c, x, min(orders))
 
     if x <= 0.5:
         return _series_2f1(a, b, c, x)
@@ -287,7 +280,10 @@ class SpectralParams:
             raise DomainError(f"rank must be >= 1, got {self.n}")
         if not isinstance(self.nu, int):
             raise DomainError(f"weight nu must be an integer, got {self.nu!r}")
-        object.__setattr__(self, "s", complex(self.s))
+        s = complex(self.s)
+        if not cmath.isfinite(s):
+            raise DomainError(f"spectral variable s must be finite, got {s}")
+        object.__setattr__(self, "s", s)
 
     @property
     def in_generic_set(self) -> bool:

@@ -107,12 +107,29 @@ def phi_big(p: SpectralParams, m, r: float) -> complex:
     return complex(np.linalg.det(entries)) / weyl_dimension(m)
 
 
+def log_boundary_weight(p: SpectralParams, r: float) -> complex:
+    """n(n-nu-s)/2 log(1-r^2), the logarithm of the boundary decay rate of
+    Phi_{s,m}.  Its real part gives the rate of |Phi_{s,m}|."""
+    return p.n * (p.n - p.nu - p.s) / 2.0 * math.log1p(-r * r)
+
+
 def boundary_weight(p: SpectralParams, r: float) -> complex:
     """(1-r^2)^(n(n-nu-s)/2), the boundary decay rate of Phi_{s,m}."""
-    n, nu, s = p.n, p.nu, p.s
-    if r == 0.0:
-        return 1.0 + 0.0j
-    return cmath.exp(n * (n - nu - s) / 2.0 * math.log1p(-r * r))
+    return cmath.exp(log_boundary_weight(p, r))
+
+
+def _require_asymptotic_range(p: SpectralParams) -> None:
+    if not p.in_asymptotic_range:
+        raise DomainError(
+            f"requires Re(s) > n-1 (asymptotic range), got s={p.s}, n={p.n}")
+
+
+def _require_asymptotic(p: SpectralParams) -> None:
+    """Refuse s on the excluded spectral lattice or outside Re(s) > n - 1,
+    where the boundary asymptotics Phi_{s,m} ~ c(s) (1-r^2)^(...) fail."""
+    if not p.in_generic_set:
+        raise DomainError(f"s={p.s} lies on the excluded spectral lattice")
+    _require_asymptotic_range(p)
 
 
 def key_lemma_ratio(p: SpectralParams, m, r: float) -> complex:
@@ -120,11 +137,7 @@ def key_lemma_ratio(p: SpectralParams, m, r: float) -> complex:
 
     Requires s in the generic set and Re(s) > n - 1.
     """
-    if not p.in_generic_set:
-        raise DomainError(f"s={p.s} lies on the excluded spectral lattice")
-    if not p.in_asymptotic_range:
-        raise DomainError(
-            f"requires Re(s) > n-1 (asymptotic range), got s={p.s}, n={p.n}")
+    _require_asymptotic(p)
     return phi_big(p, m, r) / (c_function(p) * boundary_weight(p, r))
 
 

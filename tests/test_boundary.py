@@ -26,6 +26,17 @@ class TestTorusGrid:
         with pytest.raises(DomainError):
             TorusGrid(0, 16)
 
+    def test_node_limit(self):
+        # 2^24 nodes (the rank-3 N = 256 refinement gate) is the largest
+        # grid allowed; nodes are built lazily, so nothing is allocated here
+        TorusGrid(3, 256)
+        TorusGrid(2, 4096)
+        for n, N in ((3, 512), (2, 8192), (1, 1 << 25)):
+            with pytest.raises(DomainError, match="nodes"):
+                TorusGrid(n, N)
+        with pytest.raises(DomainError):
+            TorusGrid(3, 256).refined()
+
     def test_nodes_and_weights(self):
         g = TorusGrid(2, 8)
         assert g.angles.shape == (64, 2)

@@ -88,6 +88,23 @@ class TestExitCodes:
         assert code == 3
         assert "MarginError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--n", "1", "--s", "nan"],
+        ["phi", "--n", "1", "--s-re", "nan"],
+        ["hua-check", "--n", "2", "--s-re", "inf"],
+    ])
+    def test_non_finite_s_is_a_guard(self, tmp_path, capsys, argv):
+        assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 3
+        assert "DomainError" in capsys.readouterr().err
+
+    def test_oversized_grid_is_a_guard(self, tmp_path, capsys):
+        # r = 0.99 at rank 3 asks for N = 2048 per dimension; the grid is
+        # refused before any node array is allocated
+        code = run_cli(["forelli-rudin", "--n", "3", "--radii", "0.99",
+                        "--out", str(tmp_path / "fr.csv")])
+        assert code == 3
+        assert "nodes" in capsys.readouterr().err
+
     def test_subprocess_entry_point(self, tmp_path):
         # the installed console script mirrors main()
         proc = subprocess.run(

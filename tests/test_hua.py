@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from matball.boundary import poisson_kernel
-from matball.errors import DomainError, MarginError
+from matball.errors import MarginError
 from matball.hua import (hua_apply, hua_eigenvalue, hua_residual,
                          kernel_dbar_shifted_analytic, kernel_grad_analytic,
                          wirtinger_grad)
@@ -106,9 +106,6 @@ class TestHuaApply:
         p = SpectralParams(2, 1, 3.0)
         with pytest.raises(MarginError):
             hua_apply(p, lambda W: 1.0, 0.999 * np.eye(2), 1e-2)
-        with pytest.raises(DomainError):
-            hua_apply(p, lambda W: 1.0, 0.1 * np.eye(2), 1e-3,
-                      bottom_nu_convention="sideways")
 
 
 class TestKernelGradients:
@@ -224,10 +221,21 @@ class TestHuaResidual:
         Z = random_interior_point(rng, 2)
         U = random_unitary(rng, 2)
         good = hua_residual(p, Z, U, h=1e-3, tol=1.0)
-        bad = hua_residual(p, Z, U, h=1e-3, tol=1.0,
-                           bottom_nu_convention="printed")
+
+        def F(W):
+            return poisson_kernel(p, W, U)
+
+        res = hua_apply(p, F, Z, 1e-3)
+        _, dbarF = wirtinger_grad(F, Z, 1e-3)
+        Zs = Z.conj().T
+        A = np.eye(2) - Z @ Zs
+        B = np.eye(2) - Zs @ Z
+        printed = res.bottom + p.nu * np.einsum("pa,bq,ab->pq", Zs, A - B, dbarF)
+        P = poisson_kernel(p, Z, U)
+        mu = hua_eigenvalue(p)
+        bad_bottom = np.linalg.norm(printed + mu * P * np.eye(2)) / abs(P)
+        top = np.linalg.norm(res.top - mu * P * np.eye(2)) / abs(P)
         assert good.rel_error <= 2e-4
-        assert bad.extras["bottom_residual"] > 50 * good.rel_error
-        # the top block does not depend on the flag
-        assert abs(bad.extras["top_residual"]
-                   - good.extras["top_residual"]) <= 1e-12
+        assert bad_bottom > 50 * good.rel_error
+        # the top block is the one hua_residual reports
+        assert abs(top - good.extras["top_residual"]) <= 1e-12

@@ -210,6 +210,12 @@ class TestSpectralParams:
         with pytest.raises(DomainError):
             SpectralParams(2, 0.5, 1.0)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, complex(3.0, math.nan),
+                                   complex(-math.inf, 1.0)])
+    def test_non_finite_s_rejected(self, s):
+        with pytest.raises(DomainError, match="finite"):
+            SpectralParams(2, 0, s)
+
     def test_generic_set(self):
         # excluded lattice n-2 +/- nu - 2k
         assert not SpectralParams(2, 1, 1.0).in_generic_set   # n-2+nu
