@@ -230,6 +230,7 @@ class TestHuaResidual:
         Zs = Z.conj().T
         A = np.eye(2) - Z @ Zs
         B = np.eye(2) - Zs @ Z
+        # the printed variant: right factor A instead of B in the nu term
         printed = res.bottom + p.nu * np.einsum("pa,bq,ab->pq", Zs, A - B, dbarF)
         P = poisson_kernel(p, Z, U)
         mu = hua_eigenvalue(p)
