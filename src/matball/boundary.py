@@ -5,11 +5,18 @@ functions (Weyl integration) and weighted Hardy norms.
 Class functions are integrated on a midpoint-offset product grid against
 the squared-Vandermonde weight; the quadrature is normalized so that the
 constant function integrates to 1 (probability Haar measure).
+
+The quadrature oracle for Phi_{s,m} sums the numerator form of the Weyl
+character formula, kernel x a_{m+delta} x conj(a_delta), node by node over
+the full n-dimensional grid.  It never reduces that sum to one-dimensional
+integrals (Andreief/Heine): the reduction is the determinant formula the
+oracle is there to check.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,9 +82,8 @@ class TorusGrid:
     def angles(self) -> np.ndarray:
         """All grid nodes, shape (N^n, n)."""
         N, n = self.points_per_dim, self.n
-        axis = 2.0 * np.pi * (np.arange(N) + 0.5) / N
         idx = np.indices((N,) * n).reshape(n, -1).T
-        return axis[idx]
+        return _torus_axis(N)[idx]
 
     @cached_property
     def vandermonde_sq(self) -> np.ndarray:
@@ -93,6 +99,11 @@ class TorusGrid:
 
     def refined(self) -> "TorusGrid":
         return TorusGrid(self.n, 2 * self.points_per_dim)
+
+
+def _torus_axis(N: int) -> np.ndarray:
+    """The N midpoint-offset angles 2 pi (j + 1/2) / N of one grid axis."""
+    return 2.0 * np.pi * (np.arange(N) + 0.5) / N
 
 
 _CHUNK = 1 << 18
@@ -219,24 +230,79 @@ def schur_character(m, theta: np.ndarray) -> complex | np.ndarray:
     return complex(out[0]) if single else out
 
 
+def _kernel_factor(p: SpectralParams, r: float, theta: np.ndarray) -> np.ndarray:
+    """Per-angle factor of the kernel at Z = r I without its (1-r^2)^sigma
+    part: |1 - r e^{-i th}|^(-2 sigma) (1 - r e^{-i th})^(-nu), with
+    sigma = (s+n-nu)/2."""
+    w = 1.0 - r * np.exp(-1j * theta)
+    sigma = (p.s + p.n - p.nu) / 2.0
+    return np.exp(-2.0 * sigma * np.log(np.abs(w))) * w ** (-p.nu)
+
+
+def _levi_civita(n: int) -> np.ndarray:
+    """The rank-n Levi-Civita tensor: sgn(k) at each permutation k."""
+    eps = np.zeros((n,) * n)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        eps[perm] = (-1.0) ** inversions
+    return eps
+
+
+def _cofactors(table: np.ndarray) -> np.ndarray:
+    """Signed minors of the alternant det(T[a_j, k])_{j,k} along its first
+    row: C[k_1, a_2, ..., a_n] = eps_{k_1..k_n} prod_{j>=2} T[a_j, k_j] for
+    an (N, n) power table T, so that the alternant at node (a_1, ..., a_n)
+    is sum_k T[a_1, k] C[k, a_2, ..., a_n]."""
+    n = table.shape[1]
+    operands = [_levi_civita(n), list(range(n))]
+    for j in range(1, n):
+        operands += [table, [n + j, j]]
+    return np.einsum(*operands, [0, *range(n + 1, 2 * n)], optimize=True)
+
+
 def spherical_oracle(p: SpectralParams, m, r: float, grid: TorusGrid) -> complex:
     """Quadrature value of the K-type radial profile,
 
         Phi_{s,m}(r) = int P(r I, U) phi_m(U) dU,
 
-    reduced to the torus by Weyl integration.  Serves as the independent
-    oracle for the determinant formula in :func:`matball.spherical.phi_big`.
+    reduced to the torus by Weyl integration in numerator form:
+
+        sum_nodes prod_j g(th_j) a_{m+delta}(z) conj a_delta(z)
+            (1-r^2)^(n sigma) / (n! N^n d_m)
+
+    with z = e^{i theta}, a_lam(z) = det(z_j^{lam_k}), delta = (n-1, ..., 0),
+    sigma = (s+n-nu)/2 and g the per-angle kernel factor.  The character's
+    Vandermonde denominator cancels against the Haar weight, so coincident
+    angles need no special treatment.  Every node's integrand value is
+    formed before the sum; the sum is never reduced to one-dimensional
+    integrals (Andreief/Heine), because that reduction is the determinant
+    formula of :func:`matball.spherical.phi_big`, for which this is the
+    independent oracle.
     """
     m = validate_signature(m, p.n)
     r = validate_radius(r)
     require_kernel_resolution(r, grid)
     if grid.n != p.n:
         raise DomainError(f"grid rank {grid.n} != params rank {p.n}")
-
-    def integrand(angles):
-        return poisson_kernel_torus(p, r, angles) * schur_character(m, angles)
-
-    return weyl_integrate(integrand, grid)
+    n, N = p.n, grid.points_per_dim
+    theta = _torus_axis(N)
+    z = np.exp(1j * theta)[:, None]
+    delta = np.arange(n - 1, -1, -1)
+    # the kernel factor of each angle scales that angle's row of a_{m+delta}
+    num = _kernel_factor(p, r, theta)[:, None] * z ** (np.asarray(m) + delta)
+    den = z ** delta
+    cof_num, cof_den = _cofactors(num), _cofactors(den)
+    rows = max(1, _CHUNK // N ** (n - 1))
+    total = 0.0 + 0.0j
+    for start in range(0, N, rows):
+        block = slice(start, start + rows)
+        # alternants at every node of the block, then sum conj(a_delta) a_num
+        a_num = np.tensordot(num[block], cof_num, 1)
+        a_delta = np.tensordot(den[block], cof_den, 1)
+        total += complex(np.vdot(a_delta, a_num))
+    sigma = (p.s + n - p.nu) / 2.0
+    return (total * cmath.exp(n * sigma * math.log1p(-r * r))
+            / (math.factorial(n) * N ** n * weyl_dimension(m)))
 
 
 def fourier_mode_check(p: SpectralParams, k: int, r: float, N: int,
@@ -251,15 +317,11 @@ def fourier_mode_check(p: SpectralParams, k: int, r: float, N: int,
     r = validate_radius(r)
     if N < 8:
         raise DomainError(f"need N >= 8 quadrature points, got {N}")
-    n, nu, s = p.n, p.nu, p.s
-    theta = 2.0 * np.pi * (np.arange(N) + 0.5) / N
-    w = 1.0 - r * np.exp(-1j * theta)
-    sigma = (s + n - nu) / 2.0
-    g = np.exp(-2.0 * sigma * np.log(np.abs(w))) * w ** (-nu)
-    quad = complex(np.mean(g * np.exp(1j * k * theta)))
+    theta = _torus_axis(N)
+    quad = complex(np.mean(_kernel_factor(p, r, theta) * np.exp(1j * k * theta)))
     closed = phi_scalar_core(p, k, r)
     return make_report(f"fourier_mode k={k}", quad, closed, tol,
-                       n=n, nu=nu, s=s, r=r, N=N)
+                       n=p.n, nu=p.nu, s=p.s, r=r, N=N)
 
 
 def hardy_norm(p: SpectralParams, F, pexp: float, r: float,

@@ -40,8 +40,13 @@ EXIT_NUMERICAL = 3
 
 
 def parse_complex(text: str) -> complex:
+    """Python's complex syntax, with a trailing 'i' accepted for 'j'.  Only
+    the trailing unit is mapped, so 'inf' and 'nan' stay numbers."""
+    compact = text.replace(" ", "")
+    if compact.endswith("i"):
+        compact = compact[:-1] + "j"
     try:
-        return complex(text.replace("i", "j").replace(" ", ""))
+        return complex(compact)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"cannot parse complex number {text!r}; use forms like '3', "

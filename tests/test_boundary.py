@@ -1,6 +1,7 @@
 """Tests for the kernel, characters, torus quadrature and Hardy norms."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,36 @@ class TestSphericalOracle:
         with pytest.raises(DomainError):
             spherical_oracle(p, (0, 0), 0.95, TorusGrid(2, 32))
         require_kernel_resolution(0.95, TorusGrid(2, 512))
+
+    @pytest.mark.parametrize("n,sigs", [
+        (1, [(0,), (2,), (-3,)]),
+        (2, [(1, 0), (2, -1), (-1, -2)]),
+        (3, [(0, 0, 0), (2, 1, -1), (0, -1, -3)]),
+    ])
+    def test_matches_weyl_integral_of_kernel_times_character(self, n, sigs):
+        # reference: the kernel times the normalized character, integrated
+        # against the squared-Vandermonde weight with coincident nodes masked
+        for nu in (-1, 0, 2):
+            for s in (n + 0.5, n + 1.5 + 0.7j):
+                p = SpectralParams(n, nu, s)
+                for m in sigs:
+                    for N, r in ((16, 0.3), (24, 0.5)):
+                        g = TorusGrid(n, N)
+                        ref = weyl_integrate(
+                            lambda a: (poisson_kernel_torus(p, r, a)
+                                       * schur_character(m, a)), g)
+                        assert rel(spherical_oracle(p, m, r, g), ref) <= 1e-13
+
+    def test_refinement_gate_memory(self):
+        # the rank-3 N = 256 gate (2^24 nodes) is summed in bounded chunks
+        tracemalloc.start()
+        try:
+            spherical_oracle(SpectralParams(3, 1, 4.5), (2, 1, 0), 0.7,
+                             TorusGrid(3, 256))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestFourierModeCheck:

@@ -92,6 +92,8 @@ class TestExitCodes:
         ["kernel", "--n", "1", "--s", "nan"],
         ["phi", "--n", "1", "--s-re", "nan"],
         ["hua-check", "--n", "2", "--s-re", "inf"],
+        ["kernel", "--n", "1", "--s", "inf"],
+        ["kernel", "--n", "1", "--s", "1+infi"],
     ])
     def test_non_finite_s_is_a_guard(self, tmp_path, capsys, argv):
         assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 3
