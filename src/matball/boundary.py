@@ -19,7 +19,6 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +30,8 @@ from .spherical import (log_boundary_weight, phi_scalar_core, validate_radius,
 
 MIN_ANGLE_GAP = 1e-8
 # The rank-3 N = 256 grid-refinement gate is the largest grid a shipped check
-# builds; its angle array alone takes 400 MB.
+# builds; the limit bounds the run time of a torus sum, not its memory,
+# which the streamed blocks keep small.
 MAX_GRID_NODES = 1 << 24
 
 
@@ -78,25 +78,6 @@ class TorusGrid:
                 f"grid of {self.points_per_dim}^{self.n} nodes exceeds the "
                 f"limit of {MAX_GRID_NODES} nodes")
 
-    @cached_property
-    def angles(self) -> np.ndarray:
-        """All grid nodes, shape (N^n, n)."""
-        N, n = self.points_per_dim, self.n
-        idx = np.indices((N,) * n).reshape(n, -1).T
-        return _torus_axis(N)[idx]
-
-    @cached_property
-    def vandermonde_sq(self) -> np.ndarray:
-        """Squared Vandermonde weight prod_{i<j} |e^{i th_i} - e^{i th_j}|^2
-        at each node; exactly zero on coincident-angle nodes."""
-        ang = self.angles
-        n = self.n
-        out = np.ones(ang.shape[0])
-        for i in range(n):
-            for j in range(i + 1, n):
-                out *= 4.0 * np.sin((ang[:, i] - ang[:, j]) / 2.0) ** 2
-        return out
-
     def refined(self) -> "TorusGrid":
         return TorusGrid(self.n, 2 * self.points_per_dim)
 
@@ -109,26 +90,38 @@ def _torus_axis(N: int) -> np.ndarray:
 _CHUNK = 1 << 18
 
 
+def _blocks(N: int, n: int):
+    """First-axis slices that cut the N^n grid into blocks of whole slices,
+    at most _CHUNK nodes each (a single slice when one alone is larger)."""
+    rows = max(1, _CHUNK // N ** (n - 1))
+    return (slice(start, start + rows) for start in range(0, N, rows))
+
+
 def weyl_integrate(f, grid: TorusGrid) -> complex:
     """Probability-Haar integral of a class function over the boundary:
 
         (1/n!) (2 pi)^{-n} sum_nodes f(theta) prod_{i<j}|e^{i th_i}-e^{i th_j}|^2 (2pi/N)^n
 
     ``f`` receives an (M, n) array of angle rows and must return (M,) values.
-    Nodes with vanishing Vandermonde weight are skipped (their contribution
-    is exactly zero), so ``f`` is never evaluated at coincident angles.
-    Evaluation is chunked to bound memory on refined grids.
+    The grid is streamed: each block of whole first-axis slices (at most
+    2^18 nodes) builds its angle rows and squared-Vandermonde weights
+    prod_{i<j} 4 sin^2((th_i - th_j)/2) from the N-point axis, calls ``f``
+    once and is summed, so memory stays bounded on refined grids.  Nodes
+    with vanishing weight are skipped (their contribution is exactly zero),
+    so ``f`` is never evaluated at coincident angles.
     """
-    w = grid.vandermonde_sq
-    mask = w != 0.0
-    angles = grid.angles[mask]
-    weights = w[mask]
+    n, N = grid.n, grid.points_per_dim
+    theta = _torus_axis(N)
     total = 0.0 + 0.0j
-    for start in range(0, angles.shape[0], _CHUNK):
-        block = slice(start, start + _CHUNK)
-        vals = np.asarray(f(angles[block]))
-        total += complex(np.sum(vals * weights[block]))
-    return total / (math.factorial(grid.n) * grid.points_per_dim ** grid.n)
+    for block in _blocks(N, n):
+        axes = np.meshgrid(theta[block], *[theta] * (n - 1), indexing="ij")
+        angles = np.stack(axes, axis=-1).reshape(-1, n)
+        weights = np.ones(angles.shape[0])
+        for i, j in itertools.combinations(range(n), 2):
+            weights *= 4.0 * np.sin((angles[:, i] - angles[:, j]) / 2.0) ** 2
+        keep = weights != 0.0
+        total += complex(np.sum(np.asarray(f(angles[keep])) * weights[keep]))
+    return total / (math.factorial(n) * N ** n)
 
 
 def require_kernel_resolution(r: float, grid: TorusGrid) -> None:
@@ -177,23 +170,19 @@ def poisson_kernel_torus(p: SpectralParams, z: complex, angles: np.ndarray) -> n
     """Vectorized kernel values P(z I, diag(e^{i theta})) for a scalar ball
     point z I, |z| < 1.  ``angles`` has shape (M, n); returns (M,) values.
 
-    Per angle the kernel factorizes:
-       [(1-|z|^2)/|1 - z e^{-i th}|^2]^((s+n-nu)/2) (1 - z e^{-i th})^(-nu).
+    The kernel factorizes over the angles into prod_j (1-|z|^2)^sigma g(th_j),
+    sigma = (s+n-nu)/2, with g the per-angle factor of :func:`_kernel_factor`.
+    Each angle's share of (1-|z|^2)^(n sigma) enters inside that angle's
+    exponent, so no factor overflows where the kernel itself is finite.
     """
     z = complex(z)
     if not abs(z) < 1.0:
         raise DomainError(f"scalar ball point needs |z| < 1, got |z|={abs(z)}")
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
-    n, nu, s = p.n, p.nu, p.s
-    if angles.shape[1] != n:
-        raise DomainError(f"angle rows have length {angles.shape[1]}, expected {n}")
-    w = 1.0 - z * np.exp(-1j * angles)
-    sigma = (s + n - nu) / 2.0
-    log_base = n * math.log1p(-abs(z) ** 2) - 2.0 * np.sum(np.log(np.abs(w)), axis=1)
-    out = np.exp(sigma * log_base)
-    if nu != 0:
-        out = out * np.prod(w ** (-nu), axis=1)
-    return out
+    if angles.shape[1] != p.n:
+        raise DomainError(f"angle rows have length {angles.shape[1]}, expected {p.n}")
+    log_scale = (p.s + p.n - p.nu) / 2.0 * math.log1p(-abs(z) ** 2)
+    return np.prod(_kernel_factor(p, z, angles, log_scale), axis=1)
 
 
 def _check_angle_gaps(angles: np.ndarray) -> None:
@@ -230,13 +219,14 @@ def schur_character(m, theta: np.ndarray) -> complex | np.ndarray:
     return complex(out[0]) if single else out
 
 
-def _kernel_factor(p: SpectralParams, r: float, theta: np.ndarray) -> np.ndarray:
-    """Per-angle factor of the kernel at Z = r I without its (1-r^2)^sigma
-    part: |1 - r e^{-i th}|^(-2 sigma) (1 - r e^{-i th})^(-nu), with
-    sigma = (s+n-nu)/2."""
-    w = 1.0 - r * np.exp(-1j * theta)
+def _kernel_factor(p: SpectralParams, z: complex, theta: np.ndarray,
+                   log_scale: complex = 0.0) -> np.ndarray:
+    """Per-angle factor g of the kernel at Z = z I without its (1-|z|^2)^sigma
+    part: |w|^(-2 sigma) w^(-nu) with w = 1 - z e^{-i th} and
+    sigma = (s+n-nu)/2, times e^{log_scale}."""
+    w = 1.0 - z * np.exp(-1j * theta)
     sigma = (p.s + p.n - p.nu) / 2.0
-    return np.exp(-2.0 * sigma * np.log(np.abs(w))) * w ** (-p.nu)
+    return np.exp(-2.0 * sigma * np.log(np.abs(w)) + log_scale) * w ** (-p.nu)
 
 
 def _levi_civita(n: int) -> np.ndarray:
@@ -292,10 +282,8 @@ def spherical_oracle(p: SpectralParams, m, r: float, grid: TorusGrid) -> complex
     num = _kernel_factor(p, r, theta)[:, None] * z ** (np.asarray(m) + delta)
     den = z ** delta
     cof_num, cof_den = _cofactors(num), _cofactors(den)
-    rows = max(1, _CHUNK // N ** (n - 1))
     total = 0.0 + 0.0j
-    for start in range(0, N, rows):
-        block = slice(start, start + rows)
+    for block in _blocks(N, n):
         # alternants at every node of the block, then sum conj(a_delta) a_num
         a_num = np.tensordot(num[block], cof_num, 1)
         a_delta = np.tensordot(den[block], cof_den, 1)

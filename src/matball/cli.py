@@ -9,12 +9,14 @@ Conventions:
     complex columns are split into _re/_im pairs; floats carry 17
     significant digits, so identical configurations give identical bytes;
   * exit codes: 0 all embedded checks pass, 1 a check failed, 2 usage
-    error, 3 numerical guard (pole/domain/margin).
+    error, 3 numerical guard (pole/domain/margin, overflow, or a non-finite
+    value that would reach the CSV).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 
 import numpy as np
@@ -177,6 +179,14 @@ def write_csv(out_path: str, command: str, config: dict, columns, rows) -> None:
             fh.write(text)
 
 
+def _require_finite(rows) -> None:
+    """Refuse to write a CSV in which a number overflowed or became NaN."""
+    for row in rows:
+        for v in row:
+            if isinstance(v, (float, complex, np.inexact)) and not cmath.isfinite(v):
+                raise FloatingPointError(f"non-finite value {v} in the output")
+
+
 def _rowwise(columns, rows) -> SweepResult:
     """A sweep whose last column is the per-row pass flag."""
     return SweepResult(columns, rows, passed=all(row[-1] for row in rows))
@@ -317,7 +327,8 @@ def main(argv=None) -> int:
         if getattr(args, "pexp", 1.0) < 1.0:
             parser.error(f"--pexp must be >= 1, got {args.pexp}")
         sweep = COMMANDS[args.command](args, p)
-    except MatballError as exc:
+        _require_finite(sweep.rows)
+    except (MatballError, ArithmeticError) as exc:
         print(f"numerical guard: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     config = {k: getattr(args, k) for k in CONFIG_KEYS if hasattr(args, k)}

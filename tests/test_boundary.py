@@ -1,6 +1,7 @@
 """Tests for the kernel, characters, torus quadrature and Hardy norms."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from matball.boundary import (TorusGrid, fourier_mode_check, hardy_norm,
                               spherical_oracle, validate_ball_point,
                               weyl_integrate)
 from matball.errors import CoincidentAnglesError, DomainError
+from matball.experiments import forelli_rudin_growth
 from matball.special import SpectralParams
 from matball.spherical import phi_big, phi_scalar, weyl_dimension
 
@@ -38,22 +40,44 @@ class TestTorusGrid:
         with pytest.raises(DomainError):
             TorusGrid(3, 256).refined()
 
-    def test_nodes_and_weights(self):
-        g = TorusGrid(2, 8)
-        assert g.angles.shape == (64, 2)
-        # exact zeros of the Vandermonde weight exactly on the diagonal nodes
-        diag = g.angles[:, 0] == g.angles[:, 1]
-        assert np.all(g.vandermonde_sq[diag] == 0.0)
-        assert np.all(g.vandermonde_sq[~diag] > 0.0)
-
 
 class TestWeylIntegrate:
+    @pytest.mark.parametrize("n,N", [(2, 8), (2, 1024), (3, 128)])
+    def test_integrand_sees_only_distinct_angle_nodes(self, n, N):
+        # the zero-weight (coincident-angle) nodes are skipped and every
+        # other node is evaluated once, on one-block and multi-block grids
+        calls = []
+
+        def f(a):
+            for i, j in itertools.combinations(range(n), 2):
+                assert np.all(a[:, i] != a[:, j])
+            calls.append(a.shape[0])
+            return np.ones(a.shape[0])
+
+        weyl_integrate(f, TorusGrid(n, N))
+        assert sum(calls) == math.perm(N, n)
+        assert len(calls) == max(1, N ** n >> 18)
+
     def test_haar_normalization(self):
-        for n in (1, 2, 3):
-            for N in (8, 16):
-                g = TorusGrid(n, N)
-                val = weyl_integrate(lambda a: np.ones(a.shape[0]), g)
-                assert abs(val - 1.0) <= 1e-12
+        # the last grid is summed in 8 blocks
+        grids = [(n, N) for n in (1, 2, 3) for N in (8, 16)] + [(3, 128)]
+        for n, N in grids:
+            g = TorusGrid(n, N)
+            val = weyl_integrate(lambda a: np.ones(a.shape[0]), g)
+            assert abs(val - 1.0) <= 1e-12
+
+    def test_refined_grid_memory(self):
+        # criterion 10 refines a rank-2 grid to N = 2048 (2^22 nodes) at
+        # r = 0.99; the grid is streamed in bounded blocks
+        tracemalloc.start()
+        try:
+            sweep = forelli_rudin_growth(SpectralParams(2, 0, 3.0), [0.99],
+                                         TorusGrid(2, 32))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sweep.rows[0][-1] == 2048
+        assert peak < 64 * 2 ** 20
 
     def test_character_orthogonality(self):
         g = TorusGrid(2, 16)
@@ -131,6 +155,16 @@ class TestPoissonKernel:
         p = SpectralParams(2, 2, 3.0 + 0.5j)
         r = 0.4
         angles = np.array([[0.3, 1.7], [2.2, 5.1]])
+        vec = poisson_kernel_torus(p, r, angles)
+        for row, v in zip(angles, vec):
+            assert rel(v, poisson_kernel(p, r * np.eye(2), row)) < 1e-12
+
+    def test_torus_kernel_finite_near_peak_at_large_s(self):
+        # the kernel is ~1.7e219 here, while a per-angle factor without its
+        # share of (1-r^2)^(n sigma) would overflow
+        p = SpectralParams(2, 0, 100.0)
+        r = 0.99
+        angles = np.array([[0.0, 0.01], [0.005, 3.0]])
         vec = poisson_kernel_torus(p, r, angles)
         for row, v in zip(angles, vec):
             assert rel(v, poisson_kernel(p, r * np.eye(2), row)) < 1e-12

@@ -1,11 +1,14 @@
 """Tests for the command-line interface: argument guards, CSV format,
 determinism and exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import matball
 from matball.cli import main, parse_complex, parse_radii
 
 
@@ -108,11 +111,15 @@ class TestExitCodes:
         assert "nodes" in capsys.readouterr().err
 
     def test_subprocess_entry_point(self, tmp_path):
-        # the installed console script mirrors main()
+        # the installed console script mirrors main(); the child imports the
+        # same matball as this process, whether or not PYTHONPATH is set
+        src = str(Path(matball.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "matball.cli", "kernel", "--n", "1",
              "--nu", "1", "--s", "2.0", "--out", str(tmp_path / "k.csv")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
 
 
