@@ -8,7 +8,7 @@ Everything is expressed in the spectral variable s = i*lambda.
 
 __version__ = "0.1.0"
 
-from .boundary import (TorusGrid, fourier_mode_check, hardy_norm,
+from .boundary import (TorusGrid, fourier_mode_check, hardy_norm, kernel_mass,
                        poisson_kernel, poisson_kernel_torus, schur_character,
                        spherical_oracle, weyl_integrate)
 from .errors import (CoincidentAnglesError, CoincidentError,
@@ -37,9 +37,10 @@ __all__ = [
     "euler_transform_check", "forelli_rudin_growth", "fourier_mode_check",
     "gamma", "gamma_constant", "gauss_2f1", "gindikin_gamma", "hardy_norm",
     "hua_apply", "hua_residual", "induction_identity_check",
-    "inversion_experiment", "kernel_grad_analytic", "key_lemma_ratio",
-    "key_lemma_sweep", "lemma_a_sides", "lemma_b_ratio", "norm_sandwich",
-    "phi_big", "phi_scalar", "pochhammer", "pochhammer_product_check",
-    "poisson_kernel", "poisson_kernel_torus", "schur_character",
-    "spherical_oracle", "weyl_dimension", "weyl_integrate", "wirtinger_grad",
+    "inversion_experiment", "kernel_grad_analytic", "kernel_mass",
+    "key_lemma_ratio", "key_lemma_sweep", "lemma_a_sides", "lemma_b_ratio",
+    "norm_sandwich", "phi_big", "phi_scalar", "pochhammer",
+    "pochhammer_product_check", "poisson_kernel", "poisson_kernel_torus",
+    "schur_character", "spherical_oracle", "weyl_dimension", "weyl_integrate",
+    "wirtinger_grad",
 ]

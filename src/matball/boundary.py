@@ -8,9 +8,10 @@ constant function integrates to 1 (probability Haar measure).
 
 The quadrature oracle for Phi_{s,m} sums the numerator form of the Weyl
 character formula, kernel x a_{m+delta} x conj(a_delta), node by node over
-the full n-dimensional grid.  It never reduces that sum to one-dimensional
-integrals (Andreief/Heine): the reduction is the determinant formula the
-oracle is there to check.
+the full n-dimensional grid, and the kernel mass sums |kernel| x |a_delta|^2
+the same way.  Neither sum is reduced to one-dimensional integrals
+(Andreief/Heine): the reduction is the determinant formula the oracle is
+there to check.
 """
 
 from __future__ import annotations
@@ -250,6 +251,25 @@ def _cofactors(table: np.ndarray) -> np.ndarray:
     return np.einsum(*operands, [0, *range(n + 1, 2 * n)], optimize=True)
 
 
+def _alternant_sum(left: np.ndarray, right: np.ndarray) -> complex:
+    """sum_nodes conj(det L[a_j, k]) det R[a_j, k] over the full N^n grid of
+    index tuples (a_1, ..., a_n), for two (N, n) row tables L and R.
+
+    Both alternants are formed at every node of each block from first-row
+    cofactors before the sum; the sum is never reduced to one-dimensional
+    integrals (Andreief/Heine).  When R is L one alternant serves both.
+    """
+    N, n = left.shape
+    cof_left = _cofactors(left)
+    cof_right = cof_left if right is left else _cofactors(right)
+    total = 0.0 + 0.0j
+    for block in _blocks(N, n):
+        a_left = np.tensordot(left[block], cof_left, 1)
+        a_right = a_left if right is left else np.tensordot(right[block], cof_right, 1)
+        total += complex(np.vdot(a_left, a_right))
+    return total
+
+
 def spherical_oracle(p: SpectralParams, m, r: float, grid: TorusGrid) -> complex:
     """Quadrature value of the K-type radial profile,
 
@@ -280,17 +300,31 @@ def spherical_oracle(p: SpectralParams, m, r: float, grid: TorusGrid) -> complex
     delta = np.arange(n - 1, -1, -1)
     # the kernel factor of each angle scales that angle's row of a_{m+delta}
     num = _kernel_factor(p, r, theta)[:, None] * z ** (np.asarray(m) + delta)
-    den = z ** delta
-    cof_num, cof_den = _cofactors(num), _cofactors(den)
-    total = 0.0 + 0.0j
-    for block in _blocks(N, n):
-        # alternants at every node of the block, then sum conj(a_delta) a_num
-        a_num = np.tensordot(num[block], cof_num, 1)
-        a_delta = np.tensordot(den[block], cof_den, 1)
-        total += complex(np.vdot(a_delta, a_num))
+    total = _alternant_sum(z ** delta, num)
     sigma = (p.s + n - p.nu) / 2.0
     return (total * cmath.exp(n * sigma * math.log1p(-r * r))
             / (math.factorial(n) * N ** n * weyl_dimension(m)))
+
+
+def kernel_mass(p: SpectralParams, r: float, grid: TorusGrid) -> float:
+    """Kernel L^1 mass int |P(r I, U)| dU on the grid, in numerator form:
+
+        sum_nodes |det(sqrt|g(th_j)| z_j^{delta_k})|^2 / (n! N^n)
+
+    with g the per-angle kernel factor carrying that angle's share of
+    (1-r^2)^(n sigma), as in :func:`poisson_kernel_torus`.  The squared
+    alternant is prod_j |g(th_j)| times the squared Vandermonde, which is
+    |P| times the Haar weight at each node.
+    """
+    r = validate_radius(r)
+    if grid.n != p.n:
+        raise DomainError(f"grid rank {grid.n} != params rank {p.n}")
+    n, N = p.n, grid.points_per_dim
+    theta = _torus_axis(N)
+    log_scale = (p.s + n - p.nu) / 2.0 * math.log1p(-r * r)
+    scale = np.sqrt(np.abs(_kernel_factor(p, r, theta, log_scale)))
+    table = scale[:, None] * np.exp(1j * theta)[:, None] ** np.arange(n - 1, -1, -1)
+    return _alternant_sum(table, table).real / (math.factorial(n) * N ** n)
 
 
 def fourier_mode_check(p: SpectralParams, k: int, r: float, N: int,

@@ -326,7 +326,11 @@ def main(argv=None) -> int:
         p = resolve_params(args, parser) if args.command in SPECTRAL_COMMANDS else None
         if getattr(args, "pexp", 1.0) < 1.0:
             parser.error(f"--pexp must be >= 1, got {args.pexp}")
-        sweep = COMMANDS[args.command](args, p)
+        if args.max_m < 0:
+            parser.error(f"--max-m must be >= 0, got {args.max_m}")
+        # overflow and NaN are refused by _require_finite, not warned about
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            sweep = COMMANDS[args.command](args, p)
         _require_finite(sweep.rows)
     except (MatballError, ArithmeticError) as exc:
         print(f"numerical guard: {type(exc).__name__}: {exc}", file=sys.stderr)

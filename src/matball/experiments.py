@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (TorusGrid, hardy_norm, poisson_kernel_torus,
+from .boundary import (TorusGrid, hardy_norm, kernel_mass, poisson_kernel_torus,
                        require_kernel_resolution, schur_character, weyl_integrate)
 from .errors import DomainError
 from .report import CheckReport, make_report
@@ -134,8 +134,7 @@ def forelli_rudin_growth(p: SpectralParams, radii, grid: TorusGrid) -> SweepResu
                 break
             except DomainError:
                 g = g.refined()
-        integral = weyl_integrate(
-            lambda a: np.abs(poisson_kernel_torus(p, r, a)), g).real
+        integral = kernel_mass(p, r, g)
         reference = math.exp(log_boundary_weight(p, r).real)
         ratio = integral / reference
         ratios.append(ratio)

@@ -147,6 +147,10 @@ def _log_case_2f1(a: complex, b: complex, m: int, y: float) -> complex:
                 sum_{k>=0} (a)_k (b)_k / (k! (k+m)!) y^k
                   [ln y - psi(k+1) - psi(k+m+1) + psi(a+k) + psi(b+k)]
     """
+    if m > _SERIES_MAX_TERMS:
+        raise ConvergenceError(
+            f"log-case 2F1 finite sum of m={float(m):g} terms exceeds "
+            f"{_SERIES_MAX_TERMS}")
     ln_y = math.log(y)
     if m == 0:
         pref = gamma(a + b) * reciprocal_gamma(a) * reciprocal_gamma(b)

@@ -367,10 +367,12 @@ ALL_CRITERIA = (
 
 
 def run_all(extended: bool = False, emit=None):
-    """Run every criterion; returns (results, elapsed_seconds)."""
-    t0 = time.time()
+    """Run every criterion; returns (results, elapsed_seconds).  ``emit``
+    receives each criterion's line with its wall time appended."""
+    t0 = time.perf_counter()
     results = []
     for crit in ALL_CRITERIA:
+        start = time.perf_counter()
         try:
             res = crit(extended=extended)
         except MatballError as exc:
@@ -378,5 +380,5 @@ def run_all(extended: bool = False, emit=None):
                                   {"error": f"{type(exc).__name__}: {exc}"})
         results.append(res)
         if emit is not None:
-            emit(res.line())
-    return results, time.time() - t0
+            emit(f"{res.line()}  [{time.perf_counter() - start:.2f}s]")
+    return results, time.perf_counter() - t0

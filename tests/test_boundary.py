@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from matball.boundary import (TorusGrid, fourier_mode_check, hardy_norm,
-                              poisson_kernel, poisson_kernel_torus,
+                              kernel_mass, poisson_kernel, poisson_kernel_torus,
                               require_kernel_resolution, schur_character,
                               spherical_oracle, validate_ball_point,
                               weyl_integrate)
@@ -68,7 +68,7 @@ class TestWeylIntegrate:
 
     def test_refined_grid_memory(self):
         # criterion 10 refines a rank-2 grid to N = 2048 (2^22 nodes) at
-        # r = 0.99; the grid is streamed in bounded blocks
+        # r = 0.99; the kernel mass is summed in bounded blocks
         tracemalloc.start()
         try:
             sweep = forelli_rudin_growth(SpectralParams(2, 0, 3.0), [0.99],
@@ -318,6 +318,32 @@ class TestSphericalOracle:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+class TestKernelMass:
+    @pytest.mark.parametrize("n,grids", [
+        (1, [(32, 0.5), (256, 0.9)]),
+        (2, [(32, 0.5), (256, 0.9)]),
+        (3, [(16, 0.3), (32, 0.5)]),
+    ])
+    def test_matches_weyl_integral_of_kernel_modulus(self, n, grids):
+        # reference: |kernel| integrated against the squared-Vandermonde
+        # weight with coincident nodes masked
+        for nu in (-1, 0, 2):
+            for s in (n + 0.75, n + 1.5 + 0.7j):
+                p = SpectralParams(n, nu, s)
+                for N, r in grids:
+                    g = TorusGrid(n, N).refined()
+                    ref = weyl_integrate(
+                        lambda a: np.abs(poisson_kernel_torus(p, r, a)), g).real
+                    assert rel(kernel_mass(p, r, g), ref) <= 1e-13
+
+    def test_validation(self):
+        p = SpectralParams(2, 0, 3.0)
+        with pytest.raises(DomainError):
+            kernel_mass(p, 0.5, TorusGrid(3, 8))
+        with pytest.raises(DomainError):
+            kernel_mass(p, 1.0, TorusGrid(2, 8))
 
 
 class TestFourierModeCheck:

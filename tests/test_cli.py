@@ -5,15 +5,25 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import matball
+from matball import verify
 from matball.cli import main, parse_complex, parse_radii
 
 
 def run_cli(args):
     return main(args)
+
+
+def _child_env():
+    """Environment in which a child process imports the same matball as this
+    process, whether or not PYTHONPATH is set."""
+    src = str(Path(matball.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 class TestParsing:
@@ -110,16 +120,33 @@ class TestExitCodes:
         assert code == 3
         assert "nodes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["phi", "key-lemma"])
+    def test_negative_max_m_is_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--max-m", "-1"])
+        assert exc.value.code == 2
+        assert "--max-m must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["phi", "--n", "1", "--s", "1e6"],
+        ["forelli-rudin", "--n", "1", "--s", "300"],
+    ])
+    def test_guard_is_the_only_stderr_line(self, tmp_path, argv):
+        # numpy's overflow warnings stay silent; the guard alone reports
+        proc = subprocess.run(
+            [sys.executable, "-m", "matball.cli", *argv,
+             "--out", str(tmp_path / "x.csv")],
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical guard:")
+
     def test_subprocess_entry_point(self, tmp_path):
-        # the installed console script mirrors main(); the child imports the
-        # same matball as this process, whether or not PYTHONPATH is set
-        src = str(Path(matball.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # the installed console script mirrors main()
         proc = subprocess.run(
             [sys.executable, "-m", "matball.cli", "kernel", "--n", "1",
              "--nu", "1", "--s", "2.0", "--out", str(tmp_path / "k.csv")],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
 
 
@@ -150,3 +177,29 @@ class TestCommands:
                         "--out", str(tmp_path / "sw.csv")]) == 0
         assert run_cli(["invert", "--n", "1", "--nu", "0", "--s", "1.5",
                         "--out", str(tmp_path / "inv.csv")]) == 0
+
+    def test_verify_all_lines_carry_criterion_time(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # run_all reads perf_counter around each criterion; the time goes to
+        # stderr only, so the CSV holds the results alone
+        def first(extended=False):
+            return verify.CriterionResult("first", True, {"x": 1})
+
+        def second(extended=False):
+            return verify.CriterionResult("second", False, {"y": 2})
+
+        ticks = iter([0.0, 1.0, 1.25, 2.0, 2.5, 3.0])
+        monkeypatch.setattr(verify, "ALL_CRITERIA", (first, second))
+        monkeypatch.setattr(verify, "time",
+                            SimpleNamespace(perf_counter=lambda: next(ticks)))
+        out = tmp_path / "va.csv"
+        assert run_cli(["verify-all", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "[PASS] first: x=1  [0.25s]",
+            "[FAIL] second: y=2  [0.50s]",
+            "suite finished in 3.0s",
+        ]
+        rows = [ln for ln in out.read_text().splitlines()
+                if not ln.startswith("#")]
+        assert rows == ["criterion,passed,details", "first,1,x=1",
+                        "second,0,y=2"]

@@ -80,6 +80,13 @@ class TestForelliRudin:
         lo, hi = sw.metadata["band"]
         assert hi / lo <= 10.0
 
+    def test_finite_near_peak_at_large_s(self):
+        # the kernel peaks near 1.7e219 at r = 0.99; each angle's share of
+        # (1-r^2)^(n sigma) keeps the summed table entries finite
+        sw = forelli_rudin_growth(SpectralParams(2, 0, 100.0), [0.99],
+                                  TorusGrid(2, 32))
+        assert all(math.isfinite(v) for v in sw.rows[0][1:4])
+
     def test_range_guard(self):
         with pytest.raises(DomainError):
             forelli_rudin_growth(SpectralParams(2, 0, 0.5), [0.5],

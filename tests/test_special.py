@@ -11,7 +11,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from matball.errors import DegenerateConnection, DomainError, PoleError
+from matball.errors import (ConvergenceError, DegenerateConnection, DomainError,
+                            PoleError)
 from matball.special import (SpectralParams, c_function, digamma,
                              euler_transform_check, gamma, gauss_2f1,
                              gindikin_gamma, pochhammer, reciprocal_gamma)
@@ -158,6 +159,14 @@ class TestGauss2F1:
             if abs(ref) == 0:
                 continue
             assert rel(gauss_2f1(a, b, c, x), ref) <= 1e-8
+
+    def test_log_case_refuses_huge_integer_difference(self):
+        # every float above 2^53 is an integer, so c - a - b = +-1e300 takes
+        # the log case; its finite sum would need 1e300 terms
+        with pytest.raises(ConvergenceError):
+            gauss_2f1(1.0, 1.0, 2.0 + 1e300, 0.9)
+        with pytest.raises(ConvergenceError):
+            gauss_2f1(1e300, 1.0, 1.0, 0.9)
 
     def test_degenerate_ring_raises(self):
         # within 1e-9 of an integer but not an exact integer
