@@ -13,7 +13,8 @@ from .boundary import (TorusGrid, fourier_mode_check, hardy_norm, kernel_mass,
                        spherical_oracle, weyl_integrate)
 from .errors import (CoincidentAnglesError, CoincidentError,
                      DegenerateConnection, DomainError, GuardError,
-                     MarginError, MatballError, PoleError, SingularError)
+                     MarginError, MatballError, PoleError, RangeError,
+                     SingularError)
 from .experiments import (KTypeFunction, SweepResult, eigen_expansion_check,
                           forelli_rudin_growth, inversion_experiment,
                           key_lemma_sweep, norm_sandwich)
@@ -32,7 +33,7 @@ __all__ = [
     "AppendixParams", "CheckReport", "CoincidentAnglesError",
     "CoincidentError", "DegenerateConnection", "DomainError", "GuardError",
     "HuaResult", "KTypeFunction", "MarginError", "MatballError", "PoleError",
-    "SingularError", "SpectralParams", "SweepResult", "TorusGrid",
+    "RangeError", "SingularError", "SpectralParams", "SweepResult", "TorusGrid",
     "c_function", "dp_factor", "e9_identity_check", "eigen_expansion_check",
     "euler_transform_check", "forelli_rudin_growth", "fourier_mode_check",
     "gamma", "gamma_constant", "gauss_2f1", "gindikin_gamma", "hardy_norm",

@@ -41,3 +41,8 @@ class MarginError(MatballError):
 
 class GuardError(MatballError):
     """A parameter sits inside the exclusion radius of a forbidden point."""
+
+
+class RangeError(MatballError):
+    """A value is zero, non-finite or too small for the floating-point
+    computation that consumes it to stay accurate."""

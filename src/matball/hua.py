@@ -13,16 +13,20 @@ readings; see the module tests):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import ball_margin, poisson_kernel, validate_ball_point
-from .errors import DomainError, MarginError
+from .errors import DomainError, MarginError, RangeError
 from .report import CheckReport
 from .special import SpectralParams
 
 DEFAULT_FD_STEP = 1e-3
+# Below this kernel value the residual entries, of size ~|P| eps, reach
+# sqrt(tiny) and the sum of their squares in the Frobenius norm underflows.
+MIN_KERNEL = math.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
 
 
 @dataclass
@@ -181,10 +185,17 @@ def hua_residual(p: SpectralParams, Z: np.ndarray, U: np.ndarray,
     top should equal mu P I and bottom should equal -mu P I, with
     mu = (s^2 - (n-nu)^2)/4.  Reports the worse of the two relative
     Frobenius residuals.
+
+    Raises RangeError where |P| is zero, non-finite or below MIN_KERNEL
+    (about 7e-139), since the residual norm underflows there.
     """
     Z = validate_ball_point(Z)
     U = np.asarray(U)
     P = poisson_kernel(p, Z, U)
+    if not MIN_KERNEL <= abs(P) < math.inf:
+        raise RangeError(
+            f"kernel value {P} is zero, non-finite or below {MIN_KERNEL:.1e}, "
+            "where the residual norm underflows")
     res = hua_apply(p, lambda W: poisson_kernel(p, W, U), Z, h)
     mu = hua_eigenvalue(p)
     eye = np.eye(p.n)

@@ -11,9 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentError, GuardError
+from .errors import CoincidentError, GuardError, PoleError
 from .report import CheckReport, make_report
-from .special import SpectralParams, c_function, gamma, gauss_2f1, pochhammer
+from .special import (SpectralParams, _gauss_2f1_array,
+                      _near_nonpositive_integer,
+                      _near_nonpositive_integer_array, _series_2f1_array,
+                      c_function, gamma, gauss_2f1, pochhammer)
 from .spherical import gamma_constant, validate_radius
 
 GUARD_RADIUS = 1e-6
@@ -31,6 +34,8 @@ def _eval_2f1_ld(a: complex, b: complex, c: complex, x: float):
     series when x <= 1/2, double-precision connection formula otherwise."""
     if x > 0.5:
         return _LD(gauss_2f1(a, b, c, x))
+    if _near_nonpositive_integer(c):
+        raise PoleError(f"2F1 lower parameter c={c} is a non-positive integer")
     a, b, c, x = _LD(a), _LD(b), _LD(c), _LD(x)
     term = _LD(1.0)
     total = _LD(1.0)
@@ -40,6 +45,26 @@ def _eval_2f1_ld(a: complex, b: complex, c: complex, x: float):
         if abs(term) <= _LD_SERIES_TOL * abs(total) and k > 2:
             return total
     raise GuardError(f"series for 2F1({a},{b};{c};{x}) stalled")
+
+
+def _eval_2f1_ld_array(a, b, c, x: float) -> np.ndarray:
+    """:func:`_eval_2f1_ld` over broadcast arrays of parameters at one x.
+    In the series region every entry is bit-identical to the scalar one;
+    above it the entries come from the array form of gauss_2f1."""
+    if x > 0.5:
+        return _gauss_2f1_array(a, b, c, x).astype(_LD)
+    a, b, c = (np.asarray(v, dtype=complex) for v in np.broadcast_arrays(a, b, c))
+    pole = _near_nonpositive_integer_array(c)
+    if pole.any():
+        raise PoleError(
+            f"2F1 lower parameter c={c[pole][0]} is a non-positive integer")
+    sums, done = _series_2f1_array(a.astype(_LD), b.astype(_LD), c.astype(_LD),
+                                   _LD(x), _LD_SERIES_TOL)
+    if not done.all():
+        i = np.argmin(done)
+        raise GuardError(f"series for 2F1({a.flat[i]},{b.flat[i]};{c.flat[i]};"
+                         f"{x}) stalled")
+    return sums
 
 
 def _det_ld(M: np.ndarray):
@@ -57,6 +82,29 @@ def _det_ld(M: np.ndarray):
         det = det * M[k, k]
         for i in range(k + 1, n):
             M[i, k:] = M[i, k:] - (M[i, k] / M[k, k]) * M[k, k:]
+    return det
+
+
+def _det_ld_batch(M: np.ndarray) -> np.ndarray:
+    """:func:`_det_ld` over a stack of matrices, shape (batch, n, n), with
+    the same operations in the same order, so each determinant is
+    bit-identical to the scalar one.  The scalar loop stays for single
+    matrices, where it is several times faster than this form."""
+    M = M.astype(_LD, copy=True)
+    batch, n = M.shape[:2]
+    det = np.ones(batch, dtype=_LD)
+    singular = np.zeros(batch, dtype=bool)
+    for k in range(n):
+        piv = k + np.abs(M[:, k:, k]).argmax(1)
+        moved = np.flatnonzero(piv != k)
+        M[moved, k], M[moved, piv[moved]] = M[moved, piv[moved]], M[moved, k]
+        det[moved] = -det[moved]
+        singular |= M[:, k, k] == 0
+        pivot = np.where(singular, 1, M[:, k, k])
+        det = det * pivot
+        M[:, k + 1:, k:] -= ((M[:, k + 1:, k] / pivot[:, None])[:, :, None]
+                             * M[:, k, None, k:])
+    det[singular] = 0
     return det
 
 
@@ -133,11 +181,43 @@ def lemma_a_sides(ap: AppendixParams, r: float):
     x = 1.0 - r * r
     lhs = _hyp_det([[_eval_2f1_ld(alpha, beta + p[i] + (j + 1), alpha + beta, x)
                      for j in range(n)] for i in range(n)])
+    return lhs, _lemma_a_prefactor(ap, x) * _shifted_det(ap, x)
+
+
+def _lemma_a_prefactor(ap: AppendixParams, x: float) -> complex:
+    """The factor in front of the right side's determinant."""
+    n, alpha, beta = ap.n, ap.alpha, ap.beta
     q0 = n * (n - 1) // 2
     pref = complex((-1) ** q0) * x ** q0
     for k in range(1, n):
         pref *= ((alpha + k - 1) / (alpha + beta + k - 1)) ** (n - k)
-    return lhs, pref * _shifted_det(ap, x)
+    return pref
+
+
+def lemma_a_sides_batch(aps, r: float):
+    """:func:`lemma_a_sides` for a sequence of same-rank draws at one
+    radius, with the tables of all draws evaluated together as arrays.
+    Returns (lhs, rhs) as complex arrays, one entry per draw.  Series-region
+    sides (x <= 1/2) equal the per-draw ones bit for bit; above it the
+    array connection formula moves them at rounding level.
+    """
+    n = aps[0].n
+    for ap in aps:
+        if ap.n != n:
+            raise GuardError(f"batch mixes ranks {n} and {ap.n}")
+        check_identity_guard(ap)
+    r = validate_radius(r)
+    x = 1.0 - r * r
+    alpha = np.array([ap.alpha for ap in aps])[:, None, None]
+    beta = np.array([ap.beta for ap in aps])[:, None, None]
+    bp = beta + np.array([ap.p for ap in aps])[:, :, None]   # beta + p_i
+    j = np.arange(1, n + 1)                                  # column index
+    lhs = _det_ld_batch(_eval_2f1_ld_array(alpha, bp + j, alpha + beta, x))
+    shifted = _det_ld_batch(_eval_2f1_ld_array(alpha + n - j, bp + n,
+                                               alpha + beta + n - j, x))
+    rhs = [_lemma_a_prefactor(ap, x) * d
+           for ap, d in zip(aps, shifted.astype(complex).tolist())]
+    return lhs.astype(complex), np.array(rhs)
 
 
 def dp_factor(p) -> complex:

@@ -11,10 +11,15 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError, DegenerateConnection, DomainError, PoleError
 from .report import CheckReport, make_report
 
 _INT_TOL = 1e-12
+# c - a - b this close to an integer (but not within _INT_TOL) leaves the
+# two-term connection formula ill-conditioned
+_RING_TOL = 1e-9
 # Lanczos coefficients, g = 7, 9 terms.  Relative error below 2e-13 on
 # |z| <= 50 (checked against a 50-digit reference).
 _LANCZOS_G = 7.5
@@ -65,6 +70,44 @@ def reciprocal_gamma(z: complex) -> complex:
     if _near_nonpositive_integer(z):
         return 0.0 + 0.0j
     return 1.0 / gamma(z)
+
+
+# Array forms of the scalar functions above and of the 2F1 branches below.
+# They pay only across many tables at once: over a single n x n table
+# (n <= 4) they are slower than the scalar loops, which stay the path for
+# single evaluations.
+
+def _near_nonpositive_integer_array(z: np.ndarray) -> np.ndarray:
+    k = np.round(z.real)
+    return ((np.abs(z.imag) <= _INT_TOL) & (k <= 0)
+            & (np.abs(z.real - k) <= _INT_TOL))
+
+
+def _gamma_array(z) -> np.ndarray:
+    """:func:`gamma` over an array, with the reflection taken through a
+    mask.  Raises PoleError wherever the scalar function does."""
+    z = np.asarray(z, dtype=complex)
+    pole = _near_nonpositive_integer_array(z)
+    if pole.any():
+        raise PoleError(f"Gamma pole at z={z[pole][0]}")
+    refl = z.real < 0.5
+    w = np.where(refl, 1.0 - z, z) - 1.0
+    x = np.full(z.shape, complex(_LANCZOS_COEFFS[0]))
+    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
+        x = x + c / (w + i)
+    t = w + _LANCZOS_G
+    out = math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * np.exp(-t) * x
+    out[refl] = math.pi / (np.sin(math.pi * z[refl]) * out[refl])
+    return out
+
+
+def _rgamma_array(z) -> np.ndarray:
+    """:func:`reciprocal_gamma` over an array: exactly zero at the poles."""
+    z = np.asarray(z, dtype=complex)
+    pole = _near_nonpositive_integer_array(z)
+    out = np.zeros(z.shape, dtype=complex)
+    out[~pole] = 1.0 / _gamma_array(z[~pole])
+    return out
 
 
 # Bernoulli numbers B_2 .. B_14 for the digamma asymptotic tail.
@@ -229,7 +272,7 @@ def gauss_2f1(a: complex, b: complex, c: complex, x: float) -> complex:
             # an exact integer power of y.
             return y ** md * _log_case_2f1(c - a, c - b, md, y)
         return _log_case_2f1(a, b, -md, y)
-    if abs(d.imag) < 1e-9 and abs(d.real - round(d.real)) < 1e-9:
+    if abs(d.imag) < _RING_TOL and abs(d.real - round(d.real)) < _RING_TOL:
         raise DegenerateConnection(
             f"c-a-b={d} is within 1e-9 of an integer; the connection formula "
             "is ill-conditioned there (logarithmic case)")
@@ -239,6 +282,85 @@ def gauss_2f1(a: complex, b: complex, c: complex, x: float) -> complex:
     term2 = (coef2 * cmath.exp(d * math.log(y)) *
              _series_2f1(c - a, c - b, d + 1.0, y)) if coef2 != 0.0 else 0.0
     return term1 + term2
+
+
+def _series_2f1_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, x, tol):
+    """Power series of 2F1 over same-shape arrays of complex or clongdouble
+    parameters at one argument x of their dtype.  Each entry stops at the
+    term where the scalar loops stop: a zero term, or from k = 3 on a term
+    of at most tol times the sum.  Returns (sums, done); done is False where
+    _SERIES_MAX_TERMS terms did not suffice."""
+    sums = np.ones_like(a)
+    live = np.arange(a.size)
+    a, b, c = a.ravel(), b.ravel(), c.ravel()
+    term = np.ones_like(a)
+    total = np.ones_like(a)
+    for k in range(_SERIES_MAX_TERMS):
+        if not live.size:
+            break
+        term = term * (a + k) * (b + k) * x / ((c + k) * (k + 1))
+        total = total + term
+        stop = term == 0
+        if k > 2:
+            stop |= np.abs(term) <= tol * np.abs(total)
+        if stop.any():
+            sums.flat[live[stop]] = total[stop]
+            keep = ~stop
+            live, a, b, c, term, total = (
+                v[keep] for v in (live, a, b, c, term, total))
+    done = np.ones(sums.shape, dtype=bool)
+    done.flat[live] = False
+    return sums, done
+
+
+def _connection_2f1_array(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                          x: float):
+    """The two-term connection formula of :func:`gauss_2f1` over arrays at
+    one x > 1/2, for entries off its special branches.  Returns (values,
+    done) as :func:`_series_2f1_array` does."""
+    d = c - a - b
+    y = 1.0 - x
+    gc = _gamma_array(c)
+    coef1 = gc * _gamma_array(d) * _rgamma_array(c - a) * _rgamma_array(c - b)
+    coef2 = gc * _gamma_array(-d) * _rgamma_array(a) * _rgamma_array(b)
+    s1, done1 = _series_2f1_array(a, b, a + b - c + 1.0, y, _SERIES_TOL)
+    s2, done2 = _series_2f1_array(c - a, c - b, d + 1.0, y, _SERIES_TOL)
+    return coef1 * s1 + coef2 * np.exp(d * math.log(y)) * s2, done1 & done2
+
+
+def _gauss_2f1_array(a, b, c, x: float) -> np.ndarray:
+    """:func:`gauss_2f1` over broadcast arrays of parameters at one x.
+
+    Entries on the series branch (x <= 1/2) or on the two-term connection
+    branch are summed together as arrays.  Every other entry (terminating,
+    logarithmic case, the ill-conditioned ring, a pole of c, an x outside
+    [0, 1), a series past its term limit, a non-finite array value) goes
+    through gauss_2f1 one by one, so it returns or raises exactly what the
+    scalar call does.
+    """
+    a, b, c = (np.asarray(v, dtype=complex) for v in np.broadcast_arrays(a, b, c))
+    scalar = (_near_nonpositive_integer_array(a)
+              | _near_nonpositive_integer_array(b)
+              | _near_nonpositive_integer_array(c) | (not 0.0 <= x < 1.0))
+    if x > 0.5:
+        d = c - a - b
+        scalar |= ((np.abs(d.imag) < _RING_TOL)
+                   & (np.abs(d.real - np.round(d.real)) < _RING_TOL))
+    out = np.empty(a.shape, dtype=complex)
+    fast = ~scalar
+    if fast.any():
+        # an entry that overflows here is redone, and refused, by the scalar
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if x > 0.5:
+                vals, done = _connection_2f1_array(a[fast], b[fast], c[fast], x)
+            else:
+                vals, done = _series_2f1_array(a[fast], b[fast], c[fast], x,
+                                               _SERIES_TOL)
+        out[fast] = vals
+        scalar[fast] = ~(done & np.isfinite(vals))
+    for i in zip(*np.nonzero(scalar)):
+        out[i] = gauss_2f1(a[i], b[i], c[i], x)
+    return out
 
 
 def euler_transform_check(a: complex, b: complex, c: complex, x: float,

@@ -150,6 +150,18 @@ class TestExitCodes:
         assert proc.returncode == 0
 
 
+    def test_package_runs_as_module(self):
+        proc = subprocess.run([sys.executable, "-m", "matball", "e9", "--n", "0"],
+                              capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+
+    def test_hua_check_underflow_is_a_guard(self, tmp_path, capsys):
+        # draw 4 of seed 42 has a kernel of ~3e-153 at s = 2000
+        assert run_cli(["hua-check", "--n", "2", "--s", "2000",
+                        "--out", str(tmp_path / "h.csv")]) == 3
+        assert "RangeError" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_phi_oracle_comparison(self, tmp_path):
         out = tmp_path / "phi.csv"

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from matball.boundary import poisson_kernel
-from matball.errors import MarginError
-from matball.hua import (hua_apply, hua_eigenvalue, hua_residual,
+from matball.errors import MarginError, RangeError
+from matball.hua import (MIN_KERNEL, hua_apply, hua_eigenvalue, hua_residual,
                          kernel_dbar_shifted_analytic, kernel_grad_analytic,
                          wirtinger_grad)
 from matball.special import SpectralParams
+from matball.verify import draw_hua_point
 
 
 def random_interior_point(rng, n, scale=0.15):
@@ -211,6 +212,17 @@ class TestHuaResidual:
         r2 = hua_residual(p, V1 @ Z @ V2.conj().T, V1 @ U @ V2.conj().T,
                           h=1e-3, tol=1.0)
         assert abs(r1.rel_error - r2.rel_error) <= 1e-4
+
+    @pytest.mark.parametrize("seed", [12, 21, 27])
+    def test_underflowing_kernel_is_refused(self, seed):
+        # at s = 2000 these draws put the kernel at ~1e-202, 0.0 and
+        # ~4e-212; the residual norm underflowed to 0.0, a false pass, or
+        # became nan
+        p = SpectralParams(2, 0, 2000.0)
+        Z, U = draw_hua_point(np.random.default_rng(seed), 2, 0.1)
+        assert abs(poisson_kernel(p, Z, U)) < MIN_KERNEL
+        with pytest.raises(RangeError):
+            hua_residual(p, Z, U, h=4e-4)
 
     def test_printed_bottom_convention_fails_for_nonzero_weight(self):
         # the discriminating experiment: with nu != 0 and n >= 2 the variant

@@ -6,9 +6,13 @@ import itertools
 import numpy as np
 import pytest
 
-from matball.errors import CoincidentError, GuardError
-from matball.identities import (AppendixParams, dp_factor, e9_identity_check,
-                                induction_identity_check, lemma_a_sides,
+from matball import verify
+from matball.errors import (CoincidentError, DegenerateConnection, GuardError,
+                            PoleError)
+from matball.identities import (AppendixParams, _det_ld, _det_ld_batch,
+                                _eval_2f1_ld, _eval_2f1_ld_array, dp_factor,
+                                e9_identity_check, induction_identity_check,
+                                lemma_a_sides, lemma_a_sides_batch,
                                 lemma_b_printed_sign, lemma_b_ratio,
                                 lemma_b_resolved_sign,
                                 pochhammer_product_check)
@@ -58,6 +62,114 @@ class TestLemmaA:
             lemma_a_sides(AppendixParams(3, -1.0 + 1e-9j, 0.5, (0, 1j, 2j)), 0.5)
         with pytest.raises(GuardError):
             AppendixParams(2, 0.5, 0.5, (0.1,))
+
+
+def _seed42_draws(draws):
+    """The first draws of each rank, in the order criterion 5 takes them."""
+    rng = np.random.default_rng(42)
+    return {n: [draw_appendix_params(rng, n) for _ in range(draws)]
+            for n in (2, 3, 4)}
+
+
+class TestLemmaABatch:
+    """The batched sides against the per-draw ones, which stay the
+    reference."""
+
+    def test_matches_per_draw_sides(self):
+        for n, aps in _seed42_draws(20).items():
+            for r in (0.3, 0.6, 0.9):
+                lhs, rhs = lemma_a_sides_batch(aps, r)
+                ref = np.array([lemma_a_sides(ap, r) for ap in aps])
+                if r == 0.9:
+                    # x = 0.19: the long-double series, bit for bit
+                    assert np.array_equal(lhs, ref[:, 0])
+                    assert np.array_equal(rhs, ref[:, 1])
+                for got, want in ((lhs, ref[:, 0]), (rhs, ref[:, 1])):
+                    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-8
+                assert np.max(np.abs(lhs - rhs) / np.abs(lhs)) <= 1e-8
+
+    @pytest.mark.parametrize("x", [1e-7, 0.19, 0.36, 0.5])
+    def test_series_entries_bit_identical(self, x):
+        # x = 1e-7 stops every series at k = 3, the earliest stop the scalar
+        # loop allows, and the integer a of row 0 gives exact zero terms
+        rng = np.random.default_rng(5)
+        a, b, c = (rng.uniform(-2, 3, (40, 3)) + 1j * rng.uniform(-1, 1, (40, 3))
+                   for _ in range(3))
+        a[0] = (-1.0, -2.0, -5.0)
+        got = _eval_2f1_ld_array(a, b, c, x)
+        want = [_eval_2f1_ld(*abc, x) for abc in zip(a.ravel(), b.ravel(), c.ravel())]
+        assert got.dtype == np.clongdouble
+        assert np.array_equal(got.ravel(), np.array(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_det_batch_bit_identical(self, n):
+        rng = np.random.default_rng(n)
+        M = rng.standard_normal((2000, n, n)) + 1j * rng.standard_normal((2000, n, n))
+        M[0] = 0                           # singular from the first pivot
+        M[1, :, -1] = 0                    # singular at the last pivot
+        got = _det_ld_batch(M)
+        want = np.array([_det_ld(m) for m in M])
+        assert np.array_equal(got, want)
+        assert got[0] == 0 and got[1] == 0
+
+    @staticmethod
+    def _with_bad_draw(n, bad):
+        aps = _seed42_draws(6)[n]
+        return aps[:3] + [bad] + aps[3:]
+
+    @pytest.mark.parametrize("r", [0.3, 0.6, 0.9])
+    def test_pole_draw_raises_like_per_draw(self, r):
+        # alpha + beta = 1 - n passes the identity guard, but c = alpha + beta
+        # is then a pole of every left-hand entry
+        bad = AppendixParams(3, 0.4 + 0.5j, -2.4 - 0.5j, (0.1j, -1.2, -2.4 + 0.3j))
+        with pytest.raises(PoleError):
+            lemma_a_sides(bad, r)
+        with pytest.raises(PoleError):
+            lemma_a_sides_batch(self._with_bad_draw(3, bad), r)
+
+    def test_degenerate_draw_raises_like_per_draw(self):
+        # c - a - b = -p_1 - j sits 1e-10 off an integer: the ring
+        bad = AppendixParams(2, 0.4 + 0.5j, 0.3 - 0.6j, (1e-10, -1.2 + 0.3j))
+        with pytest.raises(DegenerateConnection):
+            lemma_a_sides(bad, 0.3)
+        with pytest.raises(DegenerateConnection):
+            lemma_a_sides_batch(self._with_bad_draw(2, bad), 0.3)
+
+    @pytest.mark.parametrize("r", [0.3, 0.6])
+    def test_log_case_draw_matches_per_draw(self, r):
+        # an integer p_1 puts its row on the logarithmic branch, which the
+        # batch takes through the scalar gauss_2f1
+        log_draw = AppendixParams(2, 0.4 + 0.5j, 0.3 - 0.6j, (0.0, -1.2 + 0.3j))
+        aps = self._with_bad_draw(2, log_draw)
+        lhs, rhs = lemma_a_sides_batch(aps, r)
+        ref = np.array([lemma_a_sides(ap, r) for ap in aps])
+        assert np.max(np.abs(lhs - ref[:, 0]) / np.abs(ref[:, 0])) <= 1e-11
+        assert np.max(np.abs(rhs - ref[:, 1]) / np.abs(ref[:, 1])) <= 1e-11
+
+    def test_mixed_ranks_refused(self):
+        aps = _seed42_draws(2)
+        with pytest.raises(GuardError):
+            lemma_a_sides_batch(aps[2] + aps[3], 0.6)
+
+
+class TestLemmaACriterion:
+    def test_singular_table_fails_loudly(self, monkeypatch):
+        # equal p entries give two equal rows, so lhs = 0 and the relative
+        # error 0/0: a named refusal, never a nan worst_rel
+        draws = iter([AppendixParams(2, 0.4 + 0.5j, 0.3 - 0.6j,
+                                     (0.2 + 0.1j, 0.2 + 0.1j))])
+
+        def draw(rng, n):
+            return next(draws, None) or draw_appendix_params(rng, n)
+
+        monkeypatch.setattr(verify, "draw_appendix_params", draw)
+        with pytest.raises(GuardError, match="relative error undefined"):
+            verify.lemma_a_identity(draws=3)
+        monkeypatch.setattr(verify, "ALL_CRITERIA", (verify.lemma_a_identity,))
+        draws = iter([AppendixParams(2, 0.4 + 0.5j, 0.3 - 0.6j,
+                                     (0.2 + 0.1j, 0.2 + 0.1j))])
+        (res,), _ = verify.run_all()
+        assert not res.passed and "GuardError" in res.details["error"]
 
 
 class TestDpFactor:

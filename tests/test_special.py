@@ -13,9 +13,11 @@ import pytest
 
 from matball.errors import (ConvergenceError, DegenerateConnection, DomainError,
                             PoleError)
-from matball.special import (SpectralParams, c_function, digamma,
+from matball.special import (SpectralParams, _gamma_array, _gauss_2f1_array,
+                             _rgamma_array, c_function, digamma,
                              euler_transform_check, gamma, gauss_2f1,
                              gindikin_gamma, pochhammer, reciprocal_gamma)
+from matball.verify import draw_appendix_params
 
 mp.mp.dps = 30
 
@@ -182,6 +184,93 @@ class TestGauss2F1:
             gauss_2f1(1, 1, 2, 1.0)
         with pytest.raises(DomainError):
             gauss_2f1(1, 1, 2, -0.1)
+
+
+class TestArrayForms:
+    """The array Gamma and 2F1 against 60-digit mpmath and against the
+    scalar functions they mirror."""
+
+    @staticmethod
+    def _gamma_args(rng, size, radius):
+        z = rng.uniform(-radius, radius, size) + 1j * rng.uniform(-radius, radius, size)
+        near_pole = ((np.abs(z.imag) < 1e-3) & (z.real < 0.5)
+                     & (np.abs(z.real - np.round(z.real)) < 1e-3))
+        return z[(np.abs(z) <= radius) & ~near_pole]
+
+    def test_gamma_against_mpmath_and_scalar(self):
+        z = self._gamma_args(np.random.default_rng(13), 600, 50.0)
+        assert (z.real < 0.5).sum() > 200          # the reflection half-plane
+        got = _gamma_array(z)
+        with mp.workdps(60):
+            ref = np.array([complex(mp.gamma(mp.mpc(v.real, v.imag))) for v in z])
+        # the scalar gamma's own stated accuracy on |z| <= 50
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+        # same operations as the scalar, rounded differently by numpy's
+        # complex kernels; the power t**(w+1/2) amplifies each rounding by
+        # |(w+1/2) log t| <= ~250 on |z| <= 50
+        scalar = np.array([gamma(v) for v in z])
+        assert np.max(np.abs(got - scalar) / np.abs(scalar)) <= 1e-13
+
+    def test_poles_and_reciprocal(self):
+        z = np.array([1.5 + 0.5j, -3.0, 0.3 - 2j, -7 + 1e-13j, 0.0])
+        pole = np.array([False, True, False, True, True])
+        with pytest.raises(PoleError):
+            _gamma_array(z)
+        with pytest.raises(PoleError):
+            _gamma_array(np.array([2.0, -1e-13]))
+        rg = _rgamma_array(z)
+        assert np.all(rg[pole] == 0.0)
+        ref = np.array([reciprocal_gamma(v) for v in z[~pole]])
+        assert np.max(np.abs(rg[~pole] - ref) / np.abs(ref)) <= 1e-14
+
+    @pytest.mark.parametrize("x", [0.19, 0.5, 0.64, 0.91, 0.9999])
+    def test_tables_match_scalar_gauss_2f1(self, x):
+        # the Lemma A table entries of the seed-42 draws, as criterion 5
+        # builds them
+        rng = np.random.default_rng(42)
+        for n in (2, 3, 4):
+            aps = [draw_appendix_params(rng, n) for _ in range(25)]
+            alpha = np.array([ap.alpha for ap in aps])[:, None, None]
+            beta = np.array([ap.beta for ap in aps])[:, None, None]
+            bp = beta + np.array([ap.p for ap in aps])[:, :, None]
+            j = np.arange(1, n + 1)
+            for a, b, c in ((alpha, bp + j, alpha + beta),
+                            (alpha + n - j, bp + n, alpha + beta + n - j)):
+                got = _gauss_2f1_array(a, b, c, x)
+                a, b, c = np.broadcast_arrays(a, b, c)
+                ref = np.array([gauss_2f1(*abc, x) for abc in
+                                zip(a.ravel(), b.ravel(), c.ravel())])
+                err = np.abs(got.ravel() - ref) / np.abs(ref)
+                assert np.max(err) <= 1e-11, (n, x, np.max(err))
+
+    def test_special_branches_return_the_scalar_value(self):
+        # a terminating entry (1) and a log-case entry (2) take gauss_2f1
+        # itself, beside ordinary entries (0) and one whose first connection
+        # coefficient is an exact zero, 1/Gamma(c - a) at c - a = -2 (3)
+        a = np.array([0.3 + 0.2j, -3.0, 1.25 + 0.5j, 2.0 + 1.0j])
+        b = np.array([1.1 - 0.4j, 1.5 + 0.5j, 0.75 - 0.25j, 0.5])
+        c = np.array([2.5, 2.25, a[2] + b[2] - 3, a[3] - 2.0])
+        for x in (0.3, 0.8):
+            got = _gauss_2f1_array(a, b, c, x)
+            ref = [gauss_2f1(*abc, x) for abc in zip(a, b, c)]
+            assert got[1] == ref[1] and got[2] == ref[2]
+            for i in (0, 3):
+                assert abs(got[i] - ref[i]) <= 1e-13 * abs(ref[i])
+
+    @pytest.mark.parametrize("a, b, c, x, error", [
+        (0.5, 0.7, 0.5 + 0.7 - 2.0 + 3e-10, 0.8, DegenerateConnection),
+        (0.5, 0.7, -2.0, 0.3, PoleError),
+        (0.5, 0.7, -2.0, 0.8, PoleError),
+        (1.0, 1.0, 2.0 + 1e300, 0.9, ConvergenceError),
+        (0.5, 0.7, 200.3 + 0.1j, 0.8, OverflowError),
+        (1, 1, 2, 1.0, DomainError),
+        (1, 1, 2, -0.1, DomainError),
+    ])
+    def test_refusals_are_the_scalar_ones(self, a, b, c, x, error):
+        ok = (0.3 + 0.2j, 1.1 - 0.4j, 2.5)
+        with pytest.raises(error):
+            _gauss_2f1_array(np.array([ok[0], a]), np.array([ok[1], b]),
+                             np.array([ok[2], c]), x)
 
 
 class TestEulerTransform:
