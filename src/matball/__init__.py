@@ -9,12 +9,10 @@ Everything is expressed in the spectral variable s = i*lambda.
 __version__ = "0.1.0"
 
 from .boundary import (TorusGrid, fourier_mode_check, hardy_norm, kernel_mass,
-                       poisson_kernel, poisson_kernel_torus, schur_character,
-                       spherical_oracle, weyl_integrate)
-from .errors import (CoincidentAnglesError, CoincidentError,
-                     DegenerateConnection, DomainError, GuardError,
-                     MarginError, MatballError, PoleError, RangeError,
-                     SingularError)
+                       poisson_kernel, spherical_oracle)
+from .errors import (CoincidentError, DegenerateConnection, DomainError,
+                     GuardError, MarginError, MatballError, PoleError,
+                     RangeError, SingularError)
 from .experiments import (KTypeFunction, SweepResult, eigen_expansion_check,
                           forelli_rudin_growth, inversion_experiment,
                           key_lemma_sweep, norm_sandwich)
@@ -30,8 +28,8 @@ from .spherical import (gamma_constant, key_lemma_ratio, phi_big, phi_scalar,
                         weyl_dimension)
 
 __all__ = [
-    "AppendixParams", "CheckReport", "CoincidentAnglesError",
-    "CoincidentError", "DegenerateConnection", "DomainError", "GuardError",
+    "AppendixParams", "CheckReport", "CoincidentError",
+    "DegenerateConnection", "DomainError", "GuardError",
     "HuaResult", "KTypeFunction", "MarginError", "MatballError", "PoleError",
     "RangeError", "SingularError", "SpectralParams", "SweepResult", "TorusGrid",
     "c_function", "dp_factor", "e9_identity_check", "eigen_expansion_check",
@@ -41,7 +39,6 @@ __all__ = [
     "inversion_experiment", "kernel_grad_analytic", "kernel_mass",
     "key_lemma_ratio", "key_lemma_sweep", "lemma_a_sides", "lemma_b_ratio",
     "norm_sandwich", "phi_big", "phi_scalar", "pochhammer",
-    "pochhammer_product_check", "poisson_kernel", "poisson_kernel_torus",
-    "schur_character", "spherical_oracle", "weyl_dimension", "weyl_integrate",
-    "wirtinger_grad",
+    "pochhammer_product_check", "poisson_kernel", "spherical_oracle",
+    "weyl_dimension", "wirtinger_grad",
 ]

@@ -1,17 +1,19 @@
-"""Boundary machinery: the Poisson kernel on the matrix ball, Schur
-characters on the unitary-group boundary, torus quadrature for class
-functions (Weyl integration) and weighted Hardy norms.
+"""Boundary machinery: the Poisson kernel on the matrix ball, torus sums
+for class functions on the unitary-group boundary and weighted Hardy norms.
 
-Class functions are integrated on a midpoint-offset product grid against
-the squared-Vandermonde weight; the quadrature is normalized so that the
-constant function integrates to 1 (probability Haar measure).
+Class functions are integrated on a midpoint-offset product grid in the
+numerator form of Weyl integration: a class function f = A / a_delta, with
+a_lam(z) = det(z_j^{lam_k}) and delta = (n-1, ..., 0), integrates against
+the probability Haar measure as
 
-The quadrature oracle for Phi_{s,m} sums the numerator form of the Weyl
-character formula, kernel x a_{m+delta} x conj(a_delta), node by node over
-the full n-dimensional grid, and the kernel mass sums |kernel| x |a_delta|^2
-the same way.  Neither sum is reduced to one-dimensional integrals
-(Andreief/Heine): the reduction is the determinant formula the oracle is
-there to check.
+    int f dU = (1/(n! N^n)) sum_nodes A(z) conj a_delta(z),
+
+so the Vandermonde denominator of a character never has to be divided out.
+The quadrature oracle for Phi_{s,m} sums kernel x a_{m+delta} x conj(a_delta)
+node by node over the full n-dimensional grid, and the kernel mass sums
+|kernel| x |a_delta|^2 the same way.  Neither sum is reduced to
+one-dimensional integrals (Andreief/Heine): the reduction is the determinant
+formula the oracle is there to check.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentAnglesError, DomainError, SingularError
+from .errors import DomainError, SingularError
 from .report import CheckReport, make_report
 from .special import SpectralParams
 from .spherical import (log_boundary_weight, phi_scalar_core, validate_radius,
                         validate_signature, weyl_dimension)
 
-MIN_ANGLE_GAP = 1e-8
 # The rank-3 N = 256 grid-refinement gate is the largest grid a shipped check
 # builds; the limit bounds the run time of a torus sum, not its memory,
 # which the streamed blocks keep small.
@@ -98,33 +99,6 @@ def _blocks(N: int, n: int):
     return (slice(start, start + rows) for start in range(0, N, rows))
 
 
-def weyl_integrate(f, grid: TorusGrid) -> complex:
-    """Probability-Haar integral of a class function over the boundary:
-
-        (1/n!) (2 pi)^{-n} sum_nodes f(theta) prod_{i<j}|e^{i th_i}-e^{i th_j}|^2 (2pi/N)^n
-
-    ``f`` receives an (M, n) array of angle rows and must return (M,) values.
-    The grid is streamed: each block of whole first-axis slices (at most
-    2^18 nodes) builds its angle rows and squared-Vandermonde weights
-    prod_{i<j} 4 sin^2((th_i - th_j)/2) from the N-point axis, calls ``f``
-    once and is summed, so memory stays bounded on refined grids.  Nodes
-    with vanishing weight are skipped (their contribution is exactly zero),
-    so ``f`` is never evaluated at coincident angles.
-    """
-    n, N = grid.n, grid.points_per_dim
-    theta = _torus_axis(N)
-    total = 0.0 + 0.0j
-    for block in _blocks(N, n):
-        axes = np.meshgrid(theta[block], *[theta] * (n - 1), indexing="ij")
-        angles = np.stack(axes, axis=-1).reshape(-1, n)
-        weights = np.ones(angles.shape[0])
-        for i, j in itertools.combinations(range(n), 2):
-            weights *= 4.0 * np.sin((angles[:, i] - angles[:, j]) / 2.0) ** 2
-        keep = weights != 0.0
-        total += complex(np.sum(np.asarray(f(angles[keep])) * weights[keep]))
-    return total / (math.factorial(n) * N ** n)
-
-
 def require_kernel_resolution(r: float, grid: TorusGrid) -> None:
     """Kernel quadrature needs N to grow like 1/(1-r): the kernel at radius
     r concentrates on an angular scale ~ (1-r)."""
@@ -167,59 +141,6 @@ def poisson_kernel(p: SpectralParams, Z: np.ndarray, U: np.ndarray) -> complex:
     return cmath.exp((s + n - nu) / 2.0 * math.log(base)) * detW ** (-nu)
 
 
-def poisson_kernel_torus(p: SpectralParams, z: complex, angles: np.ndarray) -> np.ndarray:
-    """Vectorized kernel values P(z I, diag(e^{i theta})) for a scalar ball
-    point z I, |z| < 1.  ``angles`` has shape (M, n); returns (M,) values.
-
-    The kernel factorizes over the angles into prod_j (1-|z|^2)^sigma g(th_j),
-    sigma = (s+n-nu)/2, with g the per-angle factor of :func:`_kernel_factor`.
-    Each angle's share of (1-|z|^2)^(n sigma) enters inside that angle's
-    exponent, so no factor overflows where the kernel itself is finite.
-    """
-    z = complex(z)
-    if not abs(z) < 1.0:
-        raise DomainError(f"scalar ball point needs |z| < 1, got |z|={abs(z)}")
-    angles = np.atleast_2d(np.asarray(angles, dtype=float))
-    if angles.shape[1] != p.n:
-        raise DomainError(f"angle rows have length {angles.shape[1]}, expected {p.n}")
-    log_scale = (p.s + p.n - p.nu) / 2.0 * math.log1p(-abs(z) ** 2)
-    return np.prod(_kernel_factor(p, z, angles, log_scale), axis=1)
-
-
-def _check_angle_gaps(angles: np.ndarray) -> None:
-    n = angles.shape[1]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = np.abs(np.exp(1j * angles[:, i]) - np.exp(1j * angles[:, j]))
-            if np.any(d < MIN_ANGLE_GAP):
-                raise CoincidentAnglesError(
-                    f"angles {i} and {j} closer than {MIN_ANGLE_GAP}")
-
-
-def schur_character(m, theta: np.ndarray) -> complex | np.ndarray:
-    """Normalized character (zonal spherical function) at torus angles:
-
-        phi_m(e^{i Theta}) = det(e^{i th_i (m_j + n - j)})
-                             / [d_m det(e^{i th_i (n - j)})]
-
-    Accepts a single angle row (n,) or a batch (M, n); angles within a row
-    must be pairwise distinct (gap >= 1e-8 on the circle).
-    """
-    theta = np.asarray(theta, dtype=float)
-    single = theta.ndim == 1
-    angles = np.atleast_2d(theta)
-    n = angles.shape[1]
-    m = validate_signature(m, n)
-    _check_angle_gaps(angles)
-    z = np.exp(1j * angles)  # (M, n)
-    exps_num = np.array([m[j] + n - (j + 1) for j in range(n)])
-    exps_den = np.array([n - (j + 1) for j in range(n)])
-    num = np.linalg.det(z[:, :, None] ** exps_num[None, None, :])
-    den = np.linalg.det(z[:, :, None] ** exps_den[None, None, :])
-    out = num / (weyl_dimension(m) * den)
-    return complex(out[0]) if single else out
-
-
 def _kernel_factor(p: SpectralParams, z: complex, theta: np.ndarray,
                    log_scale: complex = 0.0) -> np.ndarray:
     """Per-angle factor g of the kernel at Z = z I without its (1-|z|^2)^sigma
@@ -251,23 +172,79 @@ def _cofactors(table: np.ndarray) -> np.ndarray:
     return np.einsum(*operands, [0, *range(n + 1, 2 * n)], optimize=True)
 
 
-def _alternant_sum(left: np.ndarray, right: np.ndarray) -> complex:
-    """sum_nodes conj(det L[a_j, k]) det R[a_j, k] over the full N^n grid of
-    index tuples (a_1, ..., a_n), for two (N, n) row tables L and R.
+def _grid_sum(integrand, *tables):
+    """Sum integrand(block, alternants) over the blocks of the full N^n grid
+    of index tuples (a_1, ..., a_n).  ``block`` is the block's first-axis
+    slice and ``alternants`` holds, for each given (N, n) row table T, the
+    alternant det T[a_j, k] at every node of the block, formed from
+    first-row cofactors.
 
-    Both alternants are formed at every node of each block from first-row
-    cofactors before the sum; the sum is never reduced to one-dimensional
-    integrals (Andreief/Heine).  When R is L one alternant serves both.
+    This is the one walk over the torus grid: every torus sum forms its
+    integrand from these alternants node by node, never reducing it to
+    one-dimensional integrals (Andreief/Heine).
     """
-    N, n = left.shape
-    cof_left = _cofactors(left)
-    cof_right = cof_left if right is left else _cofactors(right)
-    total = 0.0 + 0.0j
+    N, n = tables[0].shape
+    cofactors = [_cofactors(table) for table in tables]
+    alternants = [None] * len(tables)
+    total = 0
     for block in _blocks(N, n):
-        a_left = np.tensordot(left[block], cof_left, 1)
-        a_right = a_left if right is left else np.tensordot(right[block], cof_right, 1)
-        total += complex(np.vdot(a_left, a_right))
+        # each alternant replaces the previous block's one at a time, so the
+        # allocator reuses that memory; dropping a whole block's alternants
+        # at once hands it back to the system and ran 2x slower (rank 3)
+        for i, (table, cof) in enumerate(zip(tables, cofactors)):
+            alternants[i] = np.tensordot(table[block], cof, 1)
+        total += integrand(block, alternants)
     return total
+
+
+def _distinct_nodes(N: int, n: int, block: slice) -> np.ndarray:
+    """Mask of the nodes of a block whose n indices are pairwise distinct.
+
+    The other nodes are the coincident-angle ones, where every alternant
+    and the Haar weight vanish; the cofactor sums leave roundoff there
+    rather than an exact zero.
+    """
+    axes = np.ix_(np.arange(N)[block], *[np.arange(N)] * (n - 1))
+    keep = np.ones(np.broadcast_shapes(*(a.shape for a in axes)), dtype=bool)
+    for i, j in itertools.combinations(range(n), 2):
+        keep &= axes[i] != axes[j]
+    return keep
+
+
+def _alternant_sum(left: np.ndarray, right: np.ndarray) -> complex:
+    """sum_nodes conj(det L[a_j, k]) det R[a_j, k] over the full N^n grid,
+    for two (N, n) row tables L and R.  When R is L one alternant serves
+    both."""
+    return _grid_sum(lambda _, alts: complex(np.vdot(alts[0], alts[-1])),
+                     *((left,) if right is left else (left, right)))
+
+
+def _power_table(N: int, m) -> np.ndarray:
+    """The (N, n) row table z^(m_k + n - k) of the alternant a_{m+delta} on
+    the N-point axis, z = e^{i theta}."""
+    delta = np.arange(len(m) - 1, -1, -1)
+    return np.exp(1j * _torus_axis(N))[:, None] ** (np.asarray(m) + delta)
+
+
+def _kernel_projection(p: SpectralParams, m, z: complex,
+                       grid: TorusGrid) -> complex:
+    """int P(z I, U) phi_m(U) dU on the grid for a scalar ball point z I,
+    |z| < 1, by Weyl integration in numerator form:
+
+        sum_nodes prod_j g(th_j) a_{m+delta}(e^{i theta}) conj a_delta(e^{i theta})
+            (1-|z|^2)^(n sigma) / (n! N^n d_m)
+
+    with sigma = (s+n-nu)/2 and g the per-angle kernel factor at z.
+    """
+    if grid.n != p.n:
+        raise DomainError(f"grid rank {grid.n} != params rank {p.n}")
+    n, N = p.n, grid.points_per_dim
+    # the kernel factor of each angle scales that angle's row of a_{m+delta}
+    num = _kernel_factor(p, z, _torus_axis(N))[:, None] * _power_table(N, m)
+    total = _alternant_sum(_power_table(N, (0,) * n), num)
+    sigma = (p.s + n - p.nu) / 2.0
+    return (total * cmath.exp(n * sigma * math.log1p(-(z * z.conjugate()).real))
+            / (math.factorial(n) * N ** n * weyl_dimension(m)))
 
 
 def spherical_oracle(p: SpectralParams, m, r: float, grid: TorusGrid) -> complex:
@@ -275,35 +252,19 @@ def spherical_oracle(p: SpectralParams, m, r: float, grid: TorusGrid) -> complex
 
         Phi_{s,m}(r) = int P(r I, U) phi_m(U) dU,
 
-    reduced to the torus by Weyl integration in numerator form:
-
-        sum_nodes prod_j g(th_j) a_{m+delta}(z) conj a_delta(z)
-            (1-r^2)^(n sigma) / (n! N^n d_m)
-
-    with z = e^{i theta}, a_lam(z) = det(z_j^{lam_k}), delta = (n-1, ..., 0),
-    sigma = (s+n-nu)/2 and g the per-angle kernel factor.  The character's
-    Vandermonde denominator cancels against the Haar weight, so coincident
-    angles need no special treatment.  Every node's integrand value is
-    formed before the sum; the sum is never reduced to one-dimensional
-    integrals (Andreief/Heine), because that reduction is the determinant
-    formula of :func:`matball.spherical.phi_big`, for which this is the
-    independent oracle.
+    reduced to the torus by Weyl integration in numerator form (see
+    :func:`_kernel_projection`).  The character's Vandermonde denominator
+    cancels against the Haar weight, so coincident angles need no special
+    treatment.  Every node's integrand value is formed before the sum; the
+    sum is never reduced to one-dimensional integrals (Andreief/Heine),
+    because that reduction is the determinant formula of
+    :func:`matball.spherical.phi_big`, for which this is the independent
+    oracle.
     """
     m = validate_signature(m, p.n)
     r = validate_radius(r)
     require_kernel_resolution(r, grid)
-    if grid.n != p.n:
-        raise DomainError(f"grid rank {grid.n} != params rank {p.n}")
-    n, N = p.n, grid.points_per_dim
-    theta = _torus_axis(N)
-    z = np.exp(1j * theta)[:, None]
-    delta = np.arange(n - 1, -1, -1)
-    # the kernel factor of each angle scales that angle's row of a_{m+delta}
-    num = _kernel_factor(p, r, theta)[:, None] * z ** (np.asarray(m) + delta)
-    total = _alternant_sum(z ** delta, num)
-    sigma = (p.s + n - p.nu) / 2.0
-    return (total * cmath.exp(n * sigma * math.log1p(-r * r))
-            / (math.factorial(n) * N ** n * weyl_dimension(m)))
+    return _kernel_projection(p, m, r, grid)
 
 
 def kernel_mass(p: SpectralParams, r: float, grid: TorusGrid) -> float:
@@ -312,9 +273,9 @@ def kernel_mass(p: SpectralParams, r: float, grid: TorusGrid) -> float:
         sum_nodes |det(sqrt|g(th_j)| z_j^{delta_k})|^2 / (n! N^n)
 
     with g the per-angle kernel factor carrying that angle's share of
-    (1-r^2)^(n sigma), as in :func:`poisson_kernel_torus`.  The squared
-    alternant is prod_j |g(th_j)| times the squared Vandermonde, which is
-    |P| times the Haar weight at each node.
+    (1-r^2)^(n sigma) in its exponent, so that no factor overflows where the
+    kernel itself is finite.  The squared alternant is prod_j |g(th_j)| times
+    the squared Vandermonde, which is |P| times the Haar weight at each node.
     """
     r = validate_radius(r)
     if grid.n != p.n:
@@ -323,7 +284,7 @@ def kernel_mass(p: SpectralParams, r: float, grid: TorusGrid) -> float:
     theta = _torus_axis(N)
     log_scale = (p.s + n - p.nu) / 2.0 * math.log1p(-r * r)
     scale = np.sqrt(np.abs(_kernel_factor(p, r, theta, log_scale)))
-    table = scale[:, None] * np.exp(1j * theta)[:, None] ** np.arange(n - 1, -1, -1)
+    table = scale[:, None] * _power_table(N, (0,) * n)
     return _alternant_sum(table, table).real / (math.factorial(n) * N ** n)
 
 
@@ -350,16 +311,12 @@ def hardy_norm(p: SpectralParams, F, pexp: float, r: float,
                grid: TorusGrid) -> float:
     """Weighted L^p norm of a radial slice:
 
-        (1-r^2)^(-n(n-nu-Re s)/2) [ int |F(r, U)|^p dU ]^(1/p)
+        (1-r^2)^(-n(n-nu-Re s)/2) [ int |F(r U)|^p dU ]^(1/p)
 
-    ``F`` is called as F(r, angles) with an (M, n) angle array.
+    ``F`` is the slice at radius r as a K-type function (for a Poisson
+    extension, :meth:`matball.experiments.KTypeFunction.poisson_slice`);
+    its ``norm(pexp, grid)`` is the bracket, and refuses an exponent that
+    is not a finite number >= 1.
     """
-    if pexp < 1.0:
-        raise DomainError(f"norm exponent must be >= 1, got {pexp}")
     r = validate_radius(r)
-
-    def integrand(angles):
-        return np.abs(np.asarray(F(r, angles))) ** pexp
-
-    integral = weyl_integrate(integrand, grid).real
-    return math.exp(-log_boundary_weight(p, r).real) * integral ** (1.0 / pexp)
+    return math.exp(-log_boundary_weight(p, r).real) * F.norm(pexp, grid)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import math
 import sys
 
 import numpy as np
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--s-im", type=float, default=0.0)
         sp.add_argument("--radii", type=parse_radii, default=radii_default)
         sp.add_argument("--grid", type=int, default=32, metavar="N",
-                        help="quadrature points per torus dimension")
+                        help="quadrature points per torus dimension (>= 8)")
         sp.add_argument("--fd-step", type=float, default=None, metavar="H",
                         help="finite-difference step (default 1e-3; "
                              "hua-check uses 4e-4)")
@@ -322,10 +323,13 @@ def main(argv=None) -> int:
     # e9 and verify-all sweep their own ranks and ignore --n
     if args.command not in ("e9", "verify-all") and args.n < 1:
         parser.error(f"--n must be >= 1, got {args.n}")
+    if args.grid < 8:
+        parser.error(f"--grid must be >= 8, got {args.grid}")
     try:
         p = resolve_params(args, parser) if args.command in SPECTRAL_COMMANDS else None
-        if getattr(args, "pexp", 1.0) < 1.0:
-            parser.error(f"--pexp must be >= 1, got {args.pexp}")
+        pexp = getattr(args, "pexp", 1.0)
+        if not (math.isfinite(pexp) and pexp >= 1.0):
+            parser.error(f"--pexp must be a finite number >= 1, got {pexp}")
         if args.max_m < 0:
             parser.error(f"--max-m must be >= 0, got {args.max_m}")
         # overflow and NaN are refused by _require_finite, not warned about

@@ -26,11 +26,6 @@ class SingularError(MatballError):
     """det(I - Z U*) vanished; the point lies on the singular set."""
 
 
-class CoincidentAnglesError(MatballError):
-    """Torus angles closer than the minimum gap; the character ratio
-    formula is 0/0 there."""
-
-
 class CoincidentError(MatballError):
     """Coincident entries in a tuple that must be pairwise distinct."""
 

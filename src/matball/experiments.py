@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (TorusGrid, hardy_norm, kernel_mass, poisson_kernel_torus,
-                       require_kernel_resolution, schur_character, weyl_integrate)
+from .boundary import (TorusGrid, _distinct_nodes, _grid_sum,
+                       _kernel_projection, _power_table, hardy_norm,
+                       kernel_mass, require_kernel_resolution)
 from .errors import DomainError
 from .report import CheckReport, make_report
 from .special import SpectralParams, c_function
@@ -70,17 +71,38 @@ class KTypeFunction:
         return math.sqrt(sum(abs(c) ** 2 / weyl_dimension(m) ** 2
                              for m, c in self.items()))
 
-    def evaluate(self, angles: np.ndarray) -> np.ndarray:
-        out = 0
-        for m, c in self.items():
-            out = out + c * schur_character(m, angles)
-        return out
+    def norm(self, pexp: float, grid: TorusGrid) -> float:
+        """L^p norm (int |f|^p dU)^(1/p) on the grid, in numerator form.
 
-    def poisson_slice(self, p: SpectralParams, r: float):
-        """Callable (r, angles) -> values of the Poisson extension at radius
-        r: sum_m coeffs[m] Phi_m(r) phi_m(angles)."""
-        extension = KTypeFunction({m: c * phi_big(p, m, r) for m, c in self.items()})
-        return lambda _r, angles: extension.evaluate(angles)
+        With A_f = sum_m (c_m/d_m) a_{m+delta} at each node, f = A_f / a_delta
+        and the Haar weight is |a_delta|^2, so the sum over the full N^n grid
+        is of |A_f / a_delta|^p |a_delta|^2, divided by n! N^n.  The
+        coincident-angle nodes, where a_delta = 0, are skipped.  The
+        quotient is taken before the power: |A_f|^p alone overflows long
+        before |f|^p does.
+        """
+        if not (math.isfinite(pexp) and pexp >= 1.0):
+            raise DomainError(f"norm exponent must be a finite number >= 1, got {pexp}")
+        if grid.n != self.rank:
+            raise DomainError(f"grid rank {grid.n} != K-type rank {self.rank}")
+        n, N = grid.n, grid.points_per_dim
+        items = self.items()
+
+        def integrand(block, alternants):
+            base, *alts = alternants
+            A = sum(c / weyl_dimension(m) * a for (m, c), a in zip(items, alts))
+            keep = _distinct_nodes(N, n, block)
+            base = base[keep]
+            return float(np.sum(np.abs(A[keep] / base) ** pexp * np.abs(base) ** 2))
+
+        total = _grid_sum(integrand, _power_table(N, (0,) * n),
+                          *(_power_table(N, m) for m, _ in items))
+        return (total / (math.factorial(n) * N ** n)) ** (1.0 / pexp)
+
+    def poisson_slice(self, p: SpectralParams, r: float) -> "KTypeFunction":
+        """The Poisson extension at radius r as a K-type function,
+        sum_m coeffs[m] Phi_m(r) phi_m."""
+        return KTypeFunction({m: c * phi_big(p, m, r) for m, c in self.items()})
 
 
 def key_lemma_sweep(p: SpectralParams, sigs, radii) -> SweepResult:
@@ -163,8 +185,7 @@ def norm_sandwich(p: SpectralParams, f: KTypeFunction, pexp: float,
     if grid is None:
         grid = TorusGrid(p.n, 32)
     radii = [validate_radius(r) for r in radii]
-    fnorm = weyl_integrate(
-        lambda a: np.abs(f.evaluate(a)) ** pexp, grid).real ** (1.0 / pexp)
+    fnorm = f.norm(pexp, grid)
     rows = []
     best = 0.0
     for r in radii:
@@ -230,7 +251,8 @@ def eigen_expansion_check(p: SpectralParams, f: KTypeFunction, z: complex,
             ==  int P(z I, U) f(U) dU   (class-function quadrature)
 
     A scalar ball point keeps the integrand a class function of U, which is
-    what the torus quadrature computes.
+    what the torus quadrature computes: sum_m coeffs[m] times the numerator-
+    form sum of :func:`matball.spherical_oracle`, at complex z.
     """
     z = complex(z)
     if f.rank != p.n:
@@ -242,7 +264,6 @@ def eigen_expansion_check(p: SpectralParams, f: KTypeFunction, z: complex,
     expansion = 0.0 + 0.0j
     for m, c in f.items():
         expansion += c * phi_big(p, m, r) * phase ** sum(m)
-    quad = weyl_integrate(
-        lambda a: poisson_kernel_torus(p, z, a) * f.evaluate(a), grid)
+    quad = sum(c * _kernel_projection(p, m, z, grid) for m, c in f.items())
     return make_report("eigen_expansion", quad, expansion, tol,
                        n=p.n, nu=p.nu, s=p.s, z=z)

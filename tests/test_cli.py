@@ -128,6 +128,16 @@ class TestExitCodes:
         assert "--max-m must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ["sandwich", "--grid", "-5"], ["phi", "--grid", "0"],
+        ["kernel", "--grid", "-5"], ["forelli-rudin", "--grid", "7"],
+    ])
+    def test_grid_below_eight_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        assert "--grid must be >= 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["phi", "--n", "1", "--s", "1e6"],
         ["forelli-rudin", "--n", "1", "--s", "300"],
     ])

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from matball.boundary import TorusGrid, hardy_norm, weyl_integrate
+from matball.boundary import TorusGrid, hardy_norm
 from matball.errors import DomainError
 from matball.experiments import (KTypeFunction, eigen_expansion_check,
                                  forelli_rudin_growth, inversion_experiment,
                                  key_lemma_sweep, norm_sandwich)
 from matball.special import SpectralParams, c_function, gauss_2f1
 from matball.spherical import phi_big, weyl_dimension
+from torus_reference import ktype_evaluate, poisson_kernel_torus, weyl_integrate
 
 
 def rel(a, b):
@@ -30,8 +31,30 @@ class TestKTypeFunction:
     def test_norm_matches_quadrature(self):
         f = KTypeFunction({(0, 0): 1.0, (1, 0): 0.5 - 0.25j, (2, 1): 0.3j})
         g = TorusGrid(2, 24)
-        quad = weyl_integrate(lambda a: np.abs(f.evaluate(a)) ** 2, g).real
-        assert rel(math.sqrt(quad), f.boundary_norm2()) < 1e-10
+        assert rel(f.norm(2.0, g), f.boundary_norm2()) < 1e-10
+
+    @pytest.mark.parametrize("pexp", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("n,N", [(2, 24), (3, 8)])
+    def test_norm_matches_reference_quadrature(self, n, N, pexp):
+        # N = 8 puts coincident-angle nodes, where a_delta vanishes, among
+        # the few; the reference skips them by their zero Haar weight
+        rest = (0,) * (n - 2)
+        f = KTypeFunction({(0,) * n: 1.0, (1, 0) + rest: 0.5 - 0.25j,
+                           (2, 1) + rest: 0.3j})
+        g = TorusGrid(n, N)
+        ref = weyl_integrate(
+            lambda a: np.abs(ktype_evaluate(f, a)) ** pexp, g).real ** (1 / pexp)
+        got = f.norm(pexp, g)
+        assert math.isfinite(got)
+        assert rel(got, ref) <= 1e-13
+
+    def test_norm_validation(self):
+        f = KTypeFunction({(1, 0): 1.0})
+        for pexp in (0.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                f.norm(pexp, TorusGrid(2, 8))
+        with pytest.raises(DomainError):
+            f.norm(2.0, TorusGrid(3, 8))
 
 
 class TestKeyLemmaSweep:
@@ -189,6 +212,23 @@ class TestEigenExpansion:
         f = KTypeFunction({(0, 0): 1.0})
         with pytest.raises(DomainError):
             eigen_expansion_check(p, f, 0.97, TorusGrid(2, 32))
+
+    @pytest.mark.parametrize("p,coeffs,z,N", [
+        (SpectralParams(1, 1, 2.0 + 0.5j), {(0,): 1.0, (2,): 0.5j, (-1,): -0.3},
+         0.6 * np.exp(-1.3j), 96),
+        (SpectralParams(2, 0, 3.5), {(1, 0): 1.0 - 0.5j, (2, 1): 0.25},
+         0.45 * np.exp(2.1j), 48),
+        (SpectralParams(3, 1, 4.5 + 0.5j), {(1, 0, 0): 1.0, (2, 1, -1): 0.4 - 0.2j},
+         0.4 * np.exp(0.9j), 32),
+    ], ids=["n1", "n2", "n3"])
+    def test_matches_expansion_and_reference_quadrature(self, p, coeffs, z, N):
+        f = KTypeFunction(coeffs)
+        g = TorusGrid(p.n, N)
+        rep = eigen_expansion_check(p, f, z, g)
+        assert rep.rel_error <= 1e-6
+        ref = weyl_integrate(
+            lambda a: poisson_kernel_torus(p, z, a) * ktype_evaluate(f, a), g)
+        assert rel(rep.computed, ref) <= 1e-13
 
 
 class TestDeterminism:
