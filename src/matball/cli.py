@@ -4,8 +4,9 @@ emission.
 Conventions:
   * the spectral flag --s is the variable s = i*lambda itself (every formula
     in the library is written in s; passing lambda will give wrong results);
-  * CSV files start with '#'-prefixed comment lines recording version, the
-    full configuration and the seed, followed by one snake_case header row;
+  * each subcommand takes only the options it reads (SUBCOMMANDS), and its
+    CSV starts with '#'-prefixed comment lines recording version, those
+    options and the seed if it takes one, then one snake_case header row;
     complex columns are split into _re/_im pairs; floats carry 17
     significant digits, so identical configurations give identical bytes;
   * exit codes: 0 all embedded checks pass, 1 a check failed, 2 usage
@@ -66,6 +67,51 @@ def parse_radii(text: str):
     return vals
 
 
+# Every option of the CLI but --out, as add_argument keywords
+OPTIONS = {
+    "n": dict(type=int, default=2, help="rank (1..3)"),
+    "nu": dict(type=int, default=0, help="integer weight"),
+    "s": dict(type=parse_complex, default=None,
+              help="spectral variable s = i*lambda (NOT lambda), e.g. '3' or "
+                   "'2.5+1i'; default n + 1"),
+    "radii": dict(type=parse_radii, metavar="R1,R2,..."),
+    "grid": dict(type=int, default=None, metavar="N",
+                 help="quadrature points per torus dimension (>= 8)"),
+    "max-m": dict(type=int, default=2, metavar="M",
+                  help="signature truncation |m_i| <= M"),
+    "fd-step": dict(type=float, default=4e-4, metavar="H",
+                    help="finite-difference step"),
+    "seed": dict(type=int, default=42),
+    "pexp": dict(type=float, default=2.0, help="norm exponent p >= 1"),
+    "extended": dict(action="store_true",
+                     help="include the rank-3 targets (slower)"),
+}
+
+# subcommand: (help, its options besides --out, its own defaults)
+SUBCOMMANDS = {
+    "phi": ("radial profiles vs quadrature oracle",
+            "n nu s radii grid max-m", dict(radii=(0.1, 0.3, 0.5, 0.7))),
+    "kernel": ("kernel Fourier modes vs closed form",
+               "n nu s radii grid max-m", dict(radii=(0.3, 0.6), grid=512)),
+    "hua-check": ("operator eigen-equation residuals",
+                  "n nu s fd-step seed", {}),
+    "lemma-a": ("determinant shift identity", "n radii seed",
+                dict(radii=(0.3, 0.6, 0.9))),
+    "lemma-b": ("determinant asymptotic ratio", "n radii seed",
+                dict(radii=(1 - 1e-3, 1 - 1e-4, 1 - 1e-5))),
+    "e9": ("c-function factorization identity", "", {}),
+    "key-lemma": ("boundary asymptotic ratios", "n nu s radii max-m",
+                  dict(radii=(0.9, 0.99, 0.999, 0.9999))),
+    "forelli-rudin": ("kernel mass growth", "n nu s radii grid",
+                      dict(radii=(0.5, 0.9, 0.99), grid=32)),
+    "sandwich": ("two-sided norm estimate", "n nu s radii grid pexp",
+                 dict(radii=DEFAULT_RADII, grid=32)),
+    "invert": ("boundary-value inversion error", "n nu s radii",
+               dict(radii=(0.9, 0.99, 0.999, 0.9999))),
+    "verify-all": ("run the full verification suite", "extended seed", {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="matball",
@@ -73,64 +119,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "determinants on the matrix ball (desk scale).")
     ap.add_argument("--version", action="version", version=f"matball {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp, radii_default=None):
-        sp.add_argument("--n", type=int, default=2, help="rank (1..3)")
-        sp.add_argument("--nu", type=int, default=0, help="integer weight")
-        sp.add_argument("--s", type=parse_complex, default=None,
-                        help="spectral variable s = i*lambda (NOT lambda), "
-                             "e.g. '3' or '2.5+1i'")
-        sp.add_argument("--s-re", type=float, default=None)
-        sp.add_argument("--s-im", type=float, default=0.0)
-        sp.add_argument("--radii", type=parse_radii, default=radii_default)
-        sp.add_argument("--grid", type=int, default=32, metavar="N",
-                        help="quadrature points per torus dimension (>= 8)")
-        sp.add_argument("--fd-step", type=float, default=None, metavar="H",
-                        help="finite-difference step (default 1e-3; "
-                             "hua-check uses 4e-4)")
-        sp.add_argument("--seed", type=int, default=42)
+    for command, (help_text, options, defaults) in SUBCOMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for name in options.split():
+            sp.add_argument(f"--{name}", **OPTIONS[name])
         sp.add_argument("--out", default="-", metavar="PATH",
                         help="CSV output path ('-' for stdout)")
-        sp.add_argument("--max-m", type=int, default=2, metavar="M",
-                        help="signature truncation |m_i| <= M")
-
-    common(sub.add_parser("phi", help="radial profiles vs quadrature oracle"),
-           radii_default=(0.1, 0.3, 0.5, 0.7))
-    common(sub.add_parser("kernel", help="kernel Fourier modes vs closed form"),
-           radii_default=(0.3, 0.6))
-    hc = sub.add_parser("hua-check", help="operator eigen-equation residuals")
-    common(hc)
-    hc.set_defaults(fd_step=4e-4)
-    common(sub.add_parser("lemma-a", help="determinant shift identity"),
-           radii_default=(0.3, 0.6, 0.9))
-    common(sub.add_parser("lemma-b", help="determinant asymptotic ratio"),
-           radii_default=(1 - 1e-3, 1 - 1e-4, 1 - 1e-5))
-    common(sub.add_parser("e9", help="c-function factorization identity"))
-    common(sub.add_parser("key-lemma", help="boundary asymptotic ratios"),
-           radii_default=(0.9, 0.99, 0.999, 0.9999))
-    common(sub.add_parser("forelli-rudin", help="kernel mass growth"),
-           radii_default=(0.5, 0.9, 0.99))
-    sw = sub.add_parser("sandwich", help="two-sided norm estimate")
-    common(sw, radii_default=DEFAULT_RADII)
-    sw.add_argument("--pexp", type=float, default=2.0, help="norm exponent p >= 1")
-    common(sub.add_parser("invert", help="boundary-value inversion error"),
-           radii_default=(0.9, 0.99, 0.999, 0.9999))
-    va = sub.add_parser("verify-all", help="run the full verification suite")
-    common(va)
-    va.add_argument("--extended", action="store_true",
-                    help="include the rank-3 targets (slower)")
+        sp.set_defaults(**defaults)
     return ap
 
 
 def resolve_params(args, parser) -> SpectralParams:
-    """s from --s, --s-re/--s-im or the default n + 1, checked against the
-    guards of the command."""
-    if args.s is not None:
-        s = args.s
-    elif args.s_re is not None:
-        s = complex(args.s_re, args.s_im)
-    else:
-        s = complex(args.n + 1.0)
+    """s from --s or the default n + 1, checked against the guards of the
+    command."""
+    s = complex(args.n + 1.0) if args.s is None else args.s
     p = SpectralParams(args.n, args.nu, s)
     if args.command in ASYMPTOTIC_COMMANDS and not p.in_asymptotic_range:
         parser.error(f"s={s} violates Re(s) > n-1 (asymptotic range guard)")
@@ -157,9 +159,8 @@ def write_csv(out_path: str, command: str, config: dict, columns, rows) -> None:
     header = []
     for name, cplx in zip(columns, is_complex):
         header.extend([f"{name}_re", f"{name}_im"] if cplx else [name])
-    lines = [f"# matball {__version__}", f"# command: {command}"]
-    cfg = " ".join(f"{k}={v}" for k, v in sorted(config.items()))
-    lines.append(f"# config: {cfg}")
+    lines = [f"# matball {__version__}", f"# command: {command}",
+             "# config:" + "".join(f" {k}={v}" for k, v in sorted(config.items()))]
     if "seed" in config:
         lines.append(f"# seed: {config['seed']}")
     lines.append(",".join(header))
@@ -201,7 +202,8 @@ def cmd_phi(args, p) -> SweepResult:
     for m in signatures_up_to(p.n, args.max_m):
         for r in args.radii:
             det_val = phi_big(p, m, r)
-            grid = oracle_grid(p.n, r) if args.grid <= 48 else TorusGrid(p.n, args.grid)
+            grid = (oracle_grid(p.n, r) if args.grid is None
+                    else TorusGrid(p.n, args.grid))
             orc = spherical_oracle(p, m, r, grid)
             rel = abs(det_val - orc) / max(abs(det_val), 1e-30)
             rows.append((";".join(map(str, m)), r, det_val, orc, rel, rel <= 1e-6))
@@ -212,7 +214,7 @@ def cmd_kernel(args, p) -> SweepResult:
     rows = []
     for k in range(-args.max_m - 1, args.max_m + 2):
         for r in args.radii:
-            rep = fourier_mode_check(p, k, r, max(args.grid, 512))
+            rep = fourier_mode_check(p, k, r, args.grid)
             rows.append((k, r, rep.computed, rep.reference, rep.rel_error,
                          rep.passed))
     return _rowwise(("k", "r", "quadrature", "closed_form", "rel_error", "passed"),
@@ -273,7 +275,7 @@ def _default_ktype(n: int) -> KTypeFunction:
 
 def cmd_sandwich(args, p) -> SweepResult:
     sweep = norm_sandwich(p, _default_ktype(p.n), args.pexp, sorted(args.radii),
-                          TorusGrid(p.n, max(args.grid, 32)))
+                          TorusGrid(p.n, args.grid))
     md = sweep.metadata
     print(f"lower bound |c| ||f||_p = {md['c_modulus'] * md['boundary_norm']:.6g}"
           f" <= hardy norm = {md['hardy_norm']:.6g}; "
@@ -302,36 +304,31 @@ COMMANDS = {
     "key-lemma": lambda args, p: key_lemma_sweep(
         p, list(signatures_up_to(p.n, args.max_m)), sorted(args.radii)),
     "forelli-rudin": lambda args, p: forelli_rudin_growth(
-        p, sorted(args.radii), TorusGrid(p.n, max(args.grid, 32))),
+        p, sorted(args.radii), TorusGrid(p.n, args.grid)),
     "sandwich": cmd_sandwich,
     "invert": lambda args, p: inversion_experiment(
         p, _default_ktype(p.n), sorted(args.radii)),
     "verify-all": cmd_verify_all,
 }
 
-# the commands that take s, and the guards their s must pass
+# the guards the s of these commands must pass
 ASYMPTOTIC_COMMANDS = {"key-lemma", "forelli-rudin", "sandwich", "invert"}
 GENERIC_COMMANDS = {"hua-check", "key-lemma", "sandwich", "invert"}
-SPECTRAL_COMMANDS = {"phi", "kernel"} | ASYMPTOTIC_COMMANDS | GENERIC_COMMANDS
-
-CONFIG_KEYS = ("n", "nu", "grid", "fd_step", "seed", "max_m", "pexp", "extended")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # e9 and verify-all sweep their own ranks and ignore --n
-    if args.command not in ("e9", "verify-all") and args.n < 1:
-        parser.error(f"--n must be >= 1, got {args.n}")
-    if args.grid < 8:
-        parser.error(f"--grid must be >= 8, got {args.grid}")
+    # lower bounds of the numeric options, which must also be finite
+    for name, low in (("n", 1), ("grid", 8), ("max_m", 0), ("pexp", 1),
+                      ("seed", 0)):
+        value = getattr(args, name, None)
+        if value is not None and not low <= value < math.inf:
+            finite = " and finite" if name == "pexp" else ""
+            parser.error(f"--{name.replace('_', '-')} must be >= {low}{finite}, "
+                         f"got {value}")
     try:
-        p = resolve_params(args, parser) if args.command in SPECTRAL_COMMANDS else None
-        pexp = getattr(args, "pexp", 1.0)
-        if not (math.isfinite(pexp) and pexp >= 1.0):
-            parser.error(f"--pexp must be a finite number >= 1, got {pexp}")
-        if args.max_m < 0:
-            parser.error(f"--max-m must be >= 0, got {args.max_m}")
+        p = resolve_params(args, parser) if "s" in args else None
         # overflow and NaN are refused by _require_finite, not warned about
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             sweep = COMMANDS[args.command](args, p)
@@ -339,8 +336,8 @@ def main(argv=None) -> int:
     except (MatballError, ArithmeticError) as exc:
         print(f"numerical guard: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    config = {k: getattr(args, k) for k in CONFIG_KEYS if hasattr(args, k)}
-    if args.radii is not None:
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    if "radii" in config:
         config["radii"] = ";".join(f"{r:.17g}" for r in args.radii)
     if p is not None:
         config["s"] = p.s

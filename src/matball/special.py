@@ -180,10 +180,7 @@ def _log_case_2f1(a: complex, b: complex, m: int, y: float) -> complex:
     """2F1(a, b; a + b - m; 1 - y) for integer m >= 0 and 0 < y <= 1/2,
     via the logarithmic expansions around the argument 1.
 
-    For m = 0:
-        2F1(a,b;a+b;x) = G(a+b)/(G(a)G(b))
-            sum_k (a)_k (b)_k / (k!)^2 [2 psi(k+1) - psi(a+k) - psi(b+k) - ln y] y^k
-    For m >= 1 (y = 1 - x):
+    With y = 1 - x:
         2F1(a,b;a+b-m;x) = G(m)G(a+b-m)/(G(a)G(b)) y^(-m)
                 sum_{k<m} (a-m)_k (b-m)_k / (k! (1-m)_k) y^k
             - (-1)^m G(a+b-m)/(G(a-m)G(b-m))
@@ -195,18 +192,6 @@ def _log_case_2f1(a: complex, b: complex, m: int, y: float) -> complex:
             f"log-case 2F1 finite sum of m={float(m):g} terms exceeds "
             f"{_SERIES_MAX_TERMS}")
     ln_y = math.log(y)
-    if m == 0:
-        pref = gamma(a + b) * reciprocal_gamma(a) * reciprocal_gamma(b)
-        term = 1.0 + 0.0j
-        total = 0.0 + 0.0j
-        for k in range(_SERIES_MAX_TERMS):
-            piece = term * (2.0 * digamma(k + 1.0) - digamma(a + k)
-                            - digamma(b + k) - ln_y)
-            total += piece
-            term *= (a + k) * (b + k) * y / ((k + 1.0) ** 2)
-            if abs(piece) <= _SERIES_TOL * abs(total) and k > 2:
-                return pref * total
-        raise ConvergenceError(f"log-case 2F1 series stalled: a={a}, b={b}, y={y}")
     c = a + b - m
     finite = 0.0 + 0.0j
     term = 1.0 + 0.0j
@@ -214,8 +199,10 @@ def _log_case_2f1(a: complex, b: complex, m: int, y: float) -> complex:
         finite += term
         if k < m - 1:
             term *= (a - m + k) * (b - m + k) * y / ((k + 1.0) * (1.0 - m + k))
-    out = (gamma(float(m)) * gamma(c) * reciprocal_gamma(a) * reciprocal_gamma(b)
-           * y ** (-m) * finite)
+    out = 0.0 + 0.0j
+    if m > 0:  # at m = 0 the finite sum is empty and G(m) has its pole
+        out = (gamma(float(m)) * gamma(c) * reciprocal_gamma(a) * reciprocal_gamma(b)
+               * y ** (-m) * finite)
     coef = (-1.0) ** m * gamma(c) * reciprocal_gamma(a - m) * reciprocal_gamma(b - m)
     if coef != 0.0:
         term = 1.0 / math.factorial(m)

@@ -165,20 +165,17 @@ def hua_eigen_equation(extended: bool = False) -> CriterionResult:
     ]
     for nu, s in ((0, 3.0), (1, 3.0), (-1, 2.5), (2, 3.5)):
         combos.append((2, nu, s, *draw_hua_point(rng, 2, 0.15)))
-    worst = 0.0
-    ok = True
-    for n, nu, s, Z, U in combos:
-        rep = hua_residual(SpectralParams(n, nu, s), Z, U, h=1e-3,
-                           tol=1e-4 if (n, nu) != (2, 2) else 2e-4)
-        worst = max(worst, rep.rel_error)
-        if (n, nu) != (2, 2):
-            ok &= rep.rel_error <= 1e-4
+    residuals = [hua_residual(SpectralParams(n, nu, s), Z, U, h=1e-3).rel_error
+                 for n, nu, s, Z, U in combos]
+    worst = max(residuals)
+    ok = all(res <= 1e-4 for (n, nu, *_), res in zip(combos, residuals)
+             if (n, nu) != (2, 2))
     # Richardson order check on two representative combos
     ratios = []
-    for n, nu, s, Z, U in (combos[0], combos[4]):
-        r1 = hua_residual(SpectralParams(n, nu, s), Z, U, h=1e-3, tol=1).rel_error
-        r2 = hua_residual(SpectralParams(n, nu, s), Z, U, h=5e-4, tol=1).rel_error
-        ratios.append(r1 / r2)
+    for i in (0, 4):
+        n, nu, s, Z, U = combos[i]
+        half = hua_residual(SpectralParams(n, nu, s), Z, U, h=5e-4).rel_error
+        ratios.append(residuals[i] / half)
     richardson = all(3.0 <= q <= 5.0 for q in ratios)
     return CriterionResult(
         "hua_eigen_equation", ok and richardson,

@@ -1,6 +1,8 @@
 """Tests for the command-line interface: argument guards, CSV format,
 determinism and exit codes."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -8,10 +10,13 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matball
-from matball import verify
-from matball.cli import main, parse_complex, parse_radii
+from matball import cli, verify
+from matball.cli import (OPTIONS, SUBCOMMANDS, build_parser, main,
+                         parse_complex, parse_radii)
 
 
 def run_cli(args):
@@ -51,6 +56,110 @@ class TestParsing:
                         "--max-m", "1", "--out", str(out)])
         assert code == 0
         assert out.exists()
+
+
+def subcommand_options(command):
+    """The settable options of one subcommand, read from the built parser."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return {flag for action in sub.choices[command]._actions
+            for flag in action.option_strings if flag not in ("-h", "--help")}
+
+
+class TestOptionTable:
+    EXPECTED = {
+        "phi": "n nu s radii grid max-m",
+        "kernel": "n nu s radii grid max-m",
+        "hua-check": "n nu s fd-step seed",
+        "lemma-a": "n radii seed",
+        "lemma-b": "n radii seed",
+        "e9": "",
+        "key-lemma": "n nu s radii max-m",
+        "forelli-rudin": "n nu s radii grid",
+        "sandwich": "n nu s radii grid pexp",
+        "invert": "n nu s radii",
+        "verify-all": "extended seed",
+    }
+
+    def test_each_subcommand_takes_only_what_it_reads(self):
+        for command, names in self.EXPECTED.items():
+            expected = {f"--{name}" for name in names.split()} | {"--out"}
+            assert subcommand_options(command) == expected, command
+        assert sum(len(subcommand_options(c)) for c in self.EXPECTED) == 56
+
+    def test_forelli_rudin_runs_the_grid_it_is_given(self, tmp_path):
+        out = tmp_path / "fr.csv"
+        assert run_cli(["forelli-rudin", "--grid", "16", "--radii", "0.5",
+                        "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert "grid=16" in lines[2].split()
+        header, row = lines[3].split(","), lines[4].split(",")
+        assert row[header.index("grid_points")] == "16"
+
+    @pytest.mark.parametrize("argv, grids", [
+        (["--grid", "40"], [40, 40]),
+        ([], [48, 128]),  # the default: verify.oracle_grid at each radius
+    ])
+    def test_phi_grid(self, tmp_path, monkeypatch, argv, grids):
+        seen = []
+
+        def spy(p, m, r, grid):
+            seen.append(grid.points_per_dim)
+            return 1.0
+
+        monkeypatch.setattr(cli, "spherical_oracle", spy)
+        run_cli(["phi", "--n", "1", "--max-m", "0", "--radii", "0.3,0.7",
+                 *argv, "--out", str(tmp_path / "phi.csv")])
+        assert seen == grids
+
+
+# Option values for the argv fuzz: in range, out of range, non-finite and
+# unparsable, always passed as --name=value so negative numbers parse.
+FUZZ_VALUES = {
+    "n": st.one_of(st.integers(-1, 3), st.just(-10**400)).map(str),
+    "nu": st.integers(-3, 3).map(str),
+    "s": st.one_of(
+        st.sampled_from(["nan", "inf", "-inf", "1e300", "1+infi", "nan+1i",
+                         "2.5+1i", "abc"]),
+        st.floats(-3.0, 8.0).map(repr)),
+    "radii": st.sampled_from(["0", "0.3", "0.5,0.9", "0.2,0.7", "0.95",
+                              "1.5", "0.5,x"]),
+    "grid": st.integers(-5, 64).map(str),
+    "max-m": st.integers(-1, 2).map(str),
+    "fd-step": st.sampled_from(["4e-4", "1e-3", "0", "-1e-3", "0.2", "nan",
+                                "inf"]),
+    "seed": st.one_of(st.integers(-2, 2**40),
+                      st.sampled_from([-10**400, 10**400])).map(str),
+    "pexp": st.sampled_from(["1", "2", "0.5", "inf", "nan", "1e300"]),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from([c for c in SUBCOMMANDS if c != "verify-all"]))
+    own = SUBCOMMANDS[command][1].split()
+    # mostly the command's own options, sometimes one it does not take
+    names = draw(st.lists(st.sampled_from(own), unique=True)) if own else []
+    if draw(st.integers(0, 3)) == 0:
+        names.append(draw(st.sampled_from(sorted(OPTIONS))))
+    argv = [command]
+    for name in names:
+        argv.append("--extended" if name == "extended"
+                    else f"--{name}={draw(FUZZ_VALUES[name])}")
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(argv=fuzz_argv())
+    def test_exit_code_without_traceback(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--out", os.devnull])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestCsvFormat:
@@ -103,8 +212,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["kernel", "--n", "1", "--s", "nan"],
-        ["phi", "--n", "1", "--s-re", "nan"],
-        ["hua-check", "--n", "2", "--s-re", "inf"],
+        ["phi", "--n", "1", "--s", "nan"],
+        ["hua-check", "--n", "2", "--s", "inf"],
         ["kernel", "--n", "1", "--s", "inf"],
         ["kernel", "--n", "1", "--s", "1+infi"],
     ])
@@ -126,6 +235,14 @@ class TestExitCodes:
             run_cli([command, "--max-m", "-1"])
         assert exc.value.code == 2
         assert "--max-m must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["lemma-a", "hua-check", "verify-all"])
+    def test_negative_seed_is_usage_error(self, capsys, command):
+        # numpy's default_rng raises ValueError on a negative seed
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--seed=-1"])
+        assert exc.value.code == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["sandwich", "--grid", "-5"], ["phi", "--grid", "0"],
@@ -161,7 +278,7 @@ class TestExitCodes:
 
 
     def test_package_runs_as_module(self):
-        proc = subprocess.run([sys.executable, "-m", "matball", "e9", "--n", "0"],
+        proc = subprocess.run([sys.executable, "-m", "matball", "e9"],
                               capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0, proc.stderr
 

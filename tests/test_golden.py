@@ -46,12 +46,26 @@ def test_golden(case, tmp_path):
         assert not out.exists()
 
 
+def data_lines(path: Path):
+    """The non-'#' lines of a CSV, or None where none was written."""
+    if not path.exists():
+        return None
+    return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+
 def regenerate() -> None:
+    """Rewrite every golden, and report each case whose exit code or data
+    lines changed: a change that only touches the '#' header reports none."""
     for case in CASES:
         out = golden_csv(case["name"])
+        old_exit, old_data = case.get("exit"), data_lines(out)
         out.unlink(missing_ok=True)
         case["exit"] = run_case(case["argv"], out)
-        print(f"{case['name']}: exit {case['exit']}", file=sys.stderr)
+        if case["exit"] != old_exit:
+            print(f"{case['name']}: exit {old_exit} -> {case['exit']}",
+                  file=sys.stderr)
+        if data_lines(out) != old_data:
+            print(f"{case['name']}: data lines changed", file=sys.stderr)
     with open(GOLDEN / "cases.json", "w") as fh:
         fh.write("[\n")
         fh.write(",\n".join(" " + json.dumps(c) for c in CASES))
