@@ -24,8 +24,8 @@ from .identities import (AppendixParams, dp_factor, e9_identity_check,
 from .report import CheckReport
 from .special import (SpectralParams, c_function, euler_transform_check,
                       gamma, gauss_2f1, gindikin_gamma, pochhammer)
-from .spherical import (gamma_constant, key_lemma_ratio, phi_big, phi_scalar,
-                        weyl_dimension)
+from .spherical import (gamma_constant, key_lemma_ratio, phi_big, phi_bigs,
+                        phi_scalar, weyl_dimension)
 
 __all__ = [
     "AppendixParams", "CheckReport", "CoincidentError",
@@ -38,7 +38,7 @@ __all__ = [
     "hua_apply", "hua_residual", "induction_identity_check",
     "inversion_experiment", "kernel_grad_analytic", "kernel_mass",
     "key_lemma_ratio", "key_lemma_sweep", "lemma_a_sides", "lemma_b_ratio",
-    "norm_sandwich", "phi_big", "phi_scalar", "pochhammer",
+    "norm_sandwich", "phi_big", "phi_bigs", "phi_scalar", "pochhammer",
     "pochhammer_product_check", "poisson_kernel", "spherical_oracle",
     "weyl_dimension", "wirtinger_grad",
 ]

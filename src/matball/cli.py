@@ -33,7 +33,7 @@ from .hua import hua_residual
 from .identities import (lemma_a_sides, lemma_b_printed_sign, lemma_b_ratio,
                          lemma_b_resolved_sign)
 from .special import SpectralParams
-from .spherical import phi_big
+from .spherical import phi_bigs
 from .verify import (draw_appendix_params, draw_hua_point, e9_sweep,
                      oracle_grid, run_all, signatures_up_to)
 
@@ -198,10 +198,12 @@ def _rowwise(columns, rows) -> SweepResult:
 # SpectralParams for the commands in SPECTRAL_COMMANDS and None otherwise.
 
 def cmd_phi(args, p) -> SweepResult:
+    sigs = list(signatures_up_to(p.n, args.max_m))
+    by_radius = {r: phi_bigs(p, sigs, r) for r in args.radii}
     rows = []
-    for m in signatures_up_to(p.n, args.max_m):
+    for i, m in enumerate(sigs):
         for r in args.radii:
-            det_val = phi_big(p, m, r)
+            det_val = by_radius[r][i]
             grid = (oracle_grid(p.n, r) if args.grid is None
                     else TorusGrid(p.n, args.grid))
             orc = spherical_oracle(p, m, r, grid)
@@ -321,11 +323,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # lower bounds of the numeric options, which must also be finite
     for name, low in (("n", 1), ("grid", 8), ("max_m", 0), ("pexp", 1),
-                      ("seed", 0)):
+                      ("seed", 0), ("fd_step", 0)):
         value = getattr(args, name, None)
-        if value is not None and not low <= value < math.inf:
-            finite = " and finite" if name == "pexp" else ""
-            parser.error(f"--{name.replace('_', '-')} must be >= {low}{finite}, "
+        op = ">" if name == "fd_step" else ">="
+        if value is not None and not (
+                (value > low if op == ">" else value >= low) and value < math.inf):
+            finite = " and finite" if isinstance(value, float) else ""
+            parser.error(f"--{name.replace('_', '-')} must be {op} {low}{finite}, "
                          f"got {value}")
     try:
         p = resolve_params(args, parser) if "s" in args else None

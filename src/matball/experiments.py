@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import (TorusGrid, _distinct_nodes, _grid_sum,
-                       _kernel_projection, _power_table, hardy_norm,
-                       kernel_mass, require_kernel_resolution)
+                       _kernel_projection, _power_table, kernel_mass,
+                       require_kernel_resolution)
 from .errors import DomainError
 from .report import CheckReport, make_report
 from .special import SpectralParams, c_function
 from .spherical import (_require_asymptotic, _require_asymptotic_range,
-                        key_lemma_ratio, log_boundary_weight, phi_big,
+                        boundary_weight, log_boundary_weight, phi_bigs,
                         validate_radius, validate_signature, weyl_dimension)
 
 DEFAULT_RADII = tuple(1.0 - 2.0 ** (-j) for j in range(1, 15))
@@ -72,37 +72,48 @@ class KTypeFunction:
                              for m, c in self.items()))
 
     def norm(self, pexp: float, grid: TorusGrid) -> float:
-        """L^p norm (int |f|^p dU)^(1/p) on the grid, in numerator form.
-
-        With A_f = sum_m (c_m/d_m) a_{m+delta} at each node, f = A_f / a_delta
-        and the Haar weight is |a_delta|^2, so the sum over the full N^n grid
-        is of |A_f / a_delta|^p |a_delta|^2, divided by n! N^n.  The
-        coincident-angle nodes, where a_delta = 0, are skipped.  The
-        quotient is taken before the power: |A_f|^p alone overflows long
-        before |f|^p does.
-        """
-        if not (math.isfinite(pexp) and pexp >= 1.0):
-            raise DomainError(f"norm exponent must be a finite number >= 1, got {pexp}")
-        if grid.n != self.rank:
-            raise DomainError(f"grid rank {grid.n} != K-type rank {self.rank}")
-        n, N = grid.n, grid.points_per_dim
-        items = self.items()
-
-        def integrand(block, alternants):
-            base, *alts = alternants
-            A = sum(c / weyl_dimension(m) * a for (m, c), a in zip(items, alts))
-            keep = _distinct_nodes(N, n, block)
-            base = base[keep]
-            return float(np.sum(np.abs(A[keep] / base) ** pexp * np.abs(base) ** 2))
-
-        total = _grid_sum(integrand, _power_table(N, (0,) * n),
-                          *(_power_table(N, m) for m, _ in items))
-        return (total / (math.factorial(n) * N ** n)) ** (1.0 / pexp)
+        """L^p norm (int |f|^p dU)^(1/p) on the grid (see :func:`_norms`)."""
+        return _norms([self], pexp, grid)[0]
 
     def poisson_slice(self, p: SpectralParams, r: float) -> "KTypeFunction":
         """The Poisson extension at radius r as a K-type function,
         sum_m coeffs[m] Phi_m(r) phi_m."""
-        return KTypeFunction({m: c * phi_big(p, m, r) for m, c in self.items()})
+        phis = phi_bigs(p, sorted(self.coeffs), r)
+        return KTypeFunction({m: c * phi for (m, c), phi in zip(self.items(), phis)})
+
+
+def _norms(fs, pexp: float, grid: TorusGrid) -> list:
+    """L^p norms (int |f|^p dU)^(1/p) on the grid of K-type functions f with
+    the signatures of fs[0], from one walk of the grid, in numerator form.
+
+    With A_f = sum_m (c_m/d_m) a_{m+delta} at each node, f = A_f / a_delta
+    and the Haar weight is |a_delta|^2, so the sum over the full N^n grid
+    is of |A_f / a_delta|^p |a_delta|^2, divided by n! N^n.  The
+    coincident-angle nodes, where a_delta = 0, are skipped.  The
+    quotient is taken before the power: |A_f|^p alone overflows long
+    before |f|^p does.
+    """
+    if not (math.isfinite(pexp) and pexp >= 1.0):
+        raise DomainError(f"norm exponent must be a finite number >= 1, got {pexp}")
+    if grid.n != fs[0].rank:
+        raise DomainError(f"grid rank {grid.n} != K-type rank {fs[0].rank}")
+    n, N = grid.n, grid.points_per_dim
+    sigs = sorted(fs[0].coeffs)
+    rows = [[f.coeffs[m] / weyl_dimension(m) for m in sigs] for f in fs]
+
+    def integrand(block, alternants):
+        base, *alts = alternants
+        keep = _distinct_nodes(N, n, block)
+        base = base[keep]
+        weight = np.abs(base) ** 2
+        As = (sum(w * a for w, a in zip(row, alts)) for row in rows)
+        return np.array([np.sum(np.abs(A[keep] / base) ** pexp * weight)
+                         for A in As])
+
+    totals = _grid_sum(integrand, _power_table(N, (0,) * n),
+                       *(_power_table(N, m) for m in sigs))
+    return [(float(t) / (math.factorial(n) * N ** n)) ** (1.0 / pexp)
+            for t in totals]
 
 
 def key_lemma_sweep(p: SpectralParams, sigs, radii) -> SweepResult:
@@ -120,8 +131,9 @@ def key_lemma_sweep(p: SpectralParams, sigs, radii) -> SweepResult:
     worst_by_r = []
     for r in radii:
         worst = 0.0
-        for m in sigs:
-            ratio = key_lemma_ratio(p, m, r)
+        scale = c_function(p) * boundary_weight(p, r)
+        for m, phi in zip(sigs, phi_bigs(p, sigs, r)):
+            ratio = phi / scale
             dev = abs(ratio - 1.0)
             worst = max(worst, dev)
             rows.append((";".join(map(str, m)), r, ratio, dev))
@@ -185,11 +197,12 @@ def norm_sandwich(p: SpectralParams, f: KTypeFunction, pexp: float,
     if grid is None:
         grid = TorusGrid(p.n, 32)
     radii = [validate_radius(r) for r in radii]
-    fnorm = f.norm(pexp, grid)
+    # one grid walk; each row is hardy_norm(p, f.poisson_slice(p, r), ...)
+    fnorm, *norms = _norms([f] + [f.poisson_slice(p, r) for r in radii], pexp, grid)
     rows = []
     best = 0.0
-    for r in radii:
-        slice_norm = hardy_norm(p, f.poisson_slice(p, r), pexp, r, grid)
+    for r, norm in zip(radii, norms):
+        slice_norm = math.exp(-log_boundary_weight(p, r).real) * norm
         best = max(best, slice_norm)
         rows.append((r, slice_norm))
     cmod = abs(c_function(p))
@@ -226,8 +239,8 @@ def inversion_experiment(p: SpectralParams, f: KTypeFunction,
     for r in radii:
         weight = math.exp(-2.0 * log_boundary_weight(p, r).real)
         err2 = 0.0
-        for m, c in f.items():
-            kappa = abs(phi_big(p, m, r)) ** 2 * weight / cmod2
+        for (m, c), phi in zip(f.items(), phi_bigs(p, sorted(f.coeffs), r)):
+            kappa = abs(phi) ** 2 * weight / cmod2
             err2 += abs(kappa - 1.0) ** 2 * abs(c) ** 2 / weyl_dimension(m) ** 2
         err = math.sqrt(err2)
         errs.append(err)
@@ -262,8 +275,8 @@ def eigen_expansion_check(p: SpectralParams, f: KTypeFunction, z: complex,
     require_kernel_resolution(r, grid)
     phase = z / r if r > 0 else 1.0
     expansion = 0.0 + 0.0j
-    for m, c in f.items():
-        expansion += c * phi_big(p, m, r) * phase ** sum(m)
+    for (m, c), phi in zip(f.items(), phi_bigs(p, sorted(f.coeffs), r)):
+        expansion += c * phi * phase ** sum(m)
     quad = sum(c * _kernel_projection(p, m, z, grid) for m, c in f.items())
     return make_report("eigen_expansion", quad, expansion, tol,
                        n=p.n, nu=p.nu, s=p.s, z=z)

@@ -113,6 +113,8 @@ def hua_apply(p: SpectralParams, F, Z: np.ndarray,
         bottom_{pq} = -sum A_{ab} B_{cq} d2F/(dz_{ap} dzbar_{bc})
                        + nu sum (Z*)_{pa} B_{bq} dF/dzbar_{ab}
     """
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"finite-difference step must be finite and > 0, got {h}")
     Z = validate_ball_point(Z)
     if Z.shape[0] != p.n:
         raise DomainError(f"ball point size {Z.shape[0]} != rank {p.n}")

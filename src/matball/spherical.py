@@ -87,24 +87,30 @@ def phi_scalar(p: SpectralParams, k: int, r: float) -> complex:
     return weight * phi_scalar_core(p, k, r)
 
 
-def phi_big(p: SpectralParams, m, r: float) -> complex:
-    """Radial profile on the K-type with signature m:
+def phi_bigs(p: SpectralParams, sigs, r: float) -> list:
+    """Radial profiles on the K-types with signatures m in sigs:
 
         Phi_{s,m}(r) = det( phi_{s, m_i - i + j}(r) )_{i,j=1..n} / d_m
 
     normalized so that Phi_{s,0}(0) = 1 under probability Haar measure on
     the boundary (the determinant at m = 0, r = 0 is that of the identity).
+    Each distinct scalar profile phi_{s,k}(r) is evaluated once per call.
     """
-    m = validate_signature(m, p.n)
+    sigs = [validate_signature(m, p.n) for m in sigs]
     r = validate_radius(r)
     n = p.n
+    ks = {m[i] - i + j for m in sigs for i in range(n) for j in range(n)}
+    phi = {k: phi_scalar(p, k, r) for k in ks}
     if n == 1:
-        return phi_scalar(p, m[0], r)
-    entries = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            entries[i, j] = phi_scalar(p, m[i] - (i + 1) + (j + 1), r)
-    return complex(np.linalg.det(entries)) / weyl_dimension(m)
+        return [phi[m[0]] for m in sigs]
+    return [complex(np.linalg.det(np.array(
+        [[phi[m[i] - i + j] for j in range(n)] for i in range(n)], complex)))
+        / weyl_dimension(m) for m in sigs]
+
+
+def phi_big(p: SpectralParams, m, r: float) -> complex:
+    """Phi_{s,m}(r) for one signature m (see :func:`phi_bigs`)."""
+    return phi_bigs(p, (m,), r)[0]
 
 
 def log_boundary_weight(p: SpectralParams, r: float) -> complex:

@@ -22,7 +22,7 @@ from .identities import (AppendixParams, e9_identity_check,
                          induction_identity_check, lemma_a_sides_batch,
                          lemma_b_ratio, pochhammer_product_check)
 from .special import SpectralParams, c_function
-from .spherical import phi_big
+from .spherical import phi_bigs
 
 
 @dataclass
@@ -78,14 +78,13 @@ def oracle_equivalence(extended: bool = False) -> CriterionResult:
         # self-consistency gate at the most demanding radius: doubling the
         # production grid must not move the result by more than 1e-8
         gate_grid = oracle_grid(n, 0.7)
-        m_gate = sigs_by_rank[n][3]
-        a = spherical_oracle(params[1], m_gate, 0.7, gate_grid)
-        b = spherical_oracle(params[1], m_gate, 0.7, gate_grid.refined())
+        sigs = sigs_by_rank[n]
+        a = spherical_oracle(params[1], sigs[3], 0.7, gate_grid)
+        b = spherical_oracle(params[1], sigs[3], 0.7, gate_grid.refined())
         worst_gate = max(worst_gate, abs(a - b))
         for p in params:
-            for m in sigs_by_rank[n]:
-                for r in radii:
-                    det_val = phi_big(p, m, r)
+            for r in radii:
+                for m, det_val in zip(sigs, phi_bigs(p, sigs, r)):
                     orc = spherical_oracle(p, m, r, oracle_grid(n, r))
                     scale = max(abs(det_val), 1e-30)
                     worst = max(worst, abs(det_val - orc) / scale)
@@ -103,10 +102,10 @@ def normalization_anchor(extended: bool = False) -> CriterionResult:
     anchor_ok = True
     for n in ranks:
         for p in (SpectralParams(n, 0, n + 0.5), SpectralParams(n, 2, n + 1.5)):
-            anchor_ok &= phi_big(p, (0,) * n, 0.0) == 1.0
-            for m in signatures_up_to(n, 2):
-                if any(m):
-                    worst_zero = max(worst_zero, abs(phi_big(p, m, 0.0)))
+            sigs = list(signatures_up_to(n, 2))
+            phis = dict(zip(sigs, phi_bigs(p, sigs, 0.0)))
+            anchor_ok &= phis.pop((0,) * n) == 1.0
+            worst_zero = max(worst_zero, *map(abs, phis.values()))
     return CriterionResult(
         "normalization_anchor", anchor_ok and worst_zero <= 1e-10,
         {"anchor_exact": anchor_ok, "worst_nonzero_type": _fmt(worst_zero)})

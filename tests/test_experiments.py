@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from matball import experiments, spherical, verify
 from matball.boundary import TorusGrid, hardy_norm
 from matball.errors import DomainError
 from matball.experiments import (KTypeFunction, eigen_expansion_check,
                                  forelli_rudin_growth, inversion_experiment,
                                  key_lemma_sweep, norm_sandwich)
 from matball.special import SpectralParams, c_function, gauss_2f1
-from matball.spherical import phi_big, weyl_dimension
+from matball.spherical import key_lemma_ratio, phi_big, weyl_dimension
 from torus_reference import ktype_evaluate, poisson_kernel_torus, weyl_integrate
 
 
@@ -49,12 +50,19 @@ class TestKTypeFunction:
         assert rel(got, ref) <= 1e-13
 
     def test_norm_validation(self):
+        # the one-function norm and the sandwich share the walk and refuse
+        # the same inputs
         f = KTypeFunction({(1, 0): 1.0})
+        p = SpectralParams(2, 0, 3.0)
         for pexp in (0.5, math.inf, math.nan):
             with pytest.raises(DomainError):
                 f.norm(pexp, TorusGrid(2, 8))
+            with pytest.raises(DomainError):
+                norm_sandwich(p, f, pexp, (0.5,), TorusGrid(2, 8))
         with pytest.raises(DomainError):
             f.norm(2.0, TorusGrid(3, 8))
+        with pytest.raises(DomainError):
+            norm_sandwich(p, f, 2.0, (0.5,), TorusGrid(3, 8))
 
 
 class TestKeyLemmaSweep:
@@ -70,6 +78,17 @@ class TestKeyLemmaSweep:
         sw = key_lemma_sweep(p, [(0, 0), (1, 0), (2, 1), (1, 1), (2, 0)],
                              [0.9, 0.99, 0.999, 0.9999])
         assert sw.passed
+
+    @pytest.mark.parametrize("p,sigs", [
+        (SpectralParams(1, 1, 1.5 + 0.5j), [(-2,), (0,), (3,)]),
+        (SpectralParams(2, 0, 3.0), [(0, 0), (1, 0), (2, 1), (1, -1)]),
+        (SpectralParams(3, -1, 4.5), [(0, 0, 0), (1, 0, 0), (1, 1, -1)]),
+    ])
+    def test_rows_equal_key_lemma_ratio(self, p, sigs):
+        radii = [0.9, 0.99, 0.999]
+        sw = key_lemma_sweep(p, sigs, radii)
+        assert [row[2] for row in sw.rows] == [
+            key_lemma_ratio(p, m, r) for r in radii for m in sigs]
 
     def test_guards(self):
         with pytest.raises(DomainError):
@@ -155,6 +174,22 @@ class TestNormSandwich:
                 count += 1
         assert count >= 6
 
+    @pytest.mark.parametrize("pexp", [1.0, 2.0, 20.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_equal_hardy_norm(self, n, pexp):
+        rest = (0,) * (n - 1)
+        p = SpectralParams(n, 1, n + 1.0)
+        f = KTypeFunction({(0,) * n: 0.3, (1,) + rest: 1.0, (2,) + rest: 0.2j,
+                           (0,) * (n - 1) + (-1,): -0.4})
+        grid = TorusGrid(n, 16)
+        radii = (0.3, 0.9, 0.999)
+        sw = norm_sandwich(p, f, pexp, radii, grid)
+        slices = [row[1] for row in sw.rows]
+        assert slices == [hardy_norm(p, f.poisson_slice(p, r), pexp, r, grid)
+                          for r in radii]
+        assert sw.metadata["boundary_norm"] == f.norm(pexp, grid)
+        assert all(math.isfinite(v) and v > 0 for v in slices)
+
     def test_single_type_ratio_tends_to_c(self):
         p = SpectralParams(2, 1, 3.0)
         f = KTypeFunction({(1, 0): 1.0})
@@ -229,6 +264,39 @@ class TestEigenExpansion:
         ref = weyl_integrate(
             lambda a: poisson_kernel_torus(p, z, a) * ktype_evaluate(f, a), g)
         assert rel(rep.computed, ref) <= 1e-13
+
+
+class TestWorkCounts:
+    def test_norm_sandwich_walks_the_grid_once(self, monkeypatch):
+        walks = []
+        inner = experiments._grid_sum
+
+        def counting(*args):
+            walks.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(experiments, "_grid_sum", counting)
+        f = KTypeFunction({(0, 0): 1.0, (1, 0): 0.5 - 0.25j})
+        norm_sandwich(SpectralParams(2, 0, 3.0), f, 2.0)
+        assert len(walks) == 1
+
+    def test_repeated_criterion_repeats_its_work(self, monkeypatch):
+        # nothing is memoized across calls: a second run of criterion 8
+        # evaluates every scalar profile again
+        calls = []
+        inner = spherical.phi_scalar
+
+        def counting(p, k, r):
+            calls.append(1)
+            return inner(p, k, r)
+
+        monkeypatch.setattr(spherical, "phi_scalar", counting)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert verify.norm_lower_bound().passed
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from matball.boundary import poisson_kernel
-from matball.errors import MarginError, RangeError
+from matball.errors import DomainError, MarginError, RangeError
 from matball.hua import (MIN_KERNEL, hua_apply, hua_eigenvalue, hua_residual,
                          kernel_dbar_shifted_analytic, kernel_grad_analytic,
                          wirtinger_grad)
@@ -107,6 +107,13 @@ class TestHuaApply:
         p = SpectralParams(2, 1, 3.0)
         with pytest.raises(MarginError):
             hua_apply(p, lambda W: 1.0, 0.999 * np.eye(2), 1e-2)
+
+    @pytest.mark.parametrize("h", [0.0, -4e-4, np.nan, np.inf])
+    def test_step_must_be_finite_and_positive(self, h):
+        # h = 0 would divide by zero; a negative or non-finite h is no step
+        with pytest.raises(DomainError):
+            hua_apply(SpectralParams(2, 1, 3.0), lambda W: 1.0,
+                      0.1 * np.eye(2), h)
 
 
 class TestKernelGradients:

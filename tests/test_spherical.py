@@ -4,10 +4,11 @@ boundary-asymptotic ratio."""
 import numpy as np
 import pytest
 
+from matball import spherical
 from matball.errors import DomainError
 from matball.special import SpectralParams, c_function, gauss_2f1
 from matball.spherical import (boundary_weight, gamma_constant,
-                               key_lemma_ratio, phi_big, phi_scalar,
+                               key_lemma_ratio, phi_big, phi_bigs, phi_scalar,
                                phi_scalar_core, weyl_dimension)
 
 
@@ -103,6 +104,59 @@ class TestPhiBig:
             phi_big(p, (0, 1), 0.5)
         with pytest.raises(DomainError):
             phi_big(p, (1, 0), 1.0)
+
+
+def reference_phi_big(p, m, r):
+    """det(phi_scalar(p, m_i - i + j, r)) / d_m, entry by entry; at rank 1
+    the determinant is its one entry (numpy's 1x1 det is not exact)."""
+    n = p.n
+    if n == 1:
+        return phi_scalar(p, m[0], r)
+    entries = np.array([[phi_scalar(p, m[i] - i + j, r) for j in range(n)]
+                        for i in range(n)])
+    return complex(np.linalg.det(entries)) / weyl_dimension(m)
+
+
+class TestPhiBigs:
+    SIGS = {
+        1: [(0,), (1,), (-1,), (2,), (-3,)],
+        2: [(0, 0), (1, 0), (1, 1), (2, 1), (3, -1), (-1, -2)],
+        3: [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (2, 1, -1),
+            (0, 0, -2)],
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("nu", [-1, 0, 2])
+    @pytest.mark.parametrize("complex_s", [False, True])
+    def test_bit_identical_to_reference_determinant(self, n, nu, complex_s):
+        p = SpectralParams(n, nu, complex(n + 0.5, 0.75 if complex_s else 0.0))
+        sigs = self.SIGS[n]
+        for r in (0.0, 0.3, 0.9, 0.99):
+            expected = [reference_phi_big(p, m, r) for m in sigs]
+            assert phi_bigs(p, sigs, r) == expected
+            assert [phi_big(p, m, r) for m in sigs] == expected
+
+    def test_each_scalar_profile_once(self, monkeypatch):
+        # m = 0 at rank 3 needs k = m_i - i + j in -2..2 only, not 9 entries
+        calls = []
+        inner = spherical.phi_scalar
+
+        def counting(p, k, r):
+            calls.append(k)
+            return inner(p, k, r)
+
+        monkeypatch.setattr(spherical, "phi_scalar", counting)
+        phi_big(SpectralParams(3, 0, 4.5), (0, 0, 0), 0.5)
+        assert sorted(calls) == [-2, -1, 0, 1, 2]
+
+    def test_validation(self):
+        p = SpectralParams(2, 0, 3.0)
+        with pytest.raises(DomainError):
+            phi_bigs(p, [(1, 0), (0, 1)], 0.5)
+        with pytest.raises(DomainError):
+            phi_bigs(p, [(1, 0, 0)], 0.5)
+        with pytest.raises(DomainError):
+            phi_bigs(p, [(1, 0)], 1.0)
 
 
 class TestKeyLemmaRatio:
