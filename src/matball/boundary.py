@@ -37,15 +37,17 @@ from .spherical import (log_boundary_weight, phi_scalar_core, validate_radius,
 MAX_GRID_NODES = 1 << 24
 
 
-def validate_ball_point(Z: np.ndarray) -> np.ndarray:
-    """Check that I - Z Z* is positive definite (Cholesky succeeds)."""
+def validate_ball_point(Z: np.ndarray, stack: bool = False) -> np.ndarray:
+    """Check that I - Z Z* is positive definite (Cholesky succeeds) for one
+    n x n point or, with ``stack``, also for every point of an (M, n, n)
+    stack."""
     Z = np.asarray(Z, dtype=complex)
-    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-        raise DomainError(f"ball point must be a square matrix, got shape {Z.shape}")
-    n = Z.shape[0]
-    A = np.eye(n) - Z @ Z.conj().T
+    if Z.ndim not in ((2, 3) if stack else (2,)) or Z.shape[-1] != Z.shape[-2]:
+        raise DomainError(f"ball point has shape {Z.shape}; expected n x n"
+                          + (" or (M, n, n)" if stack else ""))
+    A = np.eye(Z.shape[-1]) - Z @ Z.conj().swapaxes(-1, -2)
     try:
-        np.linalg.cholesky((A + A.conj().T) / 2.0)
+        np.linalg.cholesky((A + A.conj().swapaxes(-1, -2)) / 2.0)
     except np.linalg.LinAlgError:
         raise DomainError("I - Z Z* is not positive definite") from None
     return Z
@@ -108,7 +110,8 @@ def require_kernel_resolution(r: float, grid: TorusGrid) -> None:
             f"quadrature at r={r}; need N >= {16.0 / (1.0 - r):.0f}")
 
 
-def poisson_kernel(p: SpectralParams, Z: np.ndarray, U: np.ndarray) -> complex:
+def poisson_kernel(p: SpectralParams, Z: np.ndarray,
+                   U: np.ndarray) -> complex | np.ndarray:
     """Poisson kernel on the matrix ball:
 
         P(Z, U) = [det(I - Z Z*) / |det(I - Z U*)|^2]^((s+n-nu)/2)
@@ -117,11 +120,14 @@ def poisson_kernel(p: SpectralParams, Z: np.ndarray, U: np.ndarray) -> complex:
     with s = i*lambda.  The first factor is a positive-real base raised to a
     complex power (principal logarithm); the second is an integer power.
     ``U`` may be an n x n unitary matrix or a length-n vector of torus angles.
+    ``Z`` is one n x n point (a complex result) or an (M, n, n) stack (M
+    values): checks and determinants run once over the stack, and each value
+    is finished in Python arithmetic, whose last bits numpy's do not match.
     """
-    Z = validate_ball_point(Z)
+    Z = validate_ball_point(Z, stack=True)
     n, nu, s = p.n, p.nu, p.s
-    if Z.shape[0] != n:
-        raise DomainError(f"ball point has size {Z.shape[0]}, params have n={n}")
+    if Z.shape[-1] != n:
+        raise DomainError(f"ball point has size {Z.shape[-1]}, params have n={n}")
     U = np.asarray(U)
     if U.ndim == 1:
         if U.shape[0] != n:
@@ -133,12 +139,14 @@ def poisson_kernel(p: SpectralParams, Z: np.ndarray, U: np.ndarray) -> complex:
             raise DomainError(f"boundary matrix must be {n}x{n}, got {U.shape}")
         if np.max(np.abs(U @ U.conj().T - np.eye(n))) > 1e-12:
             raise DomainError("boundary matrix is not unitary to 1e-12")
-    detA = np.linalg.det(np.eye(n) - Z @ Z.conj().T).real
-    detW = complex(np.linalg.det(np.eye(n) - Z @ U.conj().T))
-    if detW == 0.0:
+    detA = np.linalg.det(np.eye(n) - Z @ Z.conj().swapaxes(-1, -2)).real
+    detW = np.linalg.det(np.eye(n) - Z @ U.conj().T)
+    if np.any(detW == 0.0):
         raise SingularError("det(I - Z U*) = 0")
-    base = detA / abs(detW) ** 2
-    return cmath.exp((s + n - nu) / 2.0 * math.log(base)) * detW ** (-nu)
+    sigma = (s + n - nu) / 2.0
+    values = [cmath.exp(sigma * math.log(a / abs(w) ** 2)) * w ** (-nu)
+              for a, w in zip(np.ravel(detA).tolist(), np.ravel(detW).tolist())]
+    return values[0] if Z.ndim == 2 else np.array(values)
 
 
 def _kernel_factor(p: SpectralParams, z: complex, theta: np.ndarray,

@@ -13,6 +13,7 @@ readings; see the module tests):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,69 +38,76 @@ class HuaResult:
     bottom: np.ndarray
 
 
-def _require_margin(Z: np.ndarray, h: float, factor: float) -> None:
+def _stencil_point(Z: np.ndarray, h: float, factor: float) -> np.ndarray:
+    """The validated base point of a stencil of step h whose probes reach
+    factor * h from Z in operator norm."""
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"finite-difference step must be finite and > 0, got {h}")
+    Z = validate_ball_point(Z)
     margin = ball_margin(Z)
     if margin < factor * h:
         raise MarginError(
             f"finite-difference probes need margin >= {factor}*h = {factor * h}; "
             f"point has margin {margin:.3e}")
+    return Z
 
 
-def _entry_shift(Z: np.ndarray, entry, axis: str, step: float) -> np.ndarray:
-    Zp = Z.copy()
-    Zp[entry] += step if axis == "x" else 1j * step
-    return Zp
+def _derivatives(F, Z: np.ndarray, h: float, hessian: bool):
+    """Wirtinger derivatives dF_{ij} = dF/dz_{ij} and dbarF_{ij} = dF/dzbar_{ij}
+    by central differences and, if ``hessian`` (else H is None), the cross
+    stencils H[a, b, q, c] = d^2 F/(dzbar_{ab} dz_{qc}) in the real and
+    imaginary parts: f(+,+) - f(+,-) - f(-,+) + f(-,-) over 4 h^2, valid
+    also when the two entries coincide.  F is called once, on the (M, n, n)
+    stack of the distinct probes (to their exact bytes); differences are
+    taken in Python complex arithmetic, whose last bits numpy's do not match.
+    """
+    n = Z.shape[0]
+    entries = list(itertools.product(range(n), repeat=2))
+    moves = ([(u, axis, step)] for u in entries for axis in "xy" for step in (h, -h))
+    if hessian:
+        moves = itertools.chain(moves, (
+            [(u, au, su), (v, bv, sv)] for u in entries for v in entries
+            for au, bv in (("x", "x"), ("x", "y"), ("y", "x"), ("y", "y"))
+            for su, sv in ((h, h), (h, -h), (-h, h), (-h, -h))))
+    index, keys = {}, []
+    for shifts in moves:
+        W = Z
+        for entry, axis, step in shifts:
+            W = W.copy()
+            W[entry] += step if axis == "x" else 1j * step
+        keys.append(index.setdefault(W.tobytes(), len(index)))
+    points = np.frombuffer(b"".join(index), dtype=complex).reshape(-1, n, n)
+    vals = np.asarray(F(points), dtype=complex)
+    if vals.shape != (len(points),):
+        raise DomainError(f"field must map an (M, n, n) stack to M values; "
+                          f"got shape {vals.shape} for M = {len(points)}")
+    grad, cross = np.split(vals[keys], [4 * n * n])
+    dF, dbarF = np.empty((2, n, n), dtype=complex)
+    for (i, j), (xp, xm, yp, ym) in zip(entries, grad.reshape(-1, 4).tolist()):
+        fx = (xp - xm) / (2.0 * h)
+        fy = (yp - ym) / (2.0 * h)
+        dF[i, j] = 0.5 * (fx - 1j * fy)
+        dbarF[i, j] = 0.5 * (fx + 1j * fy)
+    if not hessian:
+        return dF, dbarF, None
+    H = np.empty((n,) * 4, dtype=complex)
+    for abqc, fs in zip(itertools.product(range(n), repeat=4),
+                        cross.reshape(-1, 4, 4).tolist()):
+        xx, xy, yx, yy = ((pp - pm - mp + mm) / (4.0 * h * h) for pp, pm, mp, mm in fs)
+        H[abqc] = 0.25 * (xx - 1j * xy + 1j * yx + yy)
+    return dF, dbarF, H
 
 
 def wirtinger_grad(F, Z: np.ndarray, h: float = DEFAULT_FD_STEP):
     """Entrywise Wirtinger first derivatives of a scalar field by central
     differences:  dF_{ij} = dF/dz_{ij},  dbarF_{ij} = dF/dzbar_{ij}.
 
-    Truncation error is O(h^2).  Raises MarginError if a probe would leave
-    the ball (margin must be at least 2h in operator norm).
+    ``F`` maps an (M, n, n) stack of points to M values.  Truncation error
+    is O(h^2).  Raises MarginError if a probe would leave the ball (margin
+    must be at least 2h in operator norm), and DomainError unless h is
+    finite and > 0.
     """
-    Z = validate_ball_point(Z)
-    _require_margin(Z, h, 2.0)
-    n = Z.shape[0]
-    dF = np.empty((n, n), dtype=complex)
-    dbarF = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            fx = (F(_entry_shift(Z, (i, j), "x", h))
-                  - F(_entry_shift(Z, (i, j), "x", -h))) / (2.0 * h)
-            fy = (F(_entry_shift(Z, (i, j), "y", h))
-                  - F(_entry_shift(Z, (i, j), "y", -h))) / (2.0 * h)
-            dF[i, j] = 0.5 * (fx - 1j * fy)
-            dbarF[i, j] = 0.5 * (fx + 1j * fy)
-    return dF, dbarF
-
-
-def _wirtinger_hessian(F, Z: np.ndarray, h: float) -> np.ndarray:
-    """Mixed Wirtinger second derivatives
-
-        H[a, b, q, c] = d^2 F / (dzbar_{ab} dz_{qc})
-
-    via 4-point cross stencils in the real/imaginary parts; each cross
-    partial uses f(+,+) - f(+,-) - f(-,+) + f(-,-) over 4 h^2, which remains
-    valid when the two entries coincide.
-    """
-    n = Z.shape[0]
-
-    def cross(u, au, v, bv):
-        def f(su, sv):
-            return F(_entry_shift(_entry_shift(Z, u, au, su), v, bv, sv))
-        return (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4.0 * h * h)
-
-    H = np.empty((n, n, n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            for q in range(n):
-                for c in range(n):
-                    u, v = (a, b), (q, c)
-                    H[a, b, q, c] = 0.25 * (
-                        cross(u, "x", v, "x") - 1j * cross(u, "x", v, "y")
-                        + 1j * cross(u, "y", v, "x") + cross(u, "y", v, "y"))
-    return H
+    return _derivatives(F, _stencil_point(Z, h, 2.0), h, False)[:2]
 
 
 def hua_apply(p: SpectralParams, F, Z: np.ndarray,
@@ -112,19 +120,17 @@ def hua_apply(p: SpectralParams, F, Z: np.ndarray,
                        - nu sum A_{pa} (Z*)_{bq} dF/dzbar_{ab}
         bottom_{pq} = -sum A_{ab} B_{cq} d2F/(dz_{ap} dzbar_{bc})
                        + nu sum (Z*)_{pa} B_{bq} dF/dzbar_{ab}
+
+    ``F`` maps an (M, n, n) stack of points to M values (see _derivatives).
     """
-    if not 0.0 < h < math.inf:
-        raise DomainError(f"finite-difference step must be finite and > 0, got {h}")
-    Z = validate_ball_point(Z)
+    Z = _stencil_point(Z, h, 4.0)
     if Z.shape[0] != p.n:
         raise DomainError(f"ball point size {Z.shape[0]} != rank {p.n}")
-    _require_margin(Z, h, 4.0)
     n, nu = p.n, p.nu
     A = np.eye(n) - Z @ Z.conj().T
     B = np.eye(n) - Z.conj().T @ Z
     Zs = Z.conj().T
-    _, dbarF = wirtinger_grad(F, Z, h)
-    H = _wirtinger_hessian(F, Z, h)
+    _, dbarF, H = _derivatives(F, Z, h, True)
 
     # top: A_{pa} B_{bc} H[a,b,q,c] contracted over a, b, c
     top = np.einsum("pa,bc,abqc->pq", A, B, H)
@@ -192,7 +198,6 @@ def hua_residual(p: SpectralParams, Z: np.ndarray, U: np.ndarray,
     (about 7e-139), since the residual norm underflows there.
     """
     Z = validate_ball_point(Z)
-    U = np.asarray(U)
     P = poisson_kernel(p, Z, U)
     if not MIN_KERNEL <= abs(P) < math.inf:
         raise RangeError(

@@ -207,8 +207,10 @@ def _log_case_2f1(a: complex, b: complex, m: int, y: float) -> complex:
     if coef != 0.0:
         term = 1.0 / math.factorial(m)
         total = 0.0 + 0.0j
+        psi = [digamma(j + 1.0) for j in range(m)]  # psi[j] = digamma(j + 1)
         for k in range(_SERIES_MAX_TERMS):
-            piece = term * (ln_y - digamma(k + 1.0) - digamma(k + m + 1.0)
+            psi.append(digamma(k + m + 1.0))
+            piece = term * (ln_y - psi[k] - psi[k + m]
                             + digamma(a + k) + digamma(b + k))
             total += piece
             term *= (a + k) * (b + k) * y / ((k + 1.0) * (k + m + 1.0))

@@ -4,6 +4,7 @@ The characters and the direct torus quadrature come from the test-only
 reference module ``torus_reference``, against which the library's
 numerator-form sums are checked."""
 
+import cmath
 import itertools
 import math
 import tracemalloc
@@ -15,7 +16,7 @@ from matball.boundary import (TorusGrid, fourier_mode_check, hardy_norm,
                               kernel_mass, poisson_kernel,
                               require_kernel_resolution, spherical_oracle,
                               validate_ball_point)
-from matball.errors import DomainError
+from matball.errors import DomainError, SingularError
 from matball.experiments import KTypeFunction, forelli_rudin_growth
 from matball.special import SpectralParams
 from matball.spherical import phi_big, phi_scalar, weyl_dimension
@@ -181,6 +182,84 @@ class TestPoissonKernel:
             poisson_kernel(p, 0.5 * np.eye(2), 1.01 * np.eye(2))  # not unitary
         with pytest.raises(DomainError):
             validate_ball_point(np.array([[1.2]]))
+
+
+def per_point_kernel(p, Z, U):
+    """The kernel at one point, finished in Python float/complex arithmetic
+    as the per-point formula always was."""
+    n, nu, s = p.n, p.nu, p.s
+    detA = np.linalg.det(np.eye(n) - Z @ Z.conj().T).real
+    detW = complex(np.linalg.det(np.eye(n) - Z @ U.conj().T))
+    base = detA / abs(detW) ** 2
+    return cmath.exp((s + n - nu) / 2.0 * math.log(base)) * detW ** (-nu)
+
+
+def random_unitary(rng, n):
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return Q
+
+
+def ball_stack(rng, n, radii):
+    """One point of operator norm r per radius, with random singular
+    vectors and lower singular values."""
+    out = []
+    for r in radii:
+        sv = np.concatenate([[r], r * rng.uniform(0.0, 1.0, n - 1)])
+        out.append(random_unitary(rng, n) @ np.diag(sv) @ random_unitary(rng, n))
+    return np.array(out)
+
+
+class TestStackedKernel:
+    RADII = (0.0, 0.1, 0.5, 0.9, 0.99, 0.9999, 0.999999)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("nu", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("s", [2.5, 3.0 + 1.5j])
+    def test_stack_is_bit_identical_to_per_point_calls(self, n, nu, s):
+        rng = np.random.default_rng(100 * n + 10 * nu + int(np.imag(s)))
+        p = SpectralParams(n, nu, s)
+        Zs = ball_stack(rng, n, self.RADII)
+        U = random_unitary(rng, n)
+        angles = rng.uniform(0.0, 2 * np.pi, n)
+        for boundary in (U, angles):
+            got = poisson_kernel(p, Zs, boundary)
+            assert got.shape == (len(self.RADII),)
+            Um = np.diag(np.exp(1j * boundary)) if boundary.ndim == 1 else boundary
+            for Z, v in zip(Zs, got.tolist()):
+                single = poisson_kernel(p, Z, boundary)
+                assert type(single) is complex
+                assert v == single == per_point_kernel(p, Z, Um)
+
+    def test_one_point_outside_refuses_the_stack(self):
+        p = SpectralParams(2, 1, 3.0)
+        Zs = np.array([0.3 * np.eye(2), np.diag([0.5, 1.0 + 1e-9]), 0.1 * np.eye(2)])
+        with pytest.raises(DomainError):
+            poisson_kernel(p, Zs, np.eye(2))
+        with pytest.raises(DomainError):
+            validate_ball_point(Zs, stack=True)
+        validate_ball_point(Zs[[0, 2]], stack=True)
+
+    def test_one_singular_point_refuses_the_stack(self):
+        # U is unitary to 1e-12 but not exactly, and z u rounds to 1, so
+        # det(I - Z U*) is exactly 0 at a point inside the ball
+        p = SpectralParams(2, 1, 3.0)
+        u = 1.0 + 2.0 ** -41
+        U = np.diag([u, 1.0])
+        Zs = np.array([0.3 * np.eye(2), np.diag([1.0 / u, 0.2]), 0.1 * np.eye(2)])
+        with pytest.raises(SingularError):
+            poisson_kernel(p, Zs, U)
+        assert np.all(np.isfinite(poisson_kernel(p, Zs[[0, 2]], U)))
+
+    def test_shape_validation(self):
+        p = SpectralParams(2, 1, 3.0)
+        for bad in (np.zeros(2), np.zeros((2, 3)), np.zeros((1, 2, 2, 2))):
+            with pytest.raises(DomainError):
+                poisson_kernel(p, bad, np.eye(2))
+        with pytest.raises(DomainError):
+            poisson_kernel(p, np.zeros((4, 3, 3)), np.eye(2))
+        # a stack is accepted only where it is asked for
+        with pytest.raises(DomainError):
+            validate_ball_point(np.zeros((4, 2, 2)))
 
 
 def brute_force_schur_210(z):

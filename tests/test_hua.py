@@ -4,6 +4,8 @@ and the kernel eigen-equation."""
 import numpy as np
 import pytest
 
+import hua_reference
+from matball import hua, verify
 from matball.boundary import poisson_kernel
 from matball.errors import DomainError, MarginError, RangeError
 from matball.hua import (MIN_KERNEL, hua_apply, hua_eigenvalue, hua_residual,
@@ -29,7 +31,7 @@ class TestWirtingerGrad:
     def test_holomorphic_coordinate(self):
         rng = np.random.default_rng(0)
         Z = random_interior_point(rng, 2)
-        dF, dbarF = wirtinger_grad(lambda W: W[0, 0], Z, 1e-4)
+        dF, dbarF = wirtinger_grad(lambda W: W[..., 0, 0], Z, 1e-4)
         expect = np.zeros((2, 2)); expect[0, 0] = 1.0
         assert np.allclose(dF, expect, atol=1e-9)
         assert np.allclose(dbarF, 0.0, atol=1e-9)
@@ -37,7 +39,7 @@ class TestWirtingerGrad:
     def test_antiholomorphic_coordinate(self):
         rng = np.random.default_rng(1)
         Z = random_interior_point(rng, 2)
-        dF, dbarF = wirtinger_grad(lambda W: np.conj(W[0, 1]), Z, 1e-4)
+        dF, dbarF = wirtinger_grad(lambda W: np.conj(W[..., 0, 1]), Z, 1e-4)
         expect = np.zeros((2, 2)); expect[0, 1] = 1.0
         assert np.allclose(dbarF, expect, atol=1e-9)
         assert np.allclose(dF, 0.0, atol=1e-9)
@@ -50,7 +52,7 @@ class TestWirtingerGrad:
         ref = -np.linalg.det(A) * (Z.conj().T @ np.linalg.inv(A)).T
 
         def F(W):
-            return np.linalg.det(np.eye(2) - W @ W.conj().T)
+            return np.linalg.det(np.eye(2) - W @ W.conj().swapaxes(-1, -2))
 
         dF, _ = wirtinger_grad(F, Z, 1e-3)
         assert np.linalg.norm(dF - ref) <= 1e-10
@@ -64,8 +66,8 @@ class TestWirtingerGrad:
         Z = random_interior_point(rng, 2, scale=0.3)
 
         def F(W):
-            z = W[0, 0]
-            return z ** 3 * np.conj(z) ** 2 + W[1, 1] * np.conj(W[1, 0])
+            z = W[..., 0, 0]
+            return z ** 3 * np.conj(z) ** 2 + W[..., 1, 1] * np.conj(W[..., 1, 0])
 
         def exact_dz(W):
             out = np.zeros((2, 2), dtype=complex)
@@ -83,6 +85,12 @@ class TestWirtingerGrad:
         with pytest.raises(MarginError):
             wirtinger_grad(lambda W: W[0, 0], 0.995 * np.eye(2), 1e-2)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
+    def test_step_must_be_finite_and_positive(self, h):
+        # h = 0 and h = nan used to return nan+nanj with a RuntimeWarning
+        with pytest.raises(DomainError):
+            wirtinger_grad(lambda W: W[..., 0, 0], 0.1 * np.eye(2), h)
+
 
 class TestHuaApply:
     def test_rank_one_squared_modulus(self):
@@ -91,7 +99,7 @@ class TestHuaApply:
         p = SpectralParams(1, 0, 1.0)
         z = 0.3 + 0.2j
         Z = np.array([[z]])
-        res = hua_apply(p, lambda W: (W[0, 0] * np.conj(W[0, 0])), Z, 1e-4)
+        res = hua_apply(p, lambda W: (W[..., 0, 0] * np.conj(W[..., 0, 0])), Z, 1e-4)
         expect = (1 - abs(z) ** 2) ** 2
         assert abs(res.top[0, 0] - expect) <= 1e-7
 
@@ -99,7 +107,7 @@ class TestHuaApply:
         p = SpectralParams(2, 1, 3.0)
         rng = np.random.default_rng(3)
         Z = random_interior_point(rng, 2)
-        res = hua_apply(p, lambda W: 1.0 + 0.0j, Z, 1e-3)
+        res = hua_apply(p, lambda W: np.ones(len(W)), Z, 1e-3)
         assert np.allclose(res.top, 0.0, atol=1e-10)
         assert np.allclose(res.bottom, 0.0, atol=1e-10)
 
@@ -114,6 +122,83 @@ class TestHuaApply:
         with pytest.raises(DomainError):
             hua_apply(SpectralParams(2, 1, 3.0), lambda W: 1.0,
                       0.1 * np.eye(2), h)
+
+
+class TestStackedStencil:
+    """The stencils evaluate the field once, on a stack of their distinct
+    probes; ``hua_reference`` holds the per-point stencils they replace."""
+
+    def test_bit_identical_to_per_point_stencils(self):
+        rng = np.random.default_rng(2024)
+        for t in range(60):
+            n = 1 + t % 3
+            s = float(rng.uniform(0.5, 6.0))
+            if t % 2:
+                s += float(rng.uniform(-2.0, 2.0)) * 1j
+            p = SpectralParams(n, int(rng.integers(-1, 3)), s)
+            h = float(rng.choice([2e-3, 1e-3, 5e-4, 4e-4]))
+            Z, U = draw_hua_point(rng, n, float(rng.choice([0.05, 0.1, 0.15])))
+
+            def F(W):
+                return poisson_kernel(p, W, U)
+
+            res = hua_apply(p, F, Z, h)
+            ref = hua_reference.hua_apply(p, F, Z, h)
+            assert np.array_equal(res.top, ref.top)
+            assert np.array_equal(res.bottom, ref.bottom)
+            for got, want in zip(wirtinger_grad(F, Z, h),
+                                 hua_reference.wirtinger_grad(F, Z, h)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, grad_points, points", [(1, 4, 13), (2, 16, 145),
+                                                        (3, 36, 685)])
+    def test_field_is_called_once_on_the_distinct_probes(self, n, grad_points, points):
+        # dyadic entries and step: every Z + h - h is exactly Z, so the count
+        # is 12 per entry + 1 (Z) + 16 per unordered pair of entries; where
+        # such a round trip is inexact its probe is one more point
+        p = SpectralParams(n, 1, n + 1.0)
+        Z = np.full((n, n), 0.0625 + 0.03125j)
+        U = np.eye(n)
+        sizes = []
+
+        def F(W):
+            sizes.append(len(W))
+            return poisson_kernel(p, W, U)
+
+        hua_apply(p, F, Z, 2.0 ** -10)
+        wirtinger_grad(F, Z, 2.0 ** -10)
+        assert sizes == [points, grad_points]
+
+    def test_field_must_return_one_value_per_point(self):
+        p = SpectralParams(2, 1, 3.0)
+        for F in (lambda W: W[0, 0], lambda W: 1.0, lambda W: np.ones((len(W), 2))):
+            with pytest.raises(DomainError):
+                hua_apply(p, F, 0.1 * np.eye(2), 1e-3)
+
+    def test_base_must_be_one_point(self):
+        p = SpectralParams(2, 1, 3.0)
+        stack = 0.1 * np.ones((2, 2, 2))
+        with pytest.raises(DomainError):
+            wirtinger_grad(lambda W: W[..., 0, 0], stack, 1e-3)
+        for single_point in (hua_residual, kernel_grad_analytic,
+                             kernel_dbar_shifted_analytic):
+            with pytest.raises(DomainError):
+                single_point(p, stack, np.eye(2))
+
+    def test_criterion_4_kernel_calls(self, monkeypatch):
+        # work-count guard: each of the 9 residuals evaluates the kernel at
+        # its base point and once on its stack of probes (1,449 calls when
+        # every probe was a call of its own)
+        calls = []
+        inner = hua.poisson_kernel
+
+        def counting(p, Z, U):
+            calls.append(1)
+            return inner(p, Z, U)
+
+        monkeypatch.setattr(hua, "poisson_kernel", counting)
+        assert verify.hua_eigen_equation().passed
+        assert len(calls) == 18
 
 
 class TestKernelGradients:

@@ -11,6 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from matball import special
 from matball.errors import (ConvergenceError, DegenerateConnection, DomainError,
                             PoleError)
 from matball.special import (SpectralParams, _gamma_array, _gauss_2f1_array,
@@ -161,6 +162,23 @@ class TestGauss2F1:
             if abs(ref) == 0:
                 continue
             assert rel(gauss_2f1(a, b, c, x), ref) <= 1e-8
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_log_case_evaluates_each_integer_digamma_once(self, monkeypatch, m):
+        # psi(k + 1) and psi(k + m + 1) read one list of psi(1), psi(2), ...;
+        # the complex arguments a + k and b + k keep a call each per term
+        args = []
+        inner = special.digamma
+
+        def counting(z):
+            args.append(z)
+            return inner(z)
+
+        monkeypatch.setattr(special, "digamma", counting)
+        special._log_case_2f1(1.25 + 0.5j, 0.75 - 0.25j, m, 0.25)
+        ints = [z for z in args if isinstance(z, float)]
+        terms = (len(args) - len(ints)) // 2
+        assert ints == [float(j) for j in range(1, terms + m + 1)]
 
     def test_log_case_refuses_huge_integer_difference(self):
         # every float above 2^53 is an integer, so c - a - b = +-1e300 takes
