@@ -9,13 +9,13 @@ Everything is expressed in the spectral variable s = i*lambda.
 __version__ = "0.1.0"
 
 from .boundary import (TorusGrid, fourier_mode_check, hardy_norm, kernel_mass,
-                       poisson_kernel, spherical_oracle)
+                       poisson_kernel, spherical_oracle, spherical_oracles)
 from .errors import (CoincidentError, DegenerateConnection, DomainError,
                      GuardError, MarginError, MatballError, PoleError,
                      RangeError, SingularError)
 from .experiments import (KTypeFunction, SweepResult, eigen_expansion_check,
                           forelli_rudin_growth, inversion_experiment,
-                          key_lemma_sweep, norm_sandwich)
+                          key_lemma_sweep, norm_sandwich, norm_sandwiches)
 from .hua import (HuaResult, hua_apply, hua_residual, kernel_grad_analytic,
                   wirtinger_grad)
 from .identities import (AppendixParams, dp_factor, e9_identity_check,
@@ -38,7 +38,7 @@ __all__ = [
     "hua_apply", "hua_residual", "induction_identity_check",
     "inversion_experiment", "kernel_grad_analytic", "kernel_mass",
     "key_lemma_ratio", "key_lemma_sweep", "lemma_a_sides", "lemma_b_ratio",
-    "norm_sandwich", "phi_big", "phi_bigs", "phi_scalar", "pochhammer",
-    "pochhammer_product_check", "poisson_kernel", "spherical_oracle",
-    "weyl_dimension", "wirtinger_grad",
+    "norm_sandwich", "norm_sandwiches", "phi_big", "phi_bigs", "phi_scalar",
+    "pochhammer", "pochhammer_product_check", "poisson_kernel",
+    "spherical_oracle", "spherical_oracles", "weyl_dimension", "wirtinger_grad",
 ]

@@ -219,14 +219,6 @@ def _distinct_nodes(N: int, n: int, block: slice) -> np.ndarray:
     return keep
 
 
-def _alternant_sum(left: np.ndarray, right: np.ndarray) -> complex:
-    """sum_nodes conj(det L[a_j, k]) det R[a_j, k] over the full N^n grid,
-    for two (N, n) row tables L and R.  When R is L one alternant serves
-    both."""
-    return _grid_sum(lambda _, alts: complex(np.vdot(alts[0], alts[-1])),
-                     *((left,) if right is left else (left, right)))
-
-
 def _power_table(N: int, m) -> np.ndarray:
     """The (N, n) row table z^(m_k + n - k) of the alternant a_{m+delta} on
     the N-point axis, z = e^{i theta}."""
@@ -234,45 +226,56 @@ def _power_table(N: int, m) -> np.ndarray:
     return np.exp(1j * _torus_axis(N))[:, None] ** (np.asarray(m) + delta)
 
 
-def _kernel_projection(p: SpectralParams, m, z: complex,
-                       grid: TorusGrid) -> complex:
-    """int P(z I, U) phi_m(U) dU on the grid for a scalar ball point z I,
-    |z| < 1, by Weyl integration in numerator form:
+def _kernel_projections(p: SpectralParams, sigs, z: complex,
+                        grid: TorusGrid) -> list:
+    """int P(z I, U) phi_m(U) dU on the grid for each m in sigs, at a scalar
+    ball point z I, |z| < 1, by Weyl integration in numerator form:
 
         sum_nodes prod_j g(th_j) a_{m+delta}(e^{i theta}) conj a_delta(e^{i theta})
             (1-|z|^2)^(n sigma) / (n! N^n d_m)
 
-    with sigma = (s+n-nu)/2 and g the per-angle kernel factor at z.
+    with sigma = (s+n-nu)/2 and g the per-angle kernel factor at z; all
+    signatures share one walk, one g and one a_delta alternant.
     """
     if grid.n != p.n:
         raise DomainError(f"grid rank {grid.n} != params rank {p.n}")
     n, N = p.n, grid.points_per_dim
     # the kernel factor of each angle scales that angle's row of a_{m+delta}
-    num = _kernel_factor(p, z, _torus_axis(N))[:, None] * _power_table(N, m)
-    total = _alternant_sum(_power_table(N, (0,) * n), num)
+    g = _kernel_factor(p, z, _torus_axis(N))[:, None]
+    totals = _grid_sum(
+        lambda _, alts: np.array([np.vdot(alts[0], a) for a in alts[1:]]),
+        _power_table(N, (0,) * n), *(g * _power_table(N, m) for m in sigs))
     sigma = (p.s + n - p.nu) / 2.0
-    return (total * cmath.exp(n * sigma * math.log1p(-(z * z.conjugate()).real))
-            / (math.factorial(n) * N ** n * weyl_dimension(m)))
+    scale = cmath.exp(n * sigma * math.log1p(-(z * z.conjugate()).real))
+    return [complex(t) * scale / (math.factorial(n) * N ** n * weyl_dimension(m))
+            for t, m in zip(totals, sigs)]
+
+
+def spherical_oracles(p: SpectralParams, sigs, r: float,
+                      grid: TorusGrid) -> list:
+    """Quadrature values of the K-type radial profiles,
+
+        Phi_{s,m}(r) = int P(r I, U) phi_m(U) dU,   m in sigs,
+
+    reduced to the torus by Weyl integration in numerator form (see
+    :func:`_kernel_projections`), from one walk of the grid.  The
+    character's Vandermonde denominator cancels against the Haar weight, so
+    coincident angles need no special treatment.  Every node's integrand
+    value is formed before the sum; the sum is never reduced to
+    one-dimensional integrals (Andreief/Heine), because that reduction is
+    the determinant formula of :func:`matball.spherical.phi_bigs`, for
+    which this is the independent oracle.
+    """
+    sigs = [validate_signature(m, p.n) for m in sigs]
+    r = validate_radius(r)
+    require_kernel_resolution(r, grid)
+    return _kernel_projections(p, sigs, r, grid)
 
 
 def spherical_oracle(p: SpectralParams, m, r: float, grid: TorusGrid) -> complex:
-    """Quadrature value of the K-type radial profile,
-
-        Phi_{s,m}(r) = int P(r I, U) phi_m(U) dU,
-
-    reduced to the torus by Weyl integration in numerator form (see
-    :func:`_kernel_projection`).  The character's Vandermonde denominator
-    cancels against the Haar weight, so coincident angles need no special
-    treatment.  Every node's integrand value is formed before the sum; the
-    sum is never reduced to one-dimensional integrals (Andreief/Heine),
-    because that reduction is the determinant formula of
-    :func:`matball.spherical.phi_big`, for which this is the independent
-    oracle.
-    """
-    m = validate_signature(m, p.n)
-    r = validate_radius(r)
-    require_kernel_resolution(r, grid)
-    return _kernel_projection(p, m, r, grid)
+    """Phi_{s,m}(r) by quadrature for one signature m (see
+    :func:`spherical_oracles`)."""
+    return spherical_oracles(p, (m,), r, grid)[0]
 
 
 def kernel_mass(p: SpectralParams, r: float, grid: TorusGrid) -> float:
@@ -293,7 +296,8 @@ def kernel_mass(p: SpectralParams, r: float, grid: TorusGrid) -> float:
     log_scale = (p.s + n - p.nu) / 2.0 * math.log1p(-r * r)
     scale = np.sqrt(np.abs(_kernel_factor(p, r, theta, log_scale)))
     table = scale[:, None] * _power_table(N, (0,) * n)
-    return _alternant_sum(table, table).real / (math.factorial(n) * N ** n)
+    total = _grid_sum(lambda _, alts: complex(np.vdot(alts[0], alts[0])), table)
+    return total.real / (math.factorial(n) * N ** n)
 
 
 def fourier_mode_check(p: SpectralParams, k: int, r: float, N: int,

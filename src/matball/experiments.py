@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import (TorusGrid, _distinct_nodes, _grid_sum,
-                       _kernel_projection, _power_table, kernel_mass,
+                       _kernel_projections, _power_table, kernel_mass,
                        require_kernel_resolution)
 from .errors import DomainError
 from .report import CheckReport, make_report
@@ -83,30 +83,32 @@ class KTypeFunction:
 
 
 def _norms(fs, pexp: float, grid: TorusGrid) -> list:
-    """L^p norms (int |f|^p dU)^(1/p) on the grid of K-type functions f with
-    the signatures of fs[0], from one walk of the grid, in numerator form.
+    """L^p norms (int |f|^p dU)^(1/p) on the grid of the K-type functions
+    in fs, from one walk of the grid, in numerator form.
 
     With A_f = sum_m (c_m/d_m) a_{m+delta} at each node, f = A_f / a_delta
     and the Haar weight is |a_delta|^2, so the sum over the full N^n grid
     is of |A_f / a_delta|^p |a_delta|^2, divided by n! N^n.  The
     coincident-angle nodes, where a_delta = 0, are skipped.  The
     quotient is taken before the power: |A_f|^p alone overflows long
-    before |f|^p does.
+    before |f|^p does.  Each f sums its own terms in its own sorted order,
+    so its norm does not depend on the other functions.
     """
     if not (math.isfinite(pexp) and pexp >= 1.0):
         raise DomainError(f"norm exponent must be a finite number >= 1, got {pexp}")
-    if grid.n != fs[0].rank:
-        raise DomainError(f"grid rank {grid.n} != K-type rank {fs[0].rank}")
+    if any(f.rank != grid.n for f in fs):
+        raise DomainError(f"grid rank {grid.n} != K-type rank of some f")
     n, N = grid.n, grid.points_per_dim
-    sigs = sorted(fs[0].coeffs)
-    rows = [[f.coeffs[m] / weyl_dimension(m) for m in sigs] for f in fs]
+    sigs = sorted({m for f in fs for m in f.coeffs})
+    rows = [[(sigs.index(m), c / weyl_dimension(m)) for m, c in f.items()]
+            for f in fs]
 
     def integrand(block, alternants):
         base, *alts = alternants
         keep = _distinct_nodes(N, n, block)
         base = base[keep]
         weight = np.abs(base) ** 2
-        As = (sum(w * a for w, a in zip(row, alts)) for row in rows)
+        As = (sum(w * alts[i] for i, w in row) for row in rows)
         return np.array([np.sum(np.abs(A[keep] / base) ** pexp * weight)
                          for A in As])
 
@@ -181,39 +183,55 @@ def forelli_rudin_growth(p: SpectralParams, radii, grid: TorusGrid) -> SweepResu
                   "band": (min(ratios), max(ratios))})
 
 
-def norm_sandwich(p: SpectralParams, f: KTypeFunction, pexp: float,
-                  radii=DEFAULT_RADII, grid: TorusGrid | None = None) -> SweepResult:
-    """Two-sided estimate for the Poisson extension of a K-type function:
+def norm_sandwiches(p: SpectralParams, fs, pexp: float, radii=DEFAULT_RADII,
+                    grid: TorusGrid | None = None) -> list:
+    """Two-sided estimate for the Poisson extension of each K-type function
+    f in fs:
 
         |c(s)| ||f||_p  <=  sup_r (weighted slice norm)  <=  gamma ||f||_p.
 
     The sup over r is replaced by the max over the radius grid.  The lower
     bound is asserted with a 1e-3 slack; the upper ratio is reported (no
-    reference constant is available for it).
+    reference constant is available for it).  All fs share one
+    :func:`phi_bigs` call per radius and one walk of the grid.
     """
     _require_asymptotic(p)
-    if f.rank != p.n:
-        raise DomainError(f"K-type rank {f.rank} != params rank {p.n}")
+    if any(f.rank != p.n for f in fs):
+        raise DomainError(f"K-type rank of some f != params rank {p.n}")
     if grid is None:
         grid = TorusGrid(p.n, 32)
     radii = [validate_radius(r) for r in radii]
-    # one grid walk; each row is hardy_norm(p, f.poisson_slice(p, r), ...)
-    fnorm, *norms = _norms([f] + [f.poisson_slice(p, r) for r in radii], pexp, grid)
-    rows = []
-    best = 0.0
-    for r, norm in zip(radii, norms):
-        slice_norm = math.exp(-log_boundary_weight(p, r).real) * norm
-        best = max(best, slice_norm)
-        rows.append((r, slice_norm))
+    sigs = sorted({m for f in fs for m in f.coeffs})
+    # each slice is f.poisson_slice(p, r), radius-major
+    slices = []
+    for r in radii:
+        phi = dict(zip(sigs, phi_bigs(p, sigs, r)))
+        slices += [KTypeFunction({m: c * phi[m] for m, c in f.items()})
+                   for f in fs]
+    norms = _norms(list(fs) + slices, pexp, grid)
+    weights = [math.exp(-log_boundary_weight(p, r).real) for r in radii]
     cmod = abs(c_function(p))
-    lower_ok = cmod * fnorm <= (1.0 + 1e-3) * best
-    upper_ratio = best / fnorm if fnorm > 0 else math.inf
-    return SweepResult(
-        columns=("r", "weighted_slice_norm"), rows=rows, passed=lower_ok,
-        metadata={"n": p.n, "nu": p.nu, "s": p.s, "p_exponent": pexp,
-                  "boundary_norm": fnorm, "hardy_norm": best,
-                  "c_modulus": cmod, "lower_bound_holds": lower_ok,
-                  "upper_ratio": upper_ratio})
+    out = []
+    for i, fnorm in enumerate(norms[:len(fs)]):
+        # each row is hardy_norm(p, f.poisson_slice(p, r), ...)
+        rows = [(r, w * norm) for r, w, norm
+                in zip(radii, weights, norms[len(fs) + i::len(fs)])]
+        best = max([0.0] + [v for _, v in rows])
+        lower_ok = cmod * fnorm <= (1.0 + 1e-3) * best
+        upper_ratio = best / fnorm if fnorm > 0 else math.inf
+        out.append(SweepResult(
+            columns=("r", "weighted_slice_norm"), rows=rows, passed=lower_ok,
+            metadata={"n": p.n, "nu": p.nu, "s": p.s, "p_exponent": pexp,
+                      "boundary_norm": fnorm, "hardy_norm": best,
+                      "c_modulus": cmod, "lower_bound_holds": lower_ok,
+                      "upper_ratio": upper_ratio}))
+    return out
+
+
+def norm_sandwich(p: SpectralParams, f: KTypeFunction, pexp: float,
+                  radii=DEFAULT_RADII, grid: TorusGrid | None = None) -> SweepResult:
+    """The two-sided estimate of :func:`norm_sandwiches` for one f."""
+    return norm_sandwiches(p, [f], pexp, radii, grid)[0]
 
 
 def inversion_experiment(p: SpectralParams, f: KTypeFunction,
@@ -265,7 +283,8 @@ def eigen_expansion_check(p: SpectralParams, f: KTypeFunction, z: complex,
 
     A scalar ball point keeps the integrand a class function of U, which is
     what the torus quadrature computes: sum_m coeffs[m] times the numerator-
-    form sum of :func:`matball.spherical_oracle`, at complex z.
+    form sums of :func:`matball.boundary.spherical_oracles`, at complex z,
+    from one walk of the grid.
     """
     z = complex(z)
     if f.rank != p.n:
@@ -277,6 +296,7 @@ def eigen_expansion_check(p: SpectralParams, f: KTypeFunction, z: complex,
     expansion = 0.0 + 0.0j
     for (m, c), phi in zip(f.items(), phi_bigs(p, sorted(f.coeffs), r)):
         expansion += c * phi * phase ** sum(m)
-    quad = sum(c * _kernel_projection(p, m, z, grid) for m, c in f.items())
+    quads = _kernel_projections(p, sorted(f.coeffs), z, grid)
+    quad = sum(c * q for (m, c), q in zip(f.items(), quads))
     return make_report("eigen_expansion", quad, expansion, tol,
                        n=p.n, nu=p.nu, s=p.s, z=z)

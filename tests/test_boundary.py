@@ -12,15 +12,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from matball.boundary import (TorusGrid, fourier_mode_check, hardy_norm,
-                              kernel_mass, poisson_kernel,
-                              require_kernel_resolution, spherical_oracle,
+from matball.boundary import (TorusGrid, _kernel_projections,
+                              fourier_mode_check, hardy_norm, kernel_mass,
+                              poisson_kernel, require_kernel_resolution,
+                              spherical_oracle, spherical_oracles,
                               validate_ball_point)
 from matball.errors import DomainError, SingularError
 from matball.experiments import KTypeFunction, forelli_rudin_growth
 from matball.special import SpectralParams
 from matball.spherical import phi_big, phi_scalar, weyl_dimension
-from torus_reference import poisson_kernel_torus, schur_character, weyl_integrate
+from torus_reference import (kernel_projection, poisson_kernel_torus,
+                             schur_character, weyl_integrate)
 
 
 def rel(a, b):
@@ -401,6 +403,48 @@ class TestSphericalOracle:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+ORACLE_SIGS = {
+    1: [(0,), (1,), (-1,), (2,), (-3,)],
+    2: [(0, 0), (1, 0), (1, 1), (2, 1), (3, -1)],
+    3: [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (2, 1, -1)],
+}
+
+
+class TestSphericalOracles:
+    # one walk for several signatures gives each signature's own-walk value
+    # bit for bit: the alternants of one table do not depend on the others
+    @pytest.mark.parametrize("n,N", [(1, 32), (2, 24), (3, 12)])
+    def test_bit_identical_to_one_signature_walks(self, n, N):
+        g = TorusGrid(n, N)
+        sigs = ORACLE_SIGS[n]
+        for nu in (-1, 0, 2):
+            for s in (n + 0.5, n + 1.5 + 0.7j):
+                p = SpectralParams(n, nu, s)
+                for r in (0.0, 0.3, 0.7):
+                    got = spherical_oracles(p, sigs, r, g)
+                    assert got == [spherical_oracle(p, m, r, g) for m in sigs]
+                    assert got == [kernel_projection(p, m, r, g) for m in sigs]
+
+    @pytest.mark.parametrize("n,N", [(1, 32), (2, 24), (3, 12)])
+    def test_kernel_projections_at_complex_z(self, n, N):
+        g = TorusGrid(n, N)
+        sigs = ORACLE_SIGS[n]
+        for nu in (-1, 0, 2):
+            p = SpectralParams(n, nu, n + 1.5 + 0.7j)
+            for z in (0.4j, 0.3 - 0.2j, -0.55 + 0.1j):
+                assert _kernel_projections(p, sigs, z, g) == [
+                    kernel_projection(p, m, z, g) for m in sigs]
+
+    def test_validation(self):
+        p = SpectralParams(2, 0, 2.5)
+        with pytest.raises(DomainError):
+            spherical_oracles(p, [(0, 0), (0, 1)], 0.3, TorusGrid(2, 16))
+        with pytest.raises(DomainError):
+            spherical_oracles(p, [(0, 0)], 0.95, TorusGrid(2, 32))
+        with pytest.raises(DomainError):
+            spherical_oracles(p, [(0, 0)], 0.3, TorusGrid(3, 16))
 
 
 class TestKernelMass:

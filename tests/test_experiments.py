@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from matball import experiments, spherical, verify
-from matball.boundary import TorusGrid, hardy_norm
+from matball import boundary, experiments, spherical, verify
+from matball.boundary import TorusGrid, hardy_norm, spherical_oracle
 from matball.errors import DomainError
 from matball.experiments import (KTypeFunction, eigen_expansion_check,
                                  forelli_rudin_growth, inversion_experiment,
-                                 key_lemma_sweep, norm_sandwich)
+                                 key_lemma_sweep, norm_sandwich,
+                                 norm_sandwiches)
 from matball.special import SpectralParams, c_function, gauss_2f1
 from matball.spherical import key_lemma_ratio, phi_big, weyl_dimension
 from torus_reference import ktype_evaluate, poisson_kernel_torus, weyl_integrate
@@ -63,6 +64,26 @@ class TestKTypeFunction:
             f.norm(2.0, TorusGrid(3, 8))
         with pytest.raises(DomainError):
             norm_sandwich(p, f, 2.0, (0.5,), TorusGrid(3, 8))
+        with pytest.raises(DomainError):
+            experiments._norms([f, KTypeFunction({(1, 0, 0): 1.0})], 2.0,
+                               TorusGrid(2, 8))
+
+    @pytest.mark.parametrize("pexp", [1.0, 2.0, 3.0])
+    def test_norms_of_mixed_signature_sets(self, pexp):
+        # each function keeps every one of its own K-types, whatever the
+        # signatures of the functions beside it
+        fs = [KTypeFunction({(0, 0): 1.0}),
+              KTypeFunction({(0, 0): 1.0, (1, 0): 0.5}),
+              KTypeFunction({(1, 0): 0.5 - 0.25j, (2, 1): 0.3j}),
+              KTypeFunction({(1, 1): -0.4, (0, 0): 0.2})]
+        g = TorusGrid(2, 16)
+        got = experiments._norms(fs, pexp, g)
+        assert got == [f.norm(pexp, g) for f in fs]
+        assert got[::-1] == experiments._norms(fs[::-1], pexp, g)
+        if pexp == 2.0:
+            for f, norm in zip(fs, got):
+                assert rel(norm, f.boundary_norm2()) < 1e-12
+            assert rel(got[1], math.sqrt(1.0 + 0.25 / 4)) < 1e-12
 
 
 class TestKeyLemmaSweep:
@@ -190,6 +211,31 @@ class TestNormSandwich:
         assert sw.metadata["boundary_norm"] == f.norm(pexp, grid)
         assert all(math.isfinite(v) and v > 0 for v in slices)
 
+    def test_grouped_equals_per_function(self):
+        # all 18 configurations of criterion 8, grouped by p as it runs them
+        configs = verify._sandwich_configs((1, 2))
+        assert len(configs) == 18
+        for k in range(0, len(configs), 3):
+            p = configs[k][0]
+            fs = [f for _, f in configs[k:k + 3]]
+            assert all(q is p for q, _ in configs[k:k + 3])
+            grid = TorusGrid(p.n, 32)
+            for f, sw in zip(fs, norm_sandwiches(p, fs, 2.0)):
+                one = norm_sandwich(p, f, 2.0)
+                assert sw.rows == one.rows
+                assert sw.passed == one.passed
+                assert sw.metadata == one.metadata
+                assert sw.columns == one.columns
+                assert [v for _, v in sw.rows] == [
+                    hardy_norm(p, f.poisson_slice(p, r), 2.0, r, grid)
+                    for r in experiments.DEFAULT_RADII]
+
+    def test_grouped_validation(self):
+        p = SpectralParams(2, 0, 3.0)
+        fs = [KTypeFunction({(1, 0): 1.0}), KTypeFunction({(1,): 1.0})]
+        with pytest.raises(DomainError):
+            norm_sandwiches(p, fs, 2.0)
+
     def test_single_type_ratio_tends_to_c(self):
         p = SpectralParams(2, 1, 3.0)
         f = KTypeFunction({(1, 0): 1.0})
@@ -266,7 +312,54 @@ class TestEigenExpansion:
         assert rel(rep.computed, ref) <= 1e-13
 
 
+def count_walks(monkeypatch):
+    """Record the tables of every torus-grid walk, whichever module runs it."""
+    walks = []
+    inner = boundary._grid_sum
+
+    def counting(integrand, *tables):
+        walks.append(len(tables))
+        return inner(integrand, *tables)
+
+    monkeypatch.setattr(boundary, "_grid_sum", counting)
+    monkeypatch.setattr(experiments, "_grid_sum", counting)
+    return walks
+
+
 class TestWorkCounts:
+    def test_norm_lower_bound_shares_phi_tables_and_walks(self, monkeypatch):
+        # 6 groups of 3 functions sharing p: one walk each, plus one per
+        # single-type slice; 6 groups x 14 radii x 4 scalar profiles plus
+        # 2 slices x 4
+        walks = count_walks(monkeypatch)
+        calls = []
+        inner = spherical.phi_scalar
+        monkeypatch.setattr(spherical, "phi_scalar",
+                            lambda *args: calls.append(1) or inner(*args))
+        assert verify.norm_lower_bound().passed
+        assert len(walks) == 8
+        assert len(calls) == 344
+
+    def test_oracle_equivalence_walks_once_per_point(self, monkeypatch):
+        # 2 ranks x (2 gate calls + 3 params x 4 radii)
+        walks = count_walks(monkeypatch)
+        assert verify.oracle_equivalence().passed
+        assert len(walks) == 28
+        assert sorted(set(walks)) == [2, 6]
+
+    def test_one_signature_oracle_walks_two_tables(self, monkeypatch):
+        walks = count_walks(monkeypatch)
+        spherical_oracle(SpectralParams(3, 1, 4.5), (2, 1, 0), 0.5,
+                         TorusGrid(3, 16))
+        assert walks == [2]
+
+    def test_eigen_expansion_walks_once(self, monkeypatch):
+        walks = count_walks(monkeypatch)
+        f = KTypeFunction({(0, 0): 0.3, (1, 0): 1.0, (1, 1): 0.2j})
+        eigen_expansion_check(SpectralParams(2, 1, 3.0), f, 0.4 - 0.2j,
+                              TorusGrid(2, 32))
+        assert walks == [4]
+
     def test_norm_sandwich_walks_the_grid_once(self, monkeypatch):
         walks = []
         inner = experiments._grid_sum

@@ -8,12 +8,14 @@ angle) nodes skipped.  The tests compare the library's sums with these
 expressions at their own tolerances.
 """
 
+import cmath
 import itertools
 import math
 
 import numpy as np
 
-from matball.boundary import TorusGrid, _blocks, _kernel_factor, _torus_axis
+from matball.boundary import (TorusGrid, _blocks, _grid_sum, _kernel_factor,
+                              _power_table, _torus_axis)
 from matball.errors import DomainError
 from matball.special import SpectralParams
 from matball.spherical import validate_signature, weyl_dimension
@@ -104,3 +106,21 @@ def ktype_evaluate(f, angles: np.ndarray) -> np.ndarray:
     for m, c in f.items():
         out = out + c * schur_character(m, angles)
     return out
+
+
+def kernel_projection(p: SpectralParams, m, z: complex, grid: TorusGrid) -> complex:
+    """One signature's numerator-form kernel projection in a walk of its own
+    over exactly two tables, a_delta and g a_{m+delta}:
+
+        sum_nodes prod_j g(th_j) a_{m+delta} conj a_delta (1-|z|^2)^(n sigma)
+            / (n! N^n d_m)
+
+    The library's multi-signature walk must reproduce it bit for bit.
+    """
+    n, N = p.n, grid.points_per_dim
+    num = _kernel_factor(p, z, _torus_axis(N))[:, None] * _power_table(N, m)
+    total = _grid_sum(lambda _, alts: complex(np.vdot(alts[0], alts[1])),
+                      _power_table(N, (0,) * n), num)
+    sigma = (p.s + n - p.nu) / 2.0
+    return (total * cmath.exp(n * sigma * math.log1p(-(z * z.conjugate()).real))
+            / (math.factorial(n) * N ** n * weyl_dimension(m)))
