@@ -8,22 +8,21 @@ Everything is expressed in the spectral variable s = i*lambda.
 
 __version__ = "0.1.0"
 
-from .boundary import (TorusGrid, fourier_mode_check, hardy_norm, kernel_mass,
+from .boundary import (TorusGrid, fourier_mode_check, kernel_mass,
                        poisson_kernel, spherical_oracle, spherical_oracles)
 from .errors import (CoincidentError, DegenerateConnection, DomainError,
                      GuardError, MarginError, MatballError, PoleError,
                      RangeError, SingularError)
-from .experiments import (KTypeFunction, SweepResult, eigen_expansion_check,
-                          forelli_rudin_growth, inversion_experiment,
-                          key_lemma_sweep, norm_sandwich, norm_sandwiches)
-from .hua import (HuaResult, hua_apply, hua_residual, kernel_grad_analytic,
-                  wirtinger_grad)
+from .experiments import (KTypeFunction, SweepResult, forelli_rudin_growth,
+                          inversion_experiment, key_lemma_sweep, norm_sandwich,
+                          norm_sandwiches)
+from .hua import HuaResult, hua_apply, hua_residual
 from .identities import (AppendixParams, dp_factor, e9_identity_check,
                          induction_identity_check, lemma_a_sides,
                          lemma_b_ratio, pochhammer_product_check)
 from .report import CheckReport
-from .special import (SpectralParams, c_function, euler_transform_check,
-                      gamma, gauss_2f1, gindikin_gamma, pochhammer)
+from .special import (SpectralParams, c_function, gamma, gauss_2f1,
+                      gindikin_gamma, pochhammer)
 from .spherical import (gamma_constant, key_lemma_ratio, phi_big, phi_bigs,
                         phi_scalar, weyl_dimension)
 
@@ -32,13 +31,12 @@ __all__ = [
     "DegenerateConnection", "DomainError", "GuardError",
     "HuaResult", "KTypeFunction", "MarginError", "MatballError", "PoleError",
     "RangeError", "SingularError", "SpectralParams", "SweepResult", "TorusGrid",
-    "c_function", "dp_factor", "e9_identity_check", "eigen_expansion_check",
-    "euler_transform_check", "forelli_rudin_growth", "fourier_mode_check",
-    "gamma", "gamma_constant", "gauss_2f1", "gindikin_gamma", "hardy_norm",
-    "hua_apply", "hua_residual", "induction_identity_check",
-    "inversion_experiment", "kernel_grad_analytic", "kernel_mass",
-    "key_lemma_ratio", "key_lemma_sweep", "lemma_a_sides", "lemma_b_ratio",
-    "norm_sandwich", "norm_sandwiches", "phi_big", "phi_bigs", "phi_scalar",
-    "pochhammer", "pochhammer_product_check", "poisson_kernel",
-    "spherical_oracle", "spherical_oracles", "weyl_dimension", "wirtinger_grad",
+    "c_function", "dp_factor", "e9_identity_check", "forelli_rudin_growth",
+    "fourier_mode_check", "gamma", "gamma_constant", "gauss_2f1",
+    "gindikin_gamma", "hua_apply", "hua_residual", "induction_identity_check",
+    "inversion_experiment", "kernel_mass", "key_lemma_ratio",
+    "key_lemma_sweep", "lemma_a_sides", "lemma_b_ratio", "norm_sandwich",
+    "norm_sandwiches", "phi_big", "phi_bigs", "phi_scalar", "pochhammer",
+    "pochhammer_product_check", "poisson_kernel", "spherical_oracle",
+    "spherical_oracles", "weyl_dimension",
 ]

@@ -1,5 +1,5 @@
-"""Boundary machinery: the Poisson kernel on the matrix ball, torus sums
-for class functions on the unitary-group boundary and weighted Hardy norms.
+"""Boundary machinery: the Poisson kernel on the matrix ball and torus
+sums for class functions on the unitary-group boundary.
 
 Class functions are integrated on a midpoint-offset product grid in the
 numerator form of Weyl integration: a class function f = A / a_delta, with
@@ -28,8 +28,8 @@ import numpy as np
 from .errors import DomainError, SingularError
 from .report import CheckReport, make_report
 from .special import SpectralParams
-from .spherical import (log_boundary_weight, phi_scalar_core, validate_radius,
-                        validate_signature, weyl_dimension)
+from .spherical import (phi_scalar_core, validate_radius, validate_signature,
+                        weyl_dimension)
 
 # The rank-3 N = 256 grid-refinement gate is the largest grid a shipped check
 # builds; the limit bounds the run time of a torus sum, not its memory,
@@ -72,11 +72,11 @@ class TorusGrid:
     points_per_dim: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"rank must be >= 1, got {self.n}")
-        if self.points_per_dim < 8:
-            raise DomainError(
-                f"grid needs N >= 8 points per dimension, got {self.points_per_dim}")
+        if not isinstance(self.n, int) or self.n < 1:
+            raise DomainError(f"rank must be an integer >= 1, got {self.n!r}")
+        if not isinstance(self.points_per_dim, int) or self.points_per_dim < 8:
+            raise DomainError(f"grid needs an integer N >= 8 points per "
+                              f"dimension, got {self.points_per_dim!r}")
         if self.points_per_dim ** self.n > MAX_GRID_NODES:
             raise DomainError(
                 f"grid of {self.points_per_dim}^{self.n} nodes exceeds the "
@@ -226,39 +226,19 @@ def _power_table(N: int, m) -> np.ndarray:
     return np.exp(1j * _torus_axis(N))[:, None] ** (np.asarray(m) + delta)
 
 
-def _kernel_projections(p: SpectralParams, sigs, z: complex,
-                        grid: TorusGrid) -> list:
-    """int P(z I, U) phi_m(U) dU on the grid for each m in sigs, at a scalar
-    ball point z I, |z| < 1, by Weyl integration in numerator form:
-
-        sum_nodes prod_j g(th_j) a_{m+delta}(e^{i theta}) conj a_delta(e^{i theta})
-            (1-|z|^2)^(n sigma) / (n! N^n d_m)
-
-    with sigma = (s+n-nu)/2 and g the per-angle kernel factor at z; all
-    signatures share one walk, one g and one a_delta alternant.
-    """
-    if grid.n != p.n:
-        raise DomainError(f"grid rank {grid.n} != params rank {p.n}")
-    n, N = p.n, grid.points_per_dim
-    # the kernel factor of each angle scales that angle's row of a_{m+delta}
-    g = _kernel_factor(p, z, _torus_axis(N))[:, None]
-    totals = _grid_sum(
-        lambda _, alts: np.array([np.vdot(alts[0], a) for a in alts[1:]]),
-        _power_table(N, (0,) * n), *(g * _power_table(N, m) for m in sigs))
-    sigma = (p.s + n - p.nu) / 2.0
-    scale = cmath.exp(n * sigma * math.log1p(-(z * z.conjugate()).real))
-    return [complex(t) * scale / (math.factorial(n) * N ** n * weyl_dimension(m))
-            for t, m in zip(totals, sigs)]
-
-
 def spherical_oracles(p: SpectralParams, sigs, r: float,
                       grid: TorusGrid) -> list:
     """Quadrature values of the K-type radial profiles,
 
         Phi_{s,m}(r) = int P(r I, U) phi_m(U) dU,   m in sigs,
 
-    reduced to the torus by Weyl integration in numerator form (see
-    :func:`_kernel_projections`), from one walk of the grid.  The
+    reduced to the torus by Weyl integration in numerator form:
+
+        sum_nodes prod_j g(th_j) a_{m+delta}(e^{i theta}) conj a_delta(e^{i theta})
+            (1-r^2)^(n sigma) / (n! N^n d_m)
+
+    with sigma = (s+n-nu)/2 and g the per-angle kernel factor at r; all
+    signatures share one walk, one g and one a_delta alternant.  The
     character's Vandermonde denominator cancels against the Haar weight, so
     coincident angles need no special treatment.  Every node's integrand
     value is formed before the sum; the sum is never reduced to
@@ -269,7 +249,18 @@ def spherical_oracles(p: SpectralParams, sigs, r: float,
     sigs = [validate_signature(m, p.n) for m in sigs]
     r = validate_radius(r)
     require_kernel_resolution(r, grid)
-    return _kernel_projections(p, sigs, r, grid)
+    if grid.n != p.n:
+        raise DomainError(f"grid rank {grid.n} != params rank {p.n}")
+    n, N = p.n, grid.points_per_dim
+    # the kernel factor of each angle scales that angle's row of a_{m+delta}
+    g = _kernel_factor(p, r, _torus_axis(N))[:, None]
+    totals = _grid_sum(
+        lambda _, alts: np.array([np.vdot(alts[0], a) for a in alts[1:]]),
+        _power_table(N, (0,) * n), *(g * _power_table(N, m) for m in sigs))
+    sigma = (p.s + n - p.nu) / 2.0
+    scale = cmath.exp(n * sigma * math.log1p(-r * r))
+    return [complex(t) * scale / (math.factorial(n) * N ** n * weyl_dimension(m))
+            for t, m in zip(totals, sigs)]
 
 
 def spherical_oracle(p: SpectralParams, m, r: float, grid: TorusGrid) -> complex:
@@ -300,35 +291,20 @@ def kernel_mass(p: SpectralParams, r: float, grid: TorusGrid) -> float:
     return total.real / (math.factorial(n) * N ** n)
 
 
-def fourier_mode_check(p: SpectralParams, k: int, r: float, N: int,
-                       tol: float = 1e-9) -> CheckReport:
+def fourier_mode_check(p: SpectralParams, k: int, r: float, N: int) -> CheckReport:
     """Compare the k-th Fourier coefficient of the per-angle kernel factor
 
         g(th) = (1 - r e^{-i th})^(-(s+n+nu)/2) (1 - r e^{i th})^(-(s+n-nu)/2)
 
     computed by N-point trapezoidal quadrature of g(th) e^{i k th} against
-    the closed form r^|k| ((s+n+eps(k)nu)/2)_|k| / (1)_|k| 2F1(...).
+    the closed form r^|k| ((s+n+eps(k)nu)/2)_|k| / (1)_|k| 2F1(...), to
+    1e-9 relative.
     """
     r = validate_radius(r)
-    if N < 8:
-        raise DomainError(f"need N >= 8 quadrature points, got {N}")
+    if not isinstance(N, int) or N < 8:
+        raise DomainError(f"need an integer N >= 8 quadrature points, got {N!r}")
     theta = _torus_axis(N)
     quad = complex(np.mean(_kernel_factor(p, r, theta) * np.exp(1j * k * theta)))
     closed = phi_scalar_core(p, k, r)
-    return make_report(f"fourier_mode k={k}", quad, closed, tol,
+    return make_report(f"fourier_mode k={k}", quad, closed, 1e-9,
                        n=p.n, nu=p.nu, s=p.s, r=r, N=N)
-
-
-def hardy_norm(p: SpectralParams, F, pexp: float, r: float,
-               grid: TorusGrid) -> float:
-    """Weighted L^p norm of a radial slice:
-
-        (1-r^2)^(-n(n-nu-Re s)/2) [ int |F(r U)|^p dU ]^(1/p)
-
-    ``F`` is the slice at radius r as a K-type function (for a Poisson
-    extension, :meth:`matball.experiments.KTypeFunction.poisson_slice`);
-    its ``norm(pexp, grid)`` is the bracket, and refuses an exponent that
-    is not a finite number >= 1.
-    """
-    r = validate_radius(r)
-    return math.exp(-log_boundary_weight(p, r).real) * F.norm(pexp, grid)

@@ -1,6 +1,6 @@
 """Desk-scale reproductions of the boundary-value theory: asymptotic-ratio
 sweeps, kernel mass growth, the two-sided norm estimate for Poisson
-extensions, the inversion formula, and K-type expansion consistency.
+extensions and the inversion formula.
 
 Sweeps are deterministic given (params, seed, grids); rows are emitted in a
 fixed order so repeated runs are bit-identical.
@@ -13,11 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (TorusGrid, _distinct_nodes, _grid_sum,
-                       _kernel_projections, _power_table, kernel_mass,
-                       require_kernel_resolution)
+from .boundary import (TorusGrid, _distinct_nodes, _grid_sum, _power_table,
+                       kernel_mass, require_kernel_resolution)
 from .errors import DomainError
-from .report import CheckReport, make_report
 from .special import SpectralParams, c_function
 from .spherical import (_require_asymptotic, _require_asymptotic_range,
                         boundary_weight, log_boundary_weight, phi_bigs,
@@ -74,12 +72,6 @@ class KTypeFunction:
     def norm(self, pexp: float, grid: TorusGrid) -> float:
         """L^p norm (int |f|^p dU)^(1/p) on the grid (see :func:`_norms`)."""
         return _norms([self], pexp, grid)[0]
-
-    def poisson_slice(self, p: SpectralParams, r: float) -> "KTypeFunction":
-        """The Poisson extension at radius r as a K-type function,
-        sum_m coeffs[m] Phi_m(r) phi_m."""
-        phis = phi_bigs(p, sorted(self.coeffs), r)
-        return KTypeFunction({m: c * phi for (m, c), phi in zip(self.items(), phis)})
 
 
 def _norms(fs, pexp: float, grid: TorusGrid) -> list:
@@ -202,7 +194,8 @@ def norm_sandwiches(p: SpectralParams, fs, pexp: float, radii=DEFAULT_RADII,
         grid = TorusGrid(p.n, 32)
     radii = [validate_radius(r) for r in radii]
     sigs = sorted({m for f in fs for m in f.coeffs})
-    # each slice is f.poisson_slice(p, r), radius-major
+    # the Poisson extension of each f at each radius, sum_m c_m Phi_m(r)
+    # phi_m, as a K-type function; radius-major
     slices = []
     for r in radii:
         phi = dict(zip(sigs, phi_bigs(p, sigs, r)))
@@ -213,7 +206,7 @@ def norm_sandwiches(p: SpectralParams, fs, pexp: float, radii=DEFAULT_RADII,
     cmod = abs(c_function(p))
     out = []
     for i, fnorm in enumerate(norms[:len(fs)]):
-        # each row is hardy_norm(p, f.poisson_slice(p, r), ...)
+        # each row is (1-r^2)^(-n(n-nu-Re s)/2) ||slice at r||_p
         rows = [(r, w * norm) for r, w, norm
                 in zip(radii, weights, norms[len(fs) + i::len(fs)])]
         best = max([0.0] + [v for _, v in rows])
@@ -271,32 +264,3 @@ def inversion_experiment(p: SpectralParams, f: KTypeFunction,
         columns=("r", "l2_error"), rows=rows, passed=passed,
         metadata={"n": p.n, "nu": p.nu, "s": p.s, "boundary_norm": fnorm,
                   "monotone": monotone, "final_error": errs[-1]})
-
-
-def eigen_expansion_check(p: SpectralParams, f: KTypeFunction, z: complex,
-                          grid: TorusGrid, tol: float = 1e-6) -> CheckReport:
-    """Consistency of the K-type expansion with the kernel quadrature at a
-    scalar ball point Z = z I (|z| < 1):
-
-        sum_m coeffs[m] Phi_m(|z|) (z/|z|)^|m|
-            ==  int P(z I, U) f(U) dU   (class-function quadrature)
-
-    A scalar ball point keeps the integrand a class function of U, which is
-    what the torus quadrature computes: sum_m coeffs[m] times the numerator-
-    form sums of :func:`matball.boundary.spherical_oracles`, at complex z,
-    from one walk of the grid.
-    """
-    z = complex(z)
-    if f.rank != p.n:
-        raise DomainError(f"K-type rank {f.rank} != params rank {p.n}")
-    r = abs(z)
-    validate_radius(r)
-    require_kernel_resolution(r, grid)
-    phase = z / r if r > 0 else 1.0
-    expansion = 0.0 + 0.0j
-    for (m, c), phi in zip(f.items(), phi_bigs(p, sorted(f.coeffs), r)):
-        expansion += c * phi * phase ** sum(m)
-    quads = _kernel_projections(p, sorted(f.coeffs), z, grid)
-    quad = sum(c * q for (m, c), q in zip(f.items(), quads))
-    return make_report("eigen_expansion", quad, expansion, tol,
-                       n=p.n, nu=p.nu, s=p.s, z=z)

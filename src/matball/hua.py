@@ -1,6 +1,6 @@
 """Matrix-valued second-order operator on the ball, realized through
-Wirtinger finite differences, with analytic kernel-derivative cross-checks
-and eigen-equation residuals.
+Wirtinger finite differences, and its eigen-equation residual on the
+Poisson kernel.
 
 Conventions (fixed by finite-difference discrimination between the candidate
 readings; see the module tests):
@@ -38,37 +38,22 @@ class HuaResult:
     bottom: np.ndarray
 
 
-def _stencil_point(Z: np.ndarray, h: float, factor: float) -> np.ndarray:
-    """The validated base point of a stencil of step h whose probes reach
-    factor * h from Z in operator norm."""
-    if not 0.0 < h < math.inf:
-        raise DomainError(f"finite-difference step must be finite and > 0, got {h}")
-    Z = validate_ball_point(Z)
-    margin = ball_margin(Z)
-    if margin < factor * h:
-        raise MarginError(
-            f"finite-difference probes need margin >= {factor}*h = {factor * h}; "
-            f"point has margin {margin:.3e}")
-    return Z
-
-
-def _derivatives(F, Z: np.ndarray, h: float, hessian: bool):
-    """Wirtinger derivatives dF_{ij} = dF/dz_{ij} and dbarF_{ij} = dF/dzbar_{ij}
-    by central differences and, if ``hessian`` (else H is None), the cross
-    stencils H[a, b, q, c] = d^2 F/(dzbar_{ab} dz_{qc}) in the real and
-    imaginary parts: f(+,+) - f(+,-) - f(-,+) + f(-,-) over 4 h^2, valid
-    also when the two entries coincide.  F is called once, on the (M, n, n)
-    stack of the distinct probes (to their exact bytes); differences are
-    taken in Python complex arithmetic, whose last bits numpy's do not match.
+def _derivatives(F, Z: np.ndarray, h: float):
+    """Wirtinger derivatives dbarF_{ij} = dF/dzbar_{ij} by central
+    differences and the cross stencils H[a, b, q, c] = d^2 F/(dzbar_{ab}
+    dz_{qc}) in the real and imaginary parts: f(+,+) - f(+,-) - f(-,+) +
+    f(-,-) over 4 h^2, valid also when the two entries coincide.  F is
+    called once, on the (M, n, n) stack of the distinct probes (to their
+    exact bytes); differences are taken in Python complex arithmetic, whose
+    last bits numpy's do not match.
     """
     n = Z.shape[0]
     entries = list(itertools.product(range(n), repeat=2))
-    moves = ([(u, axis, step)] for u in entries for axis in "xy" for step in (h, -h))
-    if hessian:
-        moves = itertools.chain(moves, (
-            [(u, au, su), (v, bv, sv)] for u in entries for v in entries
-            for au, bv in (("x", "x"), ("x", "y"), ("y", "x"), ("y", "y"))
-            for su, sv in ((h, h), (h, -h), (-h, h), (-h, -h))))
+    moves = itertools.chain(
+        ([(u, axis, step)] for u in entries for axis in "xy" for step in (h, -h)),
+        ([(u, au, su), (v, bv, sv)] for u in entries for v in entries
+         for au, bv in (("x", "x"), ("x", "y"), ("y", "x"), ("y", "y"))
+         for su, sv in ((h, h), (h, -h), (-h, h), (-h, -h))))
     index, keys = {}, []
     for shifts in moves:
         W = Z
@@ -82,32 +67,17 @@ def _derivatives(F, Z: np.ndarray, h: float, hessian: bool):
         raise DomainError(f"field must map an (M, n, n) stack to M values; "
                           f"got shape {vals.shape} for M = {len(points)}")
     grad, cross = np.split(vals[keys], [4 * n * n])
-    dF, dbarF = np.empty((2, n, n), dtype=complex)
+    dbarF = np.empty((n, n), dtype=complex)
     for (i, j), (xp, xm, yp, ym) in zip(entries, grad.reshape(-1, 4).tolist()):
         fx = (xp - xm) / (2.0 * h)
         fy = (yp - ym) / (2.0 * h)
-        dF[i, j] = 0.5 * (fx - 1j * fy)
         dbarF[i, j] = 0.5 * (fx + 1j * fy)
-    if not hessian:
-        return dF, dbarF, None
     H = np.empty((n,) * 4, dtype=complex)
     for abqc, fs in zip(itertools.product(range(n), repeat=4),
                         cross.reshape(-1, 4, 4).tolist()):
         xx, xy, yx, yy = ((pp - pm - mp + mm) / (4.0 * h * h) for pp, pm, mp, mm in fs)
         H[abqc] = 0.25 * (xx - 1j * xy + 1j * yx + yy)
-    return dF, dbarF, H
-
-
-def wirtinger_grad(F, Z: np.ndarray, h: float = DEFAULT_FD_STEP):
-    """Entrywise Wirtinger first derivatives of a scalar field by central
-    differences:  dF_{ij} = dF/dz_{ij},  dbarF_{ij} = dF/dzbar_{ij}.
-
-    ``F`` maps an (M, n, n) stack of points to M values.  Truncation error
-    is O(h^2).  Raises MarginError if a probe would leave the ball (margin
-    must be at least 2h in operator norm), and DomainError unless h is
-    finite and > 0.
-    """
-    return _derivatives(F, _stencil_point(Z, h, 2.0), h, False)[:2]
+    return dbarF, H
 
 
 def hua_apply(p: SpectralParams, F, Z: np.ndarray,
@@ -122,15 +92,25 @@ def hua_apply(p: SpectralParams, F, Z: np.ndarray,
                        + nu sum (Z*)_{pa} B_{bq} dF/dzbar_{ab}
 
     ``F`` maps an (M, n, n) stack of points to M values (see _derivatives).
+    Raises DomainError unless h is finite and > 0, and MarginError if a
+    probe would leave the ball (the margin must be at least 4h in operator
+    norm).
     """
-    Z = _stencil_point(Z, h, 4.0)
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"finite-difference step must be finite and > 0, got {h}")
+    Z = validate_ball_point(Z)
+    margin = ball_margin(Z)
+    if margin < 4.0 * h:
+        raise MarginError(
+            f"finite-difference probes need margin >= 4.0*h = {4.0 * h}; "
+            f"point has margin {margin:.3e}")
     if Z.shape[0] != p.n:
         raise DomainError(f"ball point size {Z.shape[0]} != rank {p.n}")
     n, nu = p.n, p.nu
     A = np.eye(n) - Z @ Z.conj().T
     B = np.eye(n) - Z.conj().T @ Z
     Zs = Z.conj().T
-    _, dbarF, H = _derivatives(F, Z, h, True)
+    dbarF, H = _derivatives(F, Z, h)
 
     # top: A_{pa} B_{bc} H[a,b,q,c] contracted over a, b, c
     top = np.einsum("pa,bc,abqc->pq", A, B, H)
@@ -142,43 +122,6 @@ def hua_apply(p: SpectralParams, F, Z: np.ndarray,
     if nu != 0:
         bottom = bottom + nu * np.einsum("pa,bq,ab->pq", Zs, B, dbarF)
     return HuaResult(top=top, bottom=bottom)
-
-
-def kernel_grad_analytic(p: SpectralParams, Z: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Closed-form transposed gradient of the Poisson kernel in Z:
-
-        (d'P)(Z) = P(Z,U) [ ((s+n+nu)/2) U* (I - Z U*)^{-1}
-                            - ((s+n-nu)/2) Z* (I - Z Z*)^{-1} ]
-
-    Entry (i, j) equals dP/dz_{ji}.
-    """
-    Z = validate_ball_point(Z)
-    n, nu, s = p.n, p.nu, p.s
-    U = np.asarray(U, dtype=complex)
-    P = poisson_kernel(p, Z, U)
-    W = np.eye(n) - Z @ U.conj().T
-    A = np.eye(n) - Z @ Z.conj().T
-    return P * ((s + n + nu) / 2.0 * U.conj().T @ np.linalg.inv(W)
-                - (s + n - nu) / 2.0 * Z.conj().T @ np.linalg.inv(A))
-
-
-def kernel_dbar_shifted_analytic(p: SpectralParams, Z: np.ndarray,
-                                 U: np.ndarray) -> np.ndarray:
-    """Closed form of (dbar Z* P)(Z), i.e. the matrix (dbar P) Z*:
-
-        ((s+n-nu)/2) [ (I - U Z*)^{-1} U - (I - Z Z*)^{-1} Z ] Z* P(Z,U)
-
-    (the overall factor P is required; the variant without it fails the
-    finite-difference cross-check).
-    """
-    Z = validate_ball_point(Z)
-    n, nu, s = p.n, p.nu, p.s
-    U = np.asarray(U, dtype=complex)
-    P = poisson_kernel(p, Z, U)
-    A = np.eye(n) - Z @ Z.conj().T
-    Wt = np.eye(n) - U @ Z.conj().T
-    M = np.linalg.inv(Wt) @ U - np.linalg.inv(A) @ Z
-    return (s + n - nu) / 2.0 * M @ Z.conj().T * P
 
 
 def hua_eigenvalue(p: SpectralParams) -> complex:

@@ -281,20 +281,21 @@ def lemma_b_ratio(ap: AppendixParams, r: float) -> complex:
             / lemma_b_reference(ap, r))
 
 
-def pochhammer_product_check(a: complex, n: int, tol: float = 1e-11) -> CheckReport:
-    """prod_{k=1}^{n-1} (a-k)^(n-k)  ==  prod_{k=1}^{n-1} (a-k)_k."""
+def pochhammer_product_check(a: complex, n: int) -> CheckReport:
+    """prod_{k=1}^{n-1} (a-k)^(n-k)  ==  prod_{k=1}^{n-1} (a-k)_k, to 1e-11
+    relative."""
     a = complex(a)
     lhs = 1.0 + 0.0j
     rhs = 1.0 + 0.0j
     for k in range(1, n):
         lhs *= (a - k) ** (n - k)
         rhs *= pochhammer(a - k, k)
-    return make_report("pochhammer_product", lhs, rhs, tol, a=a, n=n)
+    return make_report("pochhammer_product", lhs, rhs, 1e-11, a=a, n=n)
 
 
-def induction_identity_check(s: complex, n: int, tol: float = 1e-10) -> CheckReport:
+def induction_identity_check(s: complex, n: int) -> CheckReport:
     """(s)_{n-1} prod_{k=1}^{n-1} (s-k)_{n-1} / [(s-k+1)_{n-k} (s-k)_{n-k}]
-    equals 1 for every n >= 1."""
+    equals 1 for every n >= 1, to 1e-10 relative."""
     s = complex(s)
     lhs = pochhammer(s, n - 1)
     for k in range(1, n):
@@ -305,19 +306,20 @@ def induction_identity_check(s: complex, n: int, tol: float = 1e-10) -> CheckRep
                 f"denominator factor at k={k} within {GUARD_RADIUS} of zero; "
                 f"move s={s} away from small integers")
         lhs *= pochhammer(s - k, n - 1) / (den1 * den2)
-    return make_report("induction_identity", lhs, 1.0, tol, s=s, n=n)
+    return make_report("induction_identity", lhs, 1.0, 1e-10, s=s, n=n)
 
 
-def e9_identity_check(p: SpectralParams, tol: float = 1e-9) -> CheckReport:
+def e9_identity_check(p: SpectralParams) -> CheckReport:
     """Closed-form factorization of the c-function:
 
         (Gamma(s+n-1) / [Gamma((s+n+nu)/2) Gamma((s+n-nu)/2)])^n * gamma(s,nu)
             ==  c(s)
 
-    with gamma(s, nu) from :func:`matball.spherical.gamma_constant`."""
+    with gamma(s, nu) from :func:`matball.spherical.gamma_constant`, to
+    1e-9 relative."""
     n, nu, s = p.n, p.nu, p.s
     scalar = gamma(s + n - 1) / (gamma((s + n + nu) / 2.0) * gamma((s + n - nu) / 2.0))
     lhs = scalar ** n * gamma_constant(p)
     rhs = c_function(p)
-    return make_report("c_function_factorization", lhs, rhs, tol,
+    return make_report("c_function_factorization", lhs, rhs, 1e-9,
                        n=n, nu=nu, s=s)

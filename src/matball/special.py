@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateConnection, DomainError, PoleError
-from .report import CheckReport, make_report
 
 _INT_TOL = 1e-12
 # c - a - b this close to an integer (but not within _INT_TOL) leaves the
@@ -352,17 +351,6 @@ def _gauss_2f1_array(a, b, c, x: float) -> np.ndarray:
     return out
 
 
-def euler_transform_check(a: complex, b: complex, c: complex, x: float,
-                          tol: float = 1e-10) -> CheckReport:
-    """Compare 2F1(a,b;c;x) with (1-x)^(c-a-b) 2F1(c-a,c-b;c;x)."""
-    lhs = gauss_2f1(a, b, c, x)
-    d = complex(c) - complex(a) - complex(b)
-    rhs = cmath.exp(d * math.log(1.0 - x)) * gauss_2f1(c - a, c - b, c, x) \
-        if x > 0.0 else gauss_2f1(c - a, c - b, c, x)
-    return make_report("euler_transform", lhs, rhs, tol,
-                       a=a, b=b, c=c, x=x)
-
-
 def gindikin_gamma(s: complex, n: int) -> complex:
     """Gindikin Gamma function: product of Gamma(s - (j-1)) for j = 1..n."""
     if n < 1:
@@ -391,8 +379,8 @@ class SpectralParams:
     s: complex
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"rank must be >= 1, got {self.n}")
+        if not isinstance(self.n, int) or self.n < 1:
+            raise DomainError(f"rank must be an integer >= 1, got {self.n!r}")
         if not isinstance(self.nu, int):
             raise DomainError(f"weight nu must be an integer, got {self.nu!r}")
         s = complex(self.s)

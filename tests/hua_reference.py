@@ -30,17 +30,11 @@ def _entry_shift(Z: np.ndarray, entry, axis: str, step: float) -> np.ndarray:
     return Zp
 
 
-def wirtinger_grad(F, Z: np.ndarray, h: float = DEFAULT_FD_STEP):
-    """Entrywise Wirtinger first derivatives of a scalar field by central
-    differences:  dF_{ij} = dF/dz_{ij},  dbarF_{ij} = dF/dzbar_{ij}.
-
-    Truncation error is O(h^2).  Raises MarginError if a probe would leave
-    the ball (margin must be at least 2h in operator norm).
+def wirtinger_dbar(F, Z: np.ndarray, h: float = DEFAULT_FD_STEP):
+    """Entrywise Wirtinger derivatives dbarF_{ij} = dF/dzbar_{ij} of a
+    scalar field by central differences.  Truncation error is O(h^2).
     """
-    Z = validate_ball_point(Z)
-    _require_margin(Z, h, 2.0)
     n = Z.shape[0]
-    dF = np.empty((n, n), dtype=complex)
     dbarF = np.empty((n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
@@ -48,9 +42,8 @@ def wirtinger_grad(F, Z: np.ndarray, h: float = DEFAULT_FD_STEP):
                   - F(_entry_shift(Z, (i, j), "x", -h))) / (2.0 * h)
             fy = (F(_entry_shift(Z, (i, j), "y", h))
                   - F(_entry_shift(Z, (i, j), "y", -h))) / (2.0 * h)
-            dF[i, j] = 0.5 * (fx - 1j * fy)
             dbarF[i, j] = 0.5 * (fx + 1j * fy)
-    return dF, dbarF
+    return dbarF
 
 
 def _wirtinger_hessian(F, Z: np.ndarray, h: float) -> np.ndarray:
@@ -102,7 +95,7 @@ def hua_apply(p: SpectralParams, F, Z: np.ndarray,
     A = np.eye(n) - Z @ Z.conj().T
     B = np.eye(n) - Z.conj().T @ Z
     Zs = Z.conj().T
-    _, dbarF = wirtinger_grad(F, Z, h)
+    dbarF = wirtinger_dbar(F, Z, h)
     H = _wirtinger_hessian(F, Z, h)
 
     # top: A_{pa} B_{bc} H[a,b,q,c] contracted over a, b, c

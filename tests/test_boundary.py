@@ -1,4 +1,5 @@
-"""Tests for the kernel, characters, torus quadrature and Hardy norms.
+"""Tests for the kernel, characters, torus quadrature and weighted slice
+norms.
 
 The characters and the direct torus quadrature come from the test-only
 reference module ``torus_reference``, against which the library's
@@ -12,13 +13,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from matball.boundary import (TorusGrid, _kernel_projections,
-                              fourier_mode_check, hardy_norm, kernel_mass,
+from matball.boundary import (TorusGrid, fourier_mode_check, kernel_mass,
                               poisson_kernel, require_kernel_resolution,
                               spherical_oracle, spherical_oracles,
                               validate_ball_point)
 from matball.errors import DomainError, SingularError
-from matball.experiments import KTypeFunction, forelli_rudin_growth
+from matball.experiments import (KTypeFunction, forelli_rudin_growth,
+                                 norm_sandwich)
 from matball.special import SpectralParams
 from matball.spherical import phi_big, phi_scalar, weyl_dimension
 from torus_reference import (kernel_projection, poisson_kernel_torus,
@@ -35,6 +36,13 @@ class TestTorusGrid:
             TorusGrid(2, 7)
         with pytest.raises(DomainError):
             TorusGrid(0, 16)
+
+    def test_non_integer_sizes_are_refused(self):
+        # N = 64.5 was accepted and put the rank-1 oracle at 1.0465 where
+        # phi_big gives 1.0297, and the norm of the constant 1 at 1.0039
+        for n, N in ((1, 64.5), (1, 64.0), (2.0, 16), (1.5, 16)):
+            with pytest.raises(DomainError, match="integer"):
+                TorusGrid(n, N)
 
     def test_node_limit(self):
         # 2^24 nodes (the rank-3 N = 256 refinement gate) is the largest
@@ -427,16 +435,6 @@ class TestSphericalOracles:
                     assert got == [spherical_oracle(p, m, r, g) for m in sigs]
                     assert got == [kernel_projection(p, m, r, g) for m in sigs]
 
-    @pytest.mark.parametrize("n,N", [(1, 32), (2, 24), (3, 12)])
-    def test_kernel_projections_at_complex_z(self, n, N):
-        g = TorusGrid(n, N)
-        sigs = ORACLE_SIGS[n]
-        for nu in (-1, 0, 2):
-            p = SpectralParams(n, nu, n + 1.5 + 0.7j)
-            for z in (0.4j, 0.3 - 0.2j, -0.55 + 0.1j):
-                assert _kernel_projections(p, sigs, z, g) == [
-                    kernel_projection(p, m, z, g) for m in sigs]
-
     def test_validation(self):
         p = SpectralParams(2, 0, 2.5)
         with pytest.raises(DomainError):
@@ -479,6 +477,13 @@ class TestFourierModeCheck:
         rep = fourier_mode_check(p, 0, 0.0, 64)
         assert rep.computed == 1.0 and rep.reference == 1.0
 
+    def test_non_integer_grid_is_refused(self):
+        # N = 64.5 reported an error of 3.6e-2 where N = 64 gives 9e-16
+        p = SpectralParams(1, 0, 1.5)
+        for N in (64.5, 64.0):
+            with pytest.raises(DomainError, match="integer"):
+                fourier_mode_check(p, 1, 0.3, N)
+
     def test_positive_and_negative_modes(self):
         p = SpectralParams(2, 1, 3.0)
         assert fourier_mode_check(p, 2, 0.6, 512).rel_error <= 1e-9
@@ -493,27 +498,31 @@ class TestFourierModeCheck:
 
 
 class TestHardyNorm:
+    """The weighted slice norms (1-r^2)^(-n(n-nu-Re s)/2) ||F(r .)||_p that
+    norm_sandwich reports for the Poisson extension F of f."""
+
+    @staticmethod
+    def slice_norms(p, f, pexp, radii, g):
+        return [v for _, v in norm_sandwich(p, f, pexp, radii, g).rows]
+
     def test_constant_at_zero(self):
         p = SpectralParams(2, 1, 3.0)
-        val = hardy_norm(p, KTypeFunction({(0, 0): 1.0}), 2.0, 0.0,
-                         TorusGrid(2, 16))
+        [val] = self.slice_norms(p, KTypeFunction({(0, 0): 1.0}), 2.0, (0.0,),
+                                 TorusGrid(2, 16))
         assert rel(val, 1.0) < 1e-12
 
     def test_disk_harmonic_case(self):
         # n=1, nu=0, s=1: unit boundary data extends to the constant 1 and
         # the weight exponent vanishes
         p = SpectralParams(1, 0, 1.0)
-        g = TorusGrid(1, 32)
-        for r in (0.0, 0.4, 0.9):
-            val = hardy_norm(p, KTypeFunction({(0,): 1.0}), 1.0, r, g)
-            assert rel(val, 1.0) < 1e-12
+        vals = self.slice_norms(p, KTypeFunction({(0,): 1.0}), 1.0,
+                                (0.0, 0.4, 0.9), TorusGrid(1, 32))
+        assert all(rel(val, 1.0) < 1e-12 for val in vals)
 
     def test_finite_for_ktype_slice(self):
         p = SpectralParams(2, 0, 3.0)
         f = KTypeFunction({(1, 0): 1.0})
-        g = TorusGrid(2, 32)
-        vals = [hardy_norm(p, f.poisson_slice(p, r), 2.0, r, g)
-                for r in (0.0, 0.5, 0.9, 0.99)]
+        vals = self.slice_norms(p, f, 2.0, (0.0, 0.5, 0.9, 0.99), TorusGrid(2, 32))
         assert all(np.isfinite(v) for v in vals)
         assert max(vals) < 10.0
 
@@ -521,5 +530,5 @@ class TestHardyNorm:
         p = SpectralParams(1, 0, 1.0)
         for pexp in (0.5, math.inf, math.nan):
             with pytest.raises(DomainError):
-                hardy_norm(p, KTypeFunction({(0,): 1.0}), pexp, 0.1,
-                           TorusGrid(1, 16))
+                norm_sandwich(p, KTypeFunction({(0,): 1.0}), pexp, (0.1,),
+                              TorusGrid(1, 16))

@@ -6,19 +6,27 @@ import numpy as np
 import pytest
 
 from matball import boundary, experiments, spherical, verify
-from matball.boundary import TorusGrid, hardy_norm, spherical_oracle
+from matball.boundary import TorusGrid, spherical_oracle
 from matball.errors import DomainError
-from matball.experiments import (KTypeFunction, eigen_expansion_check,
-                                 forelli_rudin_growth, inversion_experiment,
-                                 key_lemma_sweep, norm_sandwich,
-                                 norm_sandwiches)
+from matball.experiments import (KTypeFunction, forelli_rudin_growth,
+                                 inversion_experiment, key_lemma_sweep,
+                                 norm_sandwich, norm_sandwiches)
 from matball.special import SpectralParams, c_function, gauss_2f1
-from matball.spherical import key_lemma_ratio, phi_big, weyl_dimension
+from matball.spherical import (key_lemma_ratio, log_boundary_weight, phi_big,
+                               phi_bigs, weyl_dimension)
 from torus_reference import ktype_evaluate, poisson_kernel_torus, weyl_integrate
 
 
 def rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def weighted_slice_norm(p, f, pexp, r, grid):
+    """(1-r^2)^(-n(n-nu-Re s)/2) ||F(r .)||_p for the Poisson extension F of
+    f, whose slice at r is the K-type function sum_m c_m Phi_m(r) phi_m."""
+    phis = phi_bigs(p, sorted(f.coeffs), r)
+    F = KTypeFunction({m: c * phi for (m, c), phi in zip(f.items(), phis)})
+    return math.exp(-log_boundary_weight(p, r).real) * F.norm(pexp, grid)
 
 
 class TestKTypeFunction:
@@ -172,8 +180,8 @@ class TestNormSandwich:
         m = (1, 0)
         f = KTypeFunction({m: 1.0})
         g = TorusGrid(2, 24)
-        for r in (0.3, 0.7):
-            got = hardy_norm(p, f.poisson_slice(p, r), 2.0, r, g)
+        sw = norm_sandwich(p, f, 2.0, (0.3, 0.7), g)
+        for r, got in sw.rows:
             weight = (1 - r * r) ** (-p.n * (p.n - p.nu - p.s.real) / 2.0)
             ref = weight * abs(phi_big(p, m, r)) / weyl_dimension(m)
             assert rel(got, ref) < 1e-10
@@ -206,7 +214,7 @@ class TestNormSandwich:
         radii = (0.3, 0.9, 0.999)
         sw = norm_sandwich(p, f, pexp, radii, grid)
         slices = [row[1] for row in sw.rows]
-        assert slices == [hardy_norm(p, f.poisson_slice(p, r), pexp, r, grid)
+        assert slices == [weighted_slice_norm(p, f, pexp, r, grid)
                           for r in radii]
         assert sw.metadata["boundary_norm"] == f.norm(pexp, grid)
         assert all(math.isfinite(v) and v > 0 for v in slices)
@@ -227,7 +235,7 @@ class TestNormSandwich:
                 assert sw.metadata == one.metadata
                 assert sw.columns == one.columns
                 assert [v for _, v in sw.rows] == [
-                    hardy_norm(p, f.poisson_slice(p, r), 2.0, r, grid)
+                    weighted_slice_norm(p, f, 2.0, r, grid)
                     for r in experiments.DEFAULT_RADII]
 
     def test_grouped_validation(self):
@@ -240,7 +248,7 @@ class TestNormSandwich:
         p = SpectralParams(2, 1, 3.0)
         f = KTypeFunction({(1, 0): 1.0})
         g = TorusGrid(2, 24)
-        val = hardy_norm(p, f.poisson_slice(p, 0.9999), 2.0, 0.9999, g)
+        val = norm_sandwich(p, f, 2.0, (0.9999,), g).rows[0][1]
         ratio = val / f.boundary_norm2()
         assert abs(ratio - abs(c_function(p))) <= 5e-2 * abs(c_function(p))
 
@@ -269,30 +277,37 @@ class TestInversion:
 
 
 class TestEigenExpansion:
+    """The K-type expansion of the Poisson extension at a scalar ball point
+    Z = z I (|z| < 1),
+
+        sum_m coeffs[m] Phi_m(|z|) (z/|z|)^|m|  ==  int P(z I, U) f(U) dU,
+
+    with Phi_m from the determinant formula and the right side from the
+    reference torus quadrature of the kernel times the K-type function."""
+
+    @staticmethod
+    def gap(p, coeffs, z, N):
+        f = KTypeFunction(coeffs)
+        r = abs(z)
+        phase = z / r
+        expansion = sum(c * phi * phase ** sum(m) for (m, c), phi
+                        in zip(f.items(), phi_bigs(p, sorted(f.coeffs), r)))
+        quad = weyl_integrate(
+            lambda a: poisson_kernel_torus(p, z, a) * ktype_evaluate(f, a),
+            TorusGrid(p.n, N))
+        return rel(quad, expansion)
+
     def test_trivial_type(self):
-        p = SpectralParams(2, 1, 2.5)
-        f = KTypeFunction({(0, 0): 1.0})
-        rep = eigen_expansion_check(p, f, 0.4, TorusGrid(2, 32))
-        assert rep.passed
-        assert rel(rep.reference, phi_big(p, (0, 0), 0.4)) < 1e-12
+        assert self.gap(SpectralParams(2, 1, 2.5), {(0, 0): 1.0}, 0.4, 32) <= 1e-6
 
     def test_single_type_with_phase(self):
-        p = SpectralParams(2, 1, 3.0)
-        f = KTypeFunction({(1, 0): 1.0})
-        rep = eigen_expansion_check(p, f, 0.5 * np.exp(0.7j), TorusGrid(2, 48))
-        assert rep.rel_error <= 1e-6
+        assert self.gap(SpectralParams(2, 1, 3.0), {(1, 0): 1.0},
+                        0.5 * np.exp(0.7j), 48) <= 1e-6
 
     def test_two_type_linearity(self):
-        p = SpectralParams(2, 0, 3.5)
-        f = KTypeFunction({(1, 0): 1.0 - 0.5j, (2, 1): 0.25})
-        rep = eigen_expansion_check(p, f, 0.45 * np.exp(2.1j), TorusGrid(2, 48))
-        assert rep.rel_error <= 1e-6
-
-    def test_resolution_guard(self):
-        p = SpectralParams(2, 0, 3.5)
-        f = KTypeFunction({(0, 0): 1.0})
-        with pytest.raises(DomainError):
-            eigen_expansion_check(p, f, 0.97, TorusGrid(2, 32))
+        assert self.gap(SpectralParams(2, 0, 3.5),
+                        {(1, 0): 1.0 - 0.5j, (2, 1): 0.25},
+                        0.45 * np.exp(2.1j), 48) <= 1e-6
 
     @pytest.mark.parametrize("p,coeffs,z,N", [
         (SpectralParams(1, 1, 2.0 + 0.5j), {(0,): 1.0, (2,): 0.5j, (-1,): -0.3},
@@ -303,13 +318,7 @@ class TestEigenExpansion:
          0.4 * np.exp(0.9j), 32),
     ], ids=["n1", "n2", "n3"])
     def test_matches_expansion_and_reference_quadrature(self, p, coeffs, z, N):
-        f = KTypeFunction(coeffs)
-        g = TorusGrid(p.n, N)
-        rep = eigen_expansion_check(p, f, z, g)
-        assert rep.rel_error <= 1e-6
-        ref = weyl_integrate(
-            lambda a: poisson_kernel_torus(p, z, a) * ktype_evaluate(f, a), g)
-        assert rel(rep.computed, ref) <= 1e-13
+        assert self.gap(p, coeffs, z, N) <= 1e-6
 
 
 def count_walks(monkeypatch):
@@ -352,13 +361,6 @@ class TestWorkCounts:
         spherical_oracle(SpectralParams(3, 1, 4.5), (2, 1, 0), 0.5,
                          TorusGrid(3, 16))
         assert walks == [2]
-
-    def test_eigen_expansion_walks_once(self, monkeypatch):
-        walks = count_walks(monkeypatch)
-        f = KTypeFunction({(0, 0): 0.3, (1, 0): 1.0, (1, 1): 0.2j})
-        eigen_expansion_check(SpectralParams(2, 1, 3.0), f, 0.4 - 0.2j,
-                              TorusGrid(2, 32))
-        assert walks == [4]
 
     def test_norm_sandwich_walks_the_grid_once(self, monkeypatch):
         walks = []

@@ -8,9 +8,7 @@ import hua_reference
 from matball import hua, verify
 from matball.boundary import poisson_kernel
 from matball.errors import DomainError, MarginError, RangeError
-from matball.hua import (MIN_KERNEL, hua_apply, hua_eigenvalue, hua_residual,
-                         kernel_dbar_shifted_analytic, kernel_grad_analytic,
-                         wirtinger_grad)
+from matball.hua import MIN_KERNEL, hua_apply, hua_eigenvalue, hua_residual
 from matball.special import SpectralParams
 from matball.verify import draw_hua_point
 
@@ -27,35 +25,51 @@ def random_unitary(rng, n, special=False):
     return Q
 
 
+def dbar(F, Z, h):
+    """The first-derivative stencil dF/dzbar_{ij} of hua_apply."""
+    return hua._derivatives(F, Z, h)[0]
+
+
+def kernel_dbar(p, Z, U):
+    """Closed form of the kernel's Wirtinger gradient in zbar:
+
+        dP/dzbar_{ab} = sigma P(Z,U) [(I - U Z*)^{-1} U - (I - Z Z*)^{-1} Z]_{ab}
+
+    with sigma = (s+n-nu)/2; the factor det(I - Z U*)^(-nu) is holomorphic
+    in Z and contributes nothing."""
+    n = p.n
+    A = np.eye(n) - Z @ Z.conj().T
+    Wt = np.eye(n) - U @ Z.conj().T
+    sigma = (p.s + n - p.nu) / 2.0
+    return sigma * poisson_kernel(p, Z, U) * (np.linalg.inv(Wt) @ U
+                                              - np.linalg.inv(A) @ Z)
+
+
 class TestWirtingerGrad:
     def test_holomorphic_coordinate(self):
         rng = np.random.default_rng(0)
         Z = random_interior_point(rng, 2)
-        dF, dbarF = wirtinger_grad(lambda W: W[..., 0, 0], Z, 1e-4)
-        expect = np.zeros((2, 2)); expect[0, 0] = 1.0
-        assert np.allclose(dF, expect, atol=1e-9)
-        assert np.allclose(dbarF, 0.0, atol=1e-9)
+        assert np.allclose(dbar(lambda W: W[..., 0, 0], Z, 1e-4), 0.0, atol=1e-9)
 
     def test_antiholomorphic_coordinate(self):
         rng = np.random.default_rng(1)
         Z = random_interior_point(rng, 2)
-        dF, dbarF = wirtinger_grad(lambda W: np.conj(W[..., 0, 1]), Z, 1e-4)
+        dbarF = dbar(lambda W: np.conj(W[..., 0, 1]), Z, 1e-4)
         expect = np.zeros((2, 2)); expect[0, 1] = 1.0
         assert np.allclose(dbarF, expect, atol=1e-9)
-        assert np.allclose(dF, 0.0, atol=1e-9)
 
     def test_determinant_field(self):
-        # F(Z) = det(I - Z Z*):  dF/dz_{ij} = -det(A) (Z* A^{-1})_{ji}
+        # F(Z) = det(I - Z Z*) is real, so dF/dzbar_{ij} is the conjugate of
+        # dF/dz_{ij} = -det(A) (Z* A^{-1})_{ji}
         rng = np.random.default_rng(2)
         Z = random_interior_point(rng, 2)
         A = np.eye(2) - Z @ Z.conj().T
-        ref = -np.linalg.det(A) * (Z.conj().T @ np.linalg.inv(A)).T
+        ref = np.conj(-np.linalg.det(A) * (Z.conj().T @ np.linalg.inv(A)).T)
 
         def F(W):
             return np.linalg.det(np.eye(2) - W @ W.conj().swapaxes(-1, -2))
 
-        dF, _ = wirtinger_grad(F, Z, 1e-3)
-        assert np.linalg.norm(dF - ref) <= 1e-10
+        assert np.linalg.norm(dbar(F, Z, 1e-3) - ref) <= 1e-10
 
     def test_richardson_order_on_polynomial_field(self):
         # a monomial mixing z and conj(z) in one entry has surviving
@@ -69,27 +83,16 @@ class TestWirtingerGrad:
             z = W[..., 0, 0]
             return z ** 3 * np.conj(z) ** 2 + W[..., 1, 1] * np.conj(W[..., 1, 0])
 
-        def exact_dz(W):
+        def exact_dzbar(W):
             out = np.zeros((2, 2), dtype=complex)
-            out[0, 0] = 3 * W[0, 0] ** 2 * np.conj(W[0, 0]) ** 2
-            out[1, 1] = np.conj(W[1, 0])
+            out[0, 0] = 2 * W[0, 0] ** 3 * np.conj(W[0, 0])
+            out[1, 0] = W[1, 1]
             return out
 
         errs = []
         for h in (2e-2, 1e-2):
-            dF, _ = wirtinger_grad(F, Z, h)
-            errs.append(np.linalg.norm(dF - exact_dz(Z)))
+            errs.append(np.linalg.norm(dbar(F, Z, h) - exact_dzbar(Z)))
         assert 3.0 <= errs[0] / errs[1] <= 5.0
-
-    def test_margin_error(self):
-        with pytest.raises(MarginError):
-            wirtinger_grad(lambda W: W[0, 0], 0.995 * np.eye(2), 1e-2)
-
-    @pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
-    def test_step_must_be_finite_and_positive(self, h):
-        # h = 0 and h = nan used to return nan+nanj with a RuntimeWarning
-        with pytest.raises(DomainError):
-            wirtinger_grad(lambda W: W[..., 0, 0], 0.1 * np.eye(2), h)
 
 
 class TestHuaApply:
@@ -146,28 +149,31 @@ class TestStackedStencil:
             ref = hua_reference.hua_apply(p, F, Z, h)
             assert np.array_equal(res.top, ref.top)
             assert np.array_equal(res.bottom, ref.bottom)
-            for got, want in zip(wirtinger_grad(F, Z, h),
-                                 hua_reference.wirtinger_grad(F, Z, h)):
-                assert np.array_equal(got, want)
+            assert np.array_equal(dbar(F, Z, h),
+                                  hua_reference.wirtinger_dbar(F, Z, h))
 
     @pytest.mark.parametrize("n, grad_points, points", [(1, 4, 13), (2, 16, 145),
                                                         (3, 36, 685)])
     def test_field_is_called_once_on_the_distinct_probes(self, n, grad_points, points):
         # dyadic entries and step: every Z + h - h is exactly Z, so the count
         # is 12 per entry + 1 (Z) + 16 per unordered pair of entries; where
-        # such a round trip is inexact its probe is one more point
+        # such a round trip is inexact its probe is one more point.  The
+        # first-derivative probes Z +- h, Z +- ih of each entry are among them
         p = SpectralParams(n, 1, n + 1.0)
+        h = 2.0 ** -10
         Z = np.full((n, n), 0.0625 + 0.03125j)
         U = np.eye(n)
-        sizes = []
+        stacks = []
 
         def F(W):
-            sizes.append(len(W))
+            stacks.append(W)
             return poisson_kernel(p, W, U)
 
-        hua_apply(p, F, Z, 2.0 ** -10)
-        wirtinger_grad(F, Z, 2.0 ** -10)
-        assert sizes == [points, grad_points]
+        hua_apply(p, F, Z, h)
+        assert [len(W) for W in stacks] == [points]
+        shifts = (stacks[0] - Z).reshape(points, -1)
+        single = [row[row != 0] for row in shifts if np.count_nonzero(row) == 1]
+        assert sum(v[0] in (h, -h, 1j * h, -1j * h) for v in single) == grad_points
 
     def test_field_must_return_one_value_per_point(self):
         p = SpectralParams(2, 1, 3.0)
@@ -179,11 +185,9 @@ class TestStackedStencil:
         p = SpectralParams(2, 1, 3.0)
         stack = 0.1 * np.ones((2, 2, 2))
         with pytest.raises(DomainError):
-            wirtinger_grad(lambda W: W[..., 0, 0], stack, 1e-3)
-        for single_point in (hua_residual, kernel_grad_analytic,
-                             kernel_dbar_shifted_analytic):
-            with pytest.raises(DomainError):
-                single_point(p, stack, np.eye(2))
+            hua_apply(p, lambda W: W[..., 0, 0], stack, 1e-3)
+        with pytest.raises(DomainError):
+            hua_residual(p, stack, np.eye(2))
 
     def test_criterion_4_kernel_calls(self, monkeypatch):
         # work-count guard: each of the 9 residuals evaluates the kernel at
@@ -202,46 +206,39 @@ class TestStackedStencil:
 
 
 class TestKernelGradients:
-    def test_transposed_gradient_at_zero(self):
-        # d'P at Z = 0 is ((s+n+nu)/2) U*
-        p = SpectralParams(2, 1, 2.5 + 0.5j)
-        rng = np.random.default_rng(5)
-        U = random_unitary(rng, 2)
-        got = kernel_grad_analytic(p, np.zeros((2, 2)), U)
-        assert np.allclose(got, (p.s + 2 + 1) / 2.0 * U.conj().T, atol=1e-12)
-
     def test_matches_finite_differences(self):
         p = SpectralParams(2, 1, 3.0)
         rng = np.random.default_rng(6)
         Z = random_interior_point(rng, 2)
         U = random_unitary(rng, 2)
-        an = kernel_grad_analytic(p, Z, U)
-        dF, _ = wirtinger_grad(lambda W: poisson_kernel(p, W, U), Z, 1e-4)
-        assert np.linalg.norm(an - dF.T) <= 1e-6 * np.linalg.norm(an)
+        an = kernel_dbar(p, Z, U)
+        fd = dbar(lambda W: poisson_kernel(p, W, U), Z, 1e-4)
+        assert np.linalg.norm(an - fd) <= 1e-6 * np.linalg.norm(an)
 
     def test_rank_one_log_derivative(self):
-        # n=1 the transposed gradient is the scalar logarithmic derivative
+        # n=1 the gradient is P times the scalar logarithmic derivative
+        # sigma (u / (1 - zbar u) - z / (1 - |z|^2))
         p = SpectralParams(1, 2, 1.5)
         z, phi = 0.4 + 0.1j, 0.8
         Z = np.array([[z]])
         U = np.array([[np.exp(1j * phi)]])
-        got = kernel_grad_analytic(p, Z, U)[0, 0]
         P = poisson_kernel(p, Z, U)
         u = np.exp(1j * phi)
-        ref = P * ((p.s + 1 + p.nu) / 2 * np.conj(u) / (1 - z * np.conj(u))
-                   - (p.s + 1 - p.nu) / 2 * np.conj(z) / (1 - abs(z) ** 2))
-        assert abs(got - ref) <= 1e-12 * abs(ref)
+        ref = P * (p.s + 1 - p.nu) / 2 * (u / (1 - np.conj(z) * u)
+                                          - z / (1 - abs(z) ** 2))
+        assert abs(kernel_dbar(p, Z, U)[0, 0] - ref) <= 1e-12 * abs(ref)
+        fd = dbar(lambda W: poisson_kernel(p, W, U), Z, 1e-4)[0, 0]
+        assert abs(fd - ref) <= 1e-6 * abs(ref)
 
     def test_dbar_shifted_requires_kernel_factor(self):
-        # the closed form carries an overall factor P; dropping it breaks
-        # the finite-difference cross-check
+        # the closed form of (dbar P) Z* carries an overall factor P;
+        # dropping it breaks the finite-difference cross-check
         p = SpectralParams(2, 1, 3.0)
         rng = np.random.default_rng(7)
         Z = random_interior_point(rng, 2)
         U = random_unitary(rng, 2)
-        _, dbarF = wirtinger_grad(lambda W: poisson_kernel(p, W, U), Z, 1e-4)
-        fd = dbarF @ Z.conj().T
-        an = kernel_dbar_shifted_analytic(p, Z, U)
+        fd = dbar(lambda W: poisson_kernel(p, W, U), Z, 1e-4) @ Z.conj().T
+        an = kernel_dbar(p, Z, U) @ Z.conj().T
         P = poisson_kernel(p, Z, U)
         assert np.linalg.norm(fd - an) <= 1e-6 * np.linalg.norm(an)
         assert np.linalg.norm(fd - an / P) > 1e-2 * np.linalg.norm(an)
@@ -330,7 +327,7 @@ class TestHuaResidual:
             return poisson_kernel(p, W, U)
 
         res = hua_apply(p, F, Z, 1e-3)
-        _, dbarF = wirtinger_grad(F, Z, 1e-3)
+        dbarF = dbar(F, Z, 1e-3)
         Zs = Z.conj().T
         A = np.eye(2) - Z @ Zs
         B = np.eye(2) - Zs @ Z
