@@ -199,11 +199,11 @@ def _rowwise(columns, rows) -> SweepResult:
 
 def cmd_phi(args, p) -> SweepResult:
     sigs = list(signatures_up_to(p.n, args.max_m))
-    by_radius = {r: phi_bigs(p, sigs, r) for r in args.radii}
+    by_radius = phi_bigs(p, sigs, args.radii)
     rows = []
     for i, m in enumerate(sigs):
-        for r in args.radii:
-            det_val = by_radius[r][i]
+        for r, phis in zip(args.radii, by_radius):
+            det_val = phis[i]
             grid = (oracle_grid(p.n, r) if args.grid is None
                     else TorusGrid(p.n, args.grid))
             orc = spherical_oracle(p, m, r, grid)

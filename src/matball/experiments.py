@@ -123,10 +123,11 @@ def key_lemma_sweep(p: SpectralParams, sigs, radii) -> SweepResult:
     sigs = [validate_signature(m, p.n) for m in sigs]
     rows = []
     worst_by_r = []
-    for r in radii:
+    c = c_function(p)
+    for r, phis in zip(radii, phi_bigs(p, sigs, radii)):
         worst = 0.0
-        scale = c_function(p) * boundary_weight(p, r)
-        for m, phi in zip(sigs, phi_bigs(p, sigs, r)):
+        scale = c * boundary_weight(p, r)
+        for m, phi in zip(sigs, phis):
             ratio = phi / scale
             dev = abs(ratio - 1.0)
             worst = max(worst, dev)
@@ -185,7 +186,7 @@ def norm_sandwiches(p: SpectralParams, fs, pexp: float, radii=DEFAULT_RADII,
     The sup over r is replaced by the max over the radius grid.  The lower
     bound is asserted with a 1e-3 slack; the upper ratio is reported (no
     reference constant is available for it).  All fs share one
-    :func:`phi_bigs` call per radius and one walk of the grid.
+    :func:`phi_bigs` call for all radii and one walk of the grid.
     """
     _require_asymptotic(p)
     if any(f.rank != p.n for f in fs):
@@ -197,8 +198,8 @@ def norm_sandwiches(p: SpectralParams, fs, pexp: float, radii=DEFAULT_RADII,
     # the Poisson extension of each f at each radius, sum_m c_m Phi_m(r)
     # phi_m, as a K-type function; radius-major
     slices = []
-    for r in radii:
-        phi = dict(zip(sigs, phi_bigs(p, sigs, r)))
+    for row in phi_bigs(p, sigs, radii):
+        phi = dict(zip(sigs, row))
         slices += [KTypeFunction({m: c * phi[m] for m, c in f.items()})
                    for f in fs]
     norms = _norms(list(fs) + slices, pexp, grid)
@@ -247,10 +248,10 @@ def inversion_experiment(p: SpectralParams, f: KTypeFunction,
     cmod2 = abs(c_function(p)) ** 2
     rows = []
     errs = []
-    for r in radii:
+    for r, phis in zip(radii, phi_bigs(p, sorted(f.coeffs), radii)):
         weight = math.exp(-2.0 * log_boundary_weight(p, r).real)
         err2 = 0.0
-        for (m, c), phi in zip(f.items(), phi_bigs(p, sorted(f.coeffs), r)):
+        for (m, c), phi in zip(f.items(), phis):
             kappa = abs(phi) ** 2 * weight / cmod2
             err2 += abs(kappa - 1.0) ** 2 * abs(c) ** 2 / weyl_dimension(m) ** 2
         err = math.sqrt(err2)

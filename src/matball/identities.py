@@ -47,24 +47,32 @@ def _eval_2f1_ld(a: complex, b: complex, c: complex, x: float):
     raise GuardError(f"series for 2F1({a},{b};{c};{x}) stalled")
 
 
-def _eval_2f1_ld_array(a, b, c, x: float) -> np.ndarray:
-    """:func:`_eval_2f1_ld` over broadcast arrays of parameters at one x.
-    In the series region every entry is bit-identical to the scalar one;
-    above it the entries come from the array form of gauss_2f1."""
-    if x > 0.5:
-        return _gauss_2f1_array(a, b, c, x).astype(_LD)
+def _eval_2f1_ld_array(a, b, c, xs) -> np.ndarray:
+    """:func:`_eval_2f1_ld` over broadcast arrays of parameters at each x of
+    xs; the result has a leading axis over xs.  In the series region every
+    entry is bit-identical to the scalar one; above it the entries come from
+    the array form of gauss_2f1.  Each region sums all its xs in one pass."""
     a, b, c = (np.asarray(v, dtype=complex) for v in np.broadcast_arrays(a, b, c))
-    pole = _near_nonpositive_integer_array(c)
-    if pole.any():
-        raise PoleError(
-            f"2F1 lower parameter c={c[pole][0]} is a non-positive integer")
-    sums, done = _series_2f1_array(a.astype(_LD), b.astype(_LD), c.astype(_LD),
-                                   _LD(x), _LD_SERIES_TOL)
-    if not done.all():
-        i = np.argmin(done)
-        raise GuardError(f"series for 2F1({a.flat[i]},{b.flat[i]};{c.flat[i]};"
-                         f"{x}) stalled")
-    return sums
+    out = np.empty((len(xs),) + a.shape, dtype=_LD)
+    high = [t for t, x in enumerate(xs) if x > 0.5]
+    low = [t for t, x in enumerate(xs) if x <= 0.5]
+    if high:
+        out[high] = _gauss_2f1_array(a, b, c, [xs[t] for t in high])
+    if low:
+        pole = _near_nonpositive_integer_array(c)
+        if pole.any():
+            raise PoleError(
+                f"2F1 lower parameter c={c[pole][0]} is a non-positive integer")
+        x = np.array([xs[t] for t in low], dtype=_LD).reshape((-1,) + (1,) * a.ndim)
+        sums, done = _series_2f1_array(a.astype(_LD), b.astype(_LD),
+                                       c.astype(_LD), x, _LD_SERIES_TOL)
+        if not done.all():
+            t, *i = np.unravel_index(np.argmin(done), done.shape)
+            i = tuple(i)
+            raise GuardError(f"series for 2F1({a[i]},{b[i]};{c[i]};"
+                             f"{xs[low[t]]}) stalled")
+        out[low] = sums
+    return out
 
 
 def _det_ld(M: np.ndarray):
@@ -194,30 +202,35 @@ def _lemma_a_prefactor(ap: AppendixParams, x: float) -> complex:
     return pref
 
 
-def lemma_a_sides_batch(aps, r: float):
-    """:func:`lemma_a_sides` for a sequence of same-rank draws at one
-    radius, with the tables of all draws evaluated together as arrays.
-    Returns (lhs, rhs) as complex arrays, one entry per draw.  Series-region
-    sides (x <= 1/2) equal the per-draw ones bit for bit; above it the
-    array connection formula moves them at rounding level.
+def lemma_a_sides_batch(aps, radii):
+    """:func:`lemma_a_sides` for a sequence of same-rank draws at each
+    radius of radii, with both tables of all draws at all radii evaluated
+    together as arrays.  Returns (lhs, rhs) as complex arrays of shape
+    (len(radii), len(aps)).  Series-region sides (x <= 1/2) equal the
+    per-draw ones bit for bit; above it the array connection formula moves
+    them at rounding level.
     """
     n = aps[0].n
     for ap in aps:
         if ap.n != n:
             raise GuardError(f"batch mixes ranks {n} and {ap.n}")
         check_identity_guard(ap)
-    r = validate_radius(r)
-    x = 1.0 - r * r
+    xs = [1.0 - r * r for r in map(validate_radius, radii)]
     alpha = np.array([ap.alpha for ap in aps])[:, None, None]
     beta = np.array([ap.beta for ap in aps])[:, None, None]
     bp = beta + np.array([ap.p for ap in aps])[:, :, None]   # beta + p_i
     j = np.arange(1, n + 1)                                  # column index
-    lhs = _det_ld_batch(_eval_2f1_ld_array(alpha, bp + j, alpha + beta, x))
-    shifted = _det_ld_batch(_eval_2f1_ld_array(alpha + n - j, bp + n,
-                                               alpha + beta + n - j, x))
-    rhs = [_lemma_a_prefactor(ap, x) * d
-           for ap, d in zip(aps, shifted.astype(complex).tolist())]
-    return lhs.astype(complex), np.array(rhs)
+    # axes: x, table (lhs, shifted), draw, row, column; the array forms pin
+    # their operand order, so no entry's bits depend on the stack's size
+    tables = _eval_2f1_ld_array(
+        np.stack(np.broadcast_arrays(alpha, alpha + n - j)),
+        np.stack(np.broadcast_arrays(bp + j, bp + n)),
+        np.stack(np.broadcast_arrays(alpha + beta, alpha + beta + n - j)), xs)
+    dets = _det_ld_batch(tables.reshape(-1, n, n)).reshape(len(xs), 2, len(aps))
+    rhs = [[_lemma_a_prefactor(ap, x) * d
+            for ap, d in zip(aps, shifted.astype(complex).tolist())]
+           for x, shifted in zip(xs, dets[:, 1])]
+    return dets[:, 0].astype(complex), np.array(rhs, dtype=complex)
 
 
 def dp_factor(p) -> complex:

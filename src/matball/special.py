@@ -175,9 +175,9 @@ def _series_2f1_terminating(a: complex, b: complex, c: complex, x: float,
     return total
 
 
-def _log_case_2f1(a: complex, b: complex, m: int, y: float) -> complex:
-    """2F1(a, b; a + b - m; 1 - y) for integer m >= 0 and 0 < y <= 1/2,
-    via the logarithmic expansions around the argument 1.
+def _log_case_2f1(a: complex, b: complex, m: int, ys) -> list:
+    """2F1(a, b; a + b - m; 1 - y) for integer m >= 0 at each y of ys, all
+    in (0, 1/2], via the logarithmic expansions around the argument 1.
 
     With y = 1 - x:
         2F1(a,b;a+b-m;x) = G(m)G(a+b-m)/(G(a)G(b)) y^(-m)
@@ -185,32 +185,41 @@ def _log_case_2f1(a: complex, b: complex, m: int, y: float) -> complex:
             - (-1)^m G(a+b-m)/(G(a-m)G(b-m))
                 sum_{k>=0} (a)_k (b)_k / (k! (k+m)!) y^k
                   [ln y - psi(k+1) - psi(k+m+1) + psi(a+k) + psi(b+k)]
+
+    The Gamma prefactors and the digamma values do not depend on y, so
+    they are evaluated once; the digamma lists grow to the longest series.
     """
     if m > _SERIES_MAX_TERMS:
         raise ConvergenceError(
             f"log-case 2F1 finite sum of m={float(m):g} terms exceeds "
             f"{_SERIES_MAX_TERMS}")
-    ln_y = math.log(y)
-    c = a + b - m
-    finite = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(m):
-        finite += term
-        if k < m - 1:
-            term *= (a - m + k) * (b - m + k) * y / ((k + 1.0) * (1.0 - m + k))
-    out = 0.0 + 0.0j
+    gc = gamma(a + b - m)
+    out = []
     if m > 0:  # at m = 0 the finite sum is empty and G(m) has its pole
-        out = (gamma(float(m)) * gamma(c) * reciprocal_gamma(a) * reciprocal_gamma(b)
-               * y ** (-m) * finite)
-    coef = (-1.0) ** m * gamma(c) * reciprocal_gamma(a - m) * reciprocal_gamma(b - m)
-    if coef != 0.0:
+        pre = gamma(float(m)) * gc * reciprocal_gamma(a) * reciprocal_gamma(b)
+    for y in ys:
+        finite = 0.0 + 0.0j
+        term = 1.0 + 0.0j
+        for k in range(m):
+            finite += term
+            if k < m - 1:
+                term *= (a - m + k) * (b - m + k) * y / ((k + 1.0) * (1.0 - m + k))
+        out.append(pre * y ** (-m) * finite if m > 0 else 0.0 + 0.0j)
+    coef = (-1.0) ** m * gc * reciprocal_gamma(a - m) * reciprocal_gamma(b - m)
+    if coef == 0.0:
+        return out
+    psi = [digamma(j + 1.0) for j in range(m)]  # psi[j] = digamma(j + 1)
+    psi_a, psi_b = [], []                       # digamma(a + k), digamma(b + k)
+    for i, y in enumerate(ys):
+        ln_y = math.log(y)
         term = 1.0 / math.factorial(m)
         total = 0.0 + 0.0j
-        psi = [digamma(j + 1.0) for j in range(m)]  # psi[j] = digamma(j + 1)
         for k in range(_SERIES_MAX_TERMS):
-            psi.append(digamma(k + m + 1.0))
-            piece = term * (ln_y - psi[k] - psi[k + m]
-                            + digamma(a + k) + digamma(b + k))
+            if k == len(psi_a):
+                psi.append(digamma(k + m + 1.0))
+                psi_a.append(digamma(a + k))
+                psi_b.append(digamma(b + k))
+            piece = term * (ln_y - psi[k] - psi[k + m] + psi_a[k] + psi_b[k])
             total += piece
             term *= (a + k) * (b + k) * y / ((k + 1.0) * (k + m + 1.0))
             if abs(piece) <= _SERIES_TOL * abs(total) and k > 2:
@@ -218,7 +227,57 @@ def _log_case_2f1(a: complex, b: complex, m: int, y: float) -> complex:
         else:
             raise ConvergenceError(
                 f"log-case 2F1 series stalled: a={a}, b={b}, m={m}, y={y}")
-        out -= coef * total
+        out[i] -= coef * total
+    return out
+
+
+def _gauss_2f1_xs(a: complex, b: complex, c: complex, xs) -> list:
+    """:func:`gauss_2f1` at each x of xs, one value per x.  The branch
+    decisions, the connection coefficients and the log-case prefactors do
+    not depend on x and are made once; each value is bit-identical to its
+    own one-x call."""
+    for x in xs:
+        if not 0.0 <= x < 1.0:
+            raise DomainError(f"2F1 argument must satisfy 0 <= x < 1, got {x}")
+    if _near_nonpositive_integer(c):
+        raise PoleError(f"2F1 lower parameter c={c} is a non-positive integer")
+    a, b, c = complex(a), complex(b), complex(c)
+
+    # a or b within 1e-12 of a non-positive integer -k: a polynomial of degree k
+    orders = [-round(v.real) for v in (a, b) if _near_nonpositive_integer(v)]
+    if orders:
+        return [_series_2f1_terminating(a, b, c, x, min(orders)) for x in xs]
+    ys = [1.0 - x for x in xs if x > 0.5]
+    upper = iter(_connection_2f1(a, b, c, ys) if ys else ())
+    return [_series_2f1(a, b, c, x) if x <= 0.5 else next(upper) for x in xs]
+
+
+def _connection_2f1(a: complex, b: complex, c: complex, ys) -> list:
+    """2F1(a, b; c; 1 - y) at each y of ys in (0, 1/2): the logarithmic
+    expansion when c - a - b is an integer, else the two-term connection
+    formula (see :func:`gauss_2f1`)."""
+    d = c - a - b
+    if abs(d.imag) <= _INT_TOL and abs(d.real - round(d.real)) <= _INT_TOL:
+        md = round(d.real)
+        if md > 0:
+            # Euler transform flips c-a-b to its negative; the prefactor is
+            # an exact integer power of y.
+            return [y ** md * v
+                    for y, v in zip(ys, _log_case_2f1(c - a, c - b, md, ys))]
+        return _log_case_2f1(a, b, -md, ys)
+    if abs(d.imag) < _RING_TOL and abs(d.real - round(d.real)) < _RING_TOL:
+        raise DegenerateConnection(
+            f"c-a-b={d} is within 1e-9 of an integer; the connection formula "
+            "is ill-conditioned there (logarithmic case)")
+    gc = gamma(c)
+    coef1 = gc * gamma(d) * reciprocal_gamma(c - a) * reciprocal_gamma(c - b)
+    coef2 = gc * gamma(-d) * reciprocal_gamma(a) * reciprocal_gamma(b)
+    out = []
+    for y in ys:
+        term1 = coef1 * _series_2f1(a, b, a + b - c + 1.0, y) if coef1 != 0.0 else 0.0
+        term2 = (coef2 * cmath.exp(d * math.log(y)) *
+                 _series_2f1(c - a, c - b, d + 1.0, y)) if coef2 != 0.0 else 0.0
+        out.append(term1 + term2)
     return out
 
 
@@ -237,56 +296,30 @@ def gauss_2f1(a: complex, b: complex, c: complex, x: float) -> complex:
     DegenerateConnection is raised.  Terminating cases (a or b a
     non-positive integer) are summed exactly as polynomials for any x.
     """
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"2F1 argument must satisfy 0 <= x < 1, got {x}")
-    if _near_nonpositive_integer(c):
-        raise PoleError(f"2F1 lower parameter c={c} is a non-positive integer")
-    a, b, c = complex(a), complex(b), complex(c)
-
-    # a or b within 1e-12 of a non-positive integer -k: a polynomial of degree k
-    orders = [-round(v.real) for v in (a, b) if _near_nonpositive_integer(v)]
-    if orders:
-        return _series_2f1_terminating(a, b, c, x, min(orders))
-
-    if x <= 0.5:
-        return _series_2f1(a, b, c, x)
-
-    d = c - a - b
-    y = 1.0 - x
-    if abs(d.imag) <= _INT_TOL and abs(d.real - round(d.real)) <= _INT_TOL:
-        md = round(d.real)
-        if md > 0:
-            # Euler transform flips c-a-b to its negative; the prefactor is
-            # an exact integer power of y.
-            return y ** md * _log_case_2f1(c - a, c - b, md, y)
-        return _log_case_2f1(a, b, -md, y)
-    if abs(d.imag) < _RING_TOL and abs(d.real - round(d.real)) < _RING_TOL:
-        raise DegenerateConnection(
-            f"c-a-b={d} is within 1e-9 of an integer; the connection formula "
-            "is ill-conditioned there (logarithmic case)")
-    coef1 = gamma(c) * gamma(d) * reciprocal_gamma(c - a) * reciprocal_gamma(c - b)
-    coef2 = gamma(c) * gamma(-d) * reciprocal_gamma(a) * reciprocal_gamma(b)
-    term1 = coef1 * _series_2f1(a, b, a + b - c + 1.0, y) if coef1 != 0.0 else 0.0
-    term2 = (coef2 * cmath.exp(d * math.log(y)) *
-             _series_2f1(c - a, c - b, d + 1.0, y)) if coef2 != 0.0 else 0.0
-    return term1 + term2
+    return _gauss_2f1_xs(a, b, c, (x,))[0]
 
 
-def _series_2f1_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, x, tol):
-    """Power series of 2F1 over same-shape arrays of complex or clongdouble
-    parameters at one argument x of their dtype.  Each entry stops at the
-    term where the scalar loops stop: a zero term, or from k = 3 on a term
-    of at most tol times the sum.  Returns (sums, done); done is False where
-    _SERIES_MAX_TERMS terms did not suffice."""
-    sums = np.ones_like(a)
+def _series_2f1_array(a, b, c, x, tol):
+    """Power series of 2F1 over broadcast arrays of complex or clongdouble
+    parameters a, b, c and of real or same-dtype arguments x.  Each entry
+    stops at the term where the scalar loops stop: a zero term, or from
+    k = 3 on a term of at most tol times the sum.  Returns (sums, done);
+    done is False where _SERIES_MAX_TERMS terms did not suffice."""
+    a, b, c, x = np.broadcast_arrays(a, b, c, x)
+    sums = np.ones(a.shape, dtype=a.dtype)
     live = np.arange(a.size)
-    a, b, c = a.ravel(), b.ravel(), c.ravel()
+    a, b, c, x = a.ravel(), b.ravel(), c.ravel(), x.ravel()
     term = np.ones_like(a)
     total = np.ones_like(a)
     for k in range(_SERIES_MAX_TERMS):
         if not live.size:
             break
-        term = term * (a + k) * (b + k) * x / ((c + k) * (k + 1))
+        # term (a+k) (b+k) x / ((c+k)(k+1)), each product in place so that
+        # it keeps its operand order on a stack of any size (see below)
+        term *= a + k
+        term *= b + k
+        term *= x
+        term /= (c + k) * (k + 1)
         total = total + term
         stop = term == 0
         if k > 2:
@@ -294,61 +327,83 @@ def _series_2f1_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, x, tol):
         if stop.any():
             sums.flat[live[stop]] = total[stop]
             keep = ~stop
-            live, a, b, c, term, total = (
-                v[keep] for v in (live, a, b, c, term, total))
+            live, a, b, c, x, term, total = (
+                v[keep] for v in (live, a, b, c, x, term, total))
     done = np.ones(sums.shape, dtype=bool)
     done.flat[live] = False
     return sums, done
 
 
-def _connection_2f1_array(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                          x: float):
-    """The two-term connection formula of :func:`gauss_2f1` over arrays at
-    one x > 1/2, for entries off its special branches.  Returns (values,
-    done) as :func:`_series_2f1_array` does."""
+# The array forms stack parameters and arguments of any size.  numpy
+# evaluates `u * v` as `v *= u` when v is a temporary of at least 256 KiB
+# (16,384 complex128 entries) and u is not, and its SIMD complex product is
+# not bitwise commutative.  So every complex product whose right operand is
+# a temporary pins its order, by an in-place update or a direct np.multiply
+# call, and an entry gets the same bits alone and on any stack.  Products
+# with a real scalar commute bit for bit and need no pin.
+
+def _connection_2f1_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, ys):
+    """The two-term connection formula of :func:`gauss_2f1` over 1-D
+    arrays of parameters off its special branches, at each y = 1 - x of ys
+    (y < 1/2).  The Gamma factors are formed once for all ys, and both
+    sub-series at every y are summed in one :func:`_series_2f1_array`
+    call.  Returns (values, done) of shape (len(ys), a.size)."""
     d = c - a - b
-    y = 1.0 - x
     gc = _gamma_array(c)
-    coef1 = gc * _gamma_array(d) * _rgamma_array(c - a) * _rgamma_array(c - b)
-    coef2 = gc * _gamma_array(-d) * _rgamma_array(a) * _rgamma_array(b)
-    s1, done1 = _series_2f1_array(a, b, a + b - c + 1.0, y, _SERIES_TOL)
-    s2, done2 = _series_2f1_array(c - a, c - b, d + 1.0, y, _SERIES_TOL)
-    return coef1 * s1 + coef2 * np.exp(d * math.log(y)) * s2, done1 & done2
+    coef1 = np.multiply(gc, _gamma_array(d)) * _rgamma_array(c - a) * _rgamma_array(c - b)
+    coef2 = np.multiply(gc, _gamma_array(-d)) * _rgamma_array(a) * _rgamma_array(b)
+    # axes: sub-series, y, entry
+    (s1, s2), done = _series_2f1_array(
+        np.stack([a, c - a])[:, None], np.stack([b, c - b])[:, None],
+        np.stack([a + b - c + 1.0, d + 1.0])[:, None],
+        np.array(ys)[:, None], _SERIES_TOL)
+    log_y = np.array([math.log(y) for y in ys])[:, None]
+    return coef1 * s1 + np.multiply(coef2, np.exp(d * log_y)) * s2, done.all(0)
 
 
-def _gauss_2f1_array(a, b, c, x: float) -> np.ndarray:
-    """:func:`gauss_2f1` over broadcast arrays of parameters at one x.
+def _gauss_2f1_array(a, b, c, xs) -> np.ndarray:
+    """:func:`gauss_2f1` over broadcast arrays of parameters at each x of
+    xs; the result has a leading axis over xs.
 
     Entries on the series branch (x <= 1/2) or on the two-term connection
-    branch are summed together as arrays.  Every other entry (terminating,
-    logarithmic case, the ill-conditioned ring, a pole of c, an x outside
-    [0, 1), a series past its term limit, a non-finite array value) goes
-    through gauss_2f1 one by one, so it returns or raises exactly what the
-    scalar call does.
+    branch are summed together as arrays, in one series pass per branch
+    for all xs.  Every other entry (terminating, logarithmic case, the
+    ill-conditioned ring, a pole of c, an x outside [0, 1), a series past
+    its term limit, a non-finite array value) goes through gauss_2f1 one by
+    one, so it returns or raises exactly what the scalar call does.
     """
     a, b, c = (np.asarray(v, dtype=complex) for v in np.broadcast_arrays(a, b, c))
-    scalar = (_near_nonpositive_integer_array(a)
-              | _near_nonpositive_integer_array(b)
-              | _near_nonpositive_integer_array(c) | (not 0.0 <= x < 1.0))
-    if x > 0.5:
-        d = c - a - b
-        scalar |= ((np.abs(d.imag) < _RING_TOL)
-                   & (np.abs(d.real - np.round(d.real)) < _RING_TOL))
-    out = np.empty(a.shape, dtype=complex)
-    fast = ~scalar
-    if fast.any():
+    shape = (len(xs),) + a.shape
+    a, b, c = a.ravel(), b.ravel(), c.ravel()
+    special = (_near_nonpositive_integer_array(a)
+               | _near_nonpositive_integer_array(b)
+               | _near_nonpositive_integer_array(c))
+    d = c - a - b
+    ring = ((np.abs(d.imag) < _RING_TOL)
+            & (np.abs(d.real - np.round(d.real)) < _RING_TOL))
+    low = [t for t, x in enumerate(xs) if 0.0 <= x <= 0.5]
+    high = [t for t, x in enumerate(xs) if 0.5 < x < 1.0]
+    out = np.empty((len(xs), a.size), dtype=complex)
+    scalar = np.ones(out.shape, dtype=bool)
+    for rows, fast in ((low, ~special), (high, ~(special | ring))):
+        if not (rows and fast.any()):
+            continue
+        sub = [xs[t] for t in rows]
         # an entry that overflows here is redone, and refused, by the scalar
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if x > 0.5:
-                vals, done = _connection_2f1_array(a[fast], b[fast], c[fast], x)
+            if sub[0] > 0.5:
+                vals, done = _connection_2f1_array(
+                    a[fast], b[fast], c[fast], [1.0 - x for x in sub])
             else:
-                vals, done = _series_2f1_array(a[fast], b[fast], c[fast], x,
-                                               _SERIES_TOL)
-        out[fast] = vals
-        scalar[fast] = ~(done & np.isfinite(vals))
-    for i in zip(*np.nonzero(scalar)):
-        out[i] = gauss_2f1(a[i], b[i], c[i], x)
-    return out
+                vals, done = _series_2f1_array(
+                    a[fast], b[fast], c[fast], np.array(sub)[:, None],
+                    _SERIES_TOL)
+        block = np.ix_(rows, fast)
+        out[block] = vals
+        scalar[block] = ~(done & np.isfinite(vals))
+    for t, i in zip(*np.nonzero(scalar)):
+        out[t, i] = gauss_2f1(a[i], b[i], c[i], xs[t])
+    return out.reshape(shape)
 
 
 def gindikin_gamma(s: complex, n: int) -> complex:

@@ -7,12 +7,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .special import SpectralParams, c_function, gauss_2f1
+from .special import SpectralParams, _gauss_2f1_xs, c_function, gauss_2f1
 
 MAX_SIGNATURE_PART = 50
 
@@ -42,13 +41,15 @@ def weyl_dimension(m) -> int:
     product over i < j of (1 + (m_i - m_j)/(j - i))."""
     m = validate_signature(m)
     n = len(m)
-    out = Fraction(1)
+    num = den = 1
     for i in range(n):
         for j in range(i + 1, n):
-            out *= Fraction(m[i] - m[j] + j - i, j - i)
-    if out.denominator != 1 or out <= 0:
+            num *= m[i] - m[j] + j - i
+            den *= j - i
+    dim, rem = divmod(num, den)
+    if rem or dim <= 0:
         raise DomainError(f"signature {m} does not index an irreducible")
-    return int(out)
+    return dim
 
 
 def _epsilon(k: int) -> int:
@@ -57,10 +58,10 @@ def _epsilon(k: int) -> int:
     return 1 if k >= 0 else -1
 
 
-def phi_scalar_core(p: SpectralParams, k: int, r: float) -> complex:
-    """r^|k| ((s+n+eps*nu)/2)_|k| / (1)_|k| * 2F1(...) -- the Fourier-mode
-    profile of the kernel without the (1-r^2)^((s+n-nu)/2) factor."""
-    r = validate_radius(r)
+def _phi_scalar_cores(p: SpectralParams, k: int, radii) -> list:
+    """:func:`phi_scalar_core` at each radius of radii (already validated):
+    the radius-free parameters and Pochhammer ratio are formed once, and one
+    2F1 dispatch serves every radius."""
     n, nu, s = p.n, p.nu, p.s
     ak = abs(int(k))
     e = _epsilon(k)
@@ -69,7 +70,26 @@ def phi_scalar_core(p: SpectralParams, k: int, r: float) -> complex:
     ratio = 1.0 + 0.0j
     for i in range(ak):
         ratio *= (a_plus + i) / (1.0 + i)
-    return r ** ak * ratio * gauss_2f1(a_minus, a_plus + ak, 1.0 + ak, r * r)
+    if len(radii) == 1:
+        # the public gauss_2f1, so that the layer trace still counts a
+        # single-point profile's 2F1 calls by branch
+        r = radii[0]
+        return [r ** ak * ratio * gauss_2f1(a_minus, a_plus + ak, 1.0 + ak, r * r)]
+    hyp = _gauss_2f1_xs(a_minus, a_plus + ak, 1.0 + ak, [r * r for r in radii])
+    return [r ** ak * ratio * f for r, f in zip(radii, hyp)]
+
+
+def _radial_weight(p: SpectralParams, r: float) -> complex:
+    """(1-r^2)^((s+n-nu)/2), the factor phi_scalar puts on phi_scalar_core;
+    it does not depend on k."""
+    n, nu, s = p.n, p.nu, p.s
+    return cmath.exp((s + n - nu) / 2.0 * math.log1p(-r * r)) if r > 0 else 1.0
+
+
+def phi_scalar_core(p: SpectralParams, k: int, r: float) -> complex:
+    """r^|k| ((s+n+eps*nu)/2)_|k| / (1)_|k| * 2F1(...) -- the Fourier-mode
+    profile of the kernel without the (1-r^2)^((s+n-nu)/2) factor."""
+    return _phi_scalar_cores(p, k, (validate_radius(r),))[0]
 
 
 def phi_scalar(p: SpectralParams, k: int, r: float) -> complex:
@@ -82,35 +102,38 @@ def phi_scalar(p: SpectralParams, k: int, r: float) -> complex:
     with eps(k) = +1 for k >= 0 and -1 for k < 0, s = i*lambda.
     """
     r = validate_radius(r)
-    n, nu, s = p.n, p.nu, p.s
-    weight = cmath.exp((s + n - nu) / 2.0 * math.log1p(-r * r)) if r > 0 else 1.0
-    return weight * phi_scalar_core(p, k, r)
+    return _radial_weight(p, r) * phi_scalar_core(p, k, r)
 
 
-def phi_bigs(p: SpectralParams, sigs, r: float) -> list:
-    """Radial profiles on the K-types with signatures m in sigs:
+def phi_bigs(p: SpectralParams, sigs, radii) -> list:
+    """Radial profiles on the K-types with signatures m in sigs, one row
+    per radius r of radii, one entry per signature:
 
         Phi_{s,m}(r) = det( phi_{s, m_i - i + j}(r) )_{i,j=1..n} / d_m
 
     normalized so that Phi_{s,0}(0) = 1 under probability Haar measure on
     the boundary (the determinant at m = 0, r = 0 is that of the identity).
-    Each distinct scalar profile phi_{s,k}(r) is evaluated once per call.
+    Each distinct scalar profile phi_{s,k} is evaluated once per call, for
+    all radii together.
     """
     sigs = [validate_signature(m, p.n) for m in sigs]
-    r = validate_radius(r)
+    radii = [validate_radius(r) for r in radii]
     n = p.n
     ks = {m[i] - i + j for m in sigs for i in range(n) for j in range(n)}
-    phi = {k: phi_scalar(p, k, r) for k in ks}
+    weights = [_radial_weight(p, r) for r in radii]
+    phis = {k: [w * core for w, core in zip(weights, _phi_scalar_cores(p, k, radii))]
+            for k in ks}
     if n == 1:
-        return [phi[m[0]] for m in sigs]
-    return [complex(np.linalg.det(np.array(
-        [[phi[m[i] - i + j] for j in range(n)] for i in range(n)], complex)))
-        / weyl_dimension(m) for m in sigs]
+        return [[phis[m[0]][t] for m in sigs] for t in range(len(radii))]
+    dims = [weyl_dimension(m) for m in sigs]
+    return [[complex(np.linalg.det(np.array(
+        [[phis[m[i] - i + j][t] for j in range(n)] for i in range(n)], complex)))
+        / d for m, d in zip(sigs, dims)] for t in range(len(radii))]
 
 
 def phi_big(p: SpectralParams, m, r: float) -> complex:
-    """Phi_{s,m}(r) for one signature m (see :func:`phi_bigs`)."""
-    return phi_bigs(p, (m,), r)[0]
+    """Phi_{s,m}(r) for one signature m at one radius (see :func:`phi_bigs`)."""
+    return phi_bigs(p, (m,), (r,))[0][0]
 
 
 def log_boundary_weight(p: SpectralParams, r: float) -> complex:

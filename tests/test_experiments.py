@@ -24,7 +24,7 @@ def rel(a, b):
 def weighted_slice_norm(p, f, pexp, r, grid):
     """(1-r^2)^(-n(n-nu-Re s)/2) ||F(r .)||_p for the Poisson extension F of
     f, whose slice at r is the K-type function sum_m c_m Phi_m(r) phi_m."""
-    phis = phi_bigs(p, sorted(f.coeffs), r)
+    phis = phi_bigs(p, sorted(f.coeffs), (r,))[0]
     F = KTypeFunction({m: c * phi for (m, c), phi in zip(f.items(), phis)})
     return math.exp(-log_boundary_weight(p, r).real) * F.norm(pexp, grid)
 
@@ -291,7 +291,7 @@ class TestEigenExpansion:
         r = abs(z)
         phase = z / r
         expansion = sum(c * phi * phase ** sum(m) for (m, c), phi
-                        in zip(f.items(), phi_bigs(p, sorted(f.coeffs), r)))
+                        in zip(f.items(), phi_bigs(p, sorted(f.coeffs), (r,))[0]))
         quad = weyl_integrate(
             lambda a: poisson_kernel_torus(p, z, a) * ktype_evaluate(f, a),
             TorusGrid(p.n, N))
@@ -338,16 +338,21 @@ def count_walks(monkeypatch):
 class TestWorkCounts:
     def test_norm_lower_bound_shares_phi_tables_and_walks(self, monkeypatch):
         # 6 groups of 3 functions sharing p: one walk each, plus one per
-        # single-type slice; 6 groups x 14 radii x 4 scalar profiles plus
-        # 2 slices x 4
+        # single-type slice; 6 groups x 4 scalar profiles over 14 radii
+        # plus 2 slices x 4 profiles at one radius
         walks = count_walks(monkeypatch)
         calls = []
-        inner = spherical.phi_scalar
-        monkeypatch.setattr(spherical, "phi_scalar",
-                            lambda *args: calls.append(1) or inner(*args))
+        inner = spherical._phi_scalar_cores
+
+        def counting(p, k, radii):
+            calls.append(len(radii))
+            return inner(p, k, radii)
+
+        monkeypatch.setattr(spherical, "_phi_scalar_cores", counting)
         assert verify.norm_lower_bound().passed
         assert len(walks) == 8
-        assert len(calls) == 344
+        assert len(calls) == 6 * 4 + 2 * 4
+        assert sum(calls) == 344
 
     def test_oracle_equivalence_walks_once_per_point(self, monkeypatch):
         # 2 ranks x (2 gate calls + 3 params x 4 radii)
@@ -379,13 +384,13 @@ class TestWorkCounts:
         # nothing is memoized across calls: a second run of criterion 8
         # evaluates every scalar profile again
         calls = []
-        inner = spherical.phi_scalar
+        inner = spherical._phi_scalar_cores
 
-        def counting(p, k, r):
+        def counting(p, k, radii):
             calls.append(1)
-            return inner(p, k, r)
+            return inner(p, k, radii)
 
-        monkeypatch.setattr(spherical, "phi_scalar", counting)
+        monkeypatch.setattr(spherical, "_phi_scalar_cores", counting)
         counts = []
         for _ in range(2):
             calls.clear()

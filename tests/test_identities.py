@@ -78,7 +78,7 @@ class TestLemmaABatch:
     def test_matches_per_draw_sides(self):
         for n, aps in _seed42_draws(20).items():
             for r in (0.3, 0.6, 0.9):
-                lhs, rhs = lemma_a_sides_batch(aps, r)
+                lhs, rhs = (v[0] for v in lemma_a_sides_batch(aps, (r,)))
                 ref = np.array([lemma_a_sides(ap, r) for ap in aps])
                 if r == 0.9:
                     # x = 0.19: the long-double series, bit for bit
@@ -96,7 +96,7 @@ class TestLemmaABatch:
         a, b, c = (rng.uniform(-2, 3, (40, 3)) + 1j * rng.uniform(-1, 1, (40, 3))
                    for _ in range(3))
         a[0] = (-1.0, -2.0, -5.0)
-        got = _eval_2f1_ld_array(a, b, c, x)
+        got = _eval_2f1_ld_array(a, b, c, (x,))[0]
         want = [_eval_2f1_ld(*abc, x) for abc in zip(a.ravel(), b.ravel(), c.ravel())]
         assert got.dtype == np.clongdouble
         assert np.array_equal(got.ravel(), np.array(want))
@@ -125,7 +125,7 @@ class TestLemmaABatch:
         with pytest.raises(PoleError):
             lemma_a_sides(bad, r)
         with pytest.raises(PoleError):
-            lemma_a_sides_batch(self._with_bad_draw(3, bad), r)
+            lemma_a_sides_batch(self._with_bad_draw(3, bad), (r,))
 
     def test_degenerate_draw_raises_like_per_draw(self):
         # c - a - b = -p_1 - j sits 1e-10 off an integer: the ring
@@ -133,7 +133,7 @@ class TestLemmaABatch:
         with pytest.raises(DegenerateConnection):
             lemma_a_sides(bad, 0.3)
         with pytest.raises(DegenerateConnection):
-            lemma_a_sides_batch(self._with_bad_draw(2, bad), 0.3)
+            lemma_a_sides_batch(self._with_bad_draw(2, bad), (0.3,))
 
     @pytest.mark.parametrize("r", [0.3, 0.6])
     def test_log_case_draw_matches_per_draw(self, r):
@@ -141,7 +141,7 @@ class TestLemmaABatch:
         # batch takes through the scalar gauss_2f1
         log_draw = AppendixParams(2, 0.4 + 0.5j, 0.3 - 0.6j, (0.0, -1.2 + 0.3j))
         aps = self._with_bad_draw(2, log_draw)
-        lhs, rhs = lemma_a_sides_batch(aps, r)
+        lhs, rhs = (v[0] for v in lemma_a_sides_batch(aps, (r,)))
         ref = np.array([lemma_a_sides(ap, r) for ap in aps])
         assert np.max(np.abs(lhs - ref[:, 0]) / np.abs(ref[:, 0])) <= 1e-11
         assert np.max(np.abs(rhs - ref[:, 1]) / np.abs(ref[:, 1])) <= 1e-11
@@ -149,7 +149,7 @@ class TestLemmaABatch:
     def test_mixed_ranks_refused(self):
         aps = _seed42_draws(2)
         with pytest.raises(GuardError):
-            lemma_a_sides_batch(aps[2] + aps[3], 0.6)
+            lemma_a_sides_batch(aps[2] + aps[3], (0.6,))
 
 
 class TestLemmaACriterion:

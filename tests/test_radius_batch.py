@@ -1,0 +1,206 @@
+"""Radius-batched 2F1, Phi and Lemma A tables against the per-radius forms
+of ``radius_reference``, bit for bit, and the work that sharing the
+radius-free factors saves."""
+
+import numpy as np
+import pytest
+
+import radius_reference as ref
+from matball import identities, special, verify
+from matball.boundary import TorusGrid
+from matball.errors import MatballError
+from matball.experiments import DEFAULT_RADII, KTypeFunction, norm_sandwiches
+from matball.identities import (AppendixParams, _eval_2f1_ld_array,
+                                lemma_a_sides_batch)
+from matball.special import (SpectralParams, _gauss_2f1_array, _gauss_2f1_xs,
+                             _log_case_2f1, gauss_2f1)
+from matball.spherical import phi_big, phi_bigs
+from matball.verify import draw_appendix_params, signatures_up_to
+
+RADII = (0.0, 0.1, 0.5, 0.7, 0.9, 0.9999) + DEFAULT_RADII
+XS = (0.0, 0.1, 0.5, 0.5000001, 0.64, 0.9, 0.99, 0.999999) + tuple(
+    r * r for r in DEFAULT_RADII)
+
+
+def outcome(call):
+    """The exact bits of a complex result, or the type of the refusal."""
+    try:
+        return np.array(call(), dtype=complex, ndmin=1).view(np.uint64).tolist()
+    except MatballError as exc:
+        return type(exc)
+
+
+# (a, b, c) on every branch of the dispatcher
+PARAMS = {
+    "connection": (0.5 + 1j, 1.25, 2.0 - 0.5j),
+    "connection_real": (1.5, 2.25, 3.1),
+    "connection_near_pole_c": (0.75, 1.25, -1.0 + 1e-3j),
+    "connection_zero_coef": (2.5, 0.7, 1.5),
+    "log_m0": (0.5, 1.5, 2.0),
+    "log_m0_complex": (1.25 + 0.5j, 0.75 - 0.25j, 2.0 + 0j),
+    "log_euler_m2": (0.5, 1.5, 4.0),
+    "log_m3": (2.0, 1.5, 0.5 + 1e-13),
+    "terminating": (-3.0, 2.5, 1.25),
+    "terminating_near": (2.5, -2.0 + 1e-13, 1.25),
+    "ring": (0.5, 1.5, 3.0 + 5e-11),
+    "pole": (0.5, 1.5, -2.0),
+}
+
+
+class TestGauss2F1Radii:
+    @pytest.mark.parametrize("abc", PARAMS.values(), ids=PARAMS.keys())
+    def test_bit_identical_to_per_x_reference(self, abc):
+        per_x = [outcome(lambda x=x: gauss_2f1(*abc, x)) for x in XS]
+        assert per_x == [outcome(lambda x=x: ref.gauss_2f1(*abc, x)) for x in XS]
+        assert (outcome(lambda: _gauss_2f1_xs(*abc, XS))
+                == outcome(lambda: [ref.gauss_2f1(*abc, x) for x in XS]))
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_log_case_shares_its_digamma_lists(self, monkeypatch, m):
+        a, b = 1.25 + 0.5j, 0.75 - 0.25j
+        ys = (0.5, 0.25, 0.01, 0.4)
+        assert (outcome(lambda: _log_case_2f1(a, b, m, ys))
+                == outcome(lambda: [ref._log_case_2f1(a, b, m, y) for y in ys]))
+        # psi(a + k) and psi(b + k) are taken once, for the longest series
+        args = []
+        inner = special.digamma
+        monkeypatch.setattr(special, "digamma",
+                            lambda z: args.append(z) or inner(z))
+        _log_case_2f1(a, b, m, ys)
+        shared = len(args)
+        args.clear()
+        _log_case_2f1(a, b, m, (0.5,))
+        assert shared == len(args)
+
+
+class TestPhiBigsRadii:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("nu", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("kind", ["real", "integer", "complex", "large"])
+    def test_bit_identical_to_per_radius_reference(self, n, nu, kind):
+        s = {"real": n + 0.5, "integer": n + 1.0, "complex": n + 0.5 + 0.75j,
+             "large": 20.0 - 3j}[kind]
+        p = SpectralParams(n, nu, s)
+        sigs = list(signatures_up_to(n, 1))
+        want = outcome(lambda: [ref.phi_bigs(p, sigs, r) for r in RADII])
+        assert outcome(lambda: phi_bigs(p, sigs, RADII)) == want
+        assert outcome(lambda: [[phi_big(p, m, r) for m in sigs]
+                                for r in RADII]) == want
+
+
+def _seed42_draws(draws):
+    rng = np.random.default_rng(42)
+    return {n: [draw_appendix_params(rng, n) for _ in range(draws)]
+            for n in (2, 3, 4)}
+
+
+# one draw per special branch, each put among regular draws of its rank
+SPECIAL_DRAWS = {
+    # an integer p_1 puts its row on the logarithmic branch
+    "log": AppendixParams(2, 0.4 + 0.5j, 0.3 - 0.6j, (0.0, -1.2 + 0.3j)),
+    # c - a - b = -p_1 - j sits 1e-10 off an integer: the ring
+    "ring": AppendixParams(2, 0.4 + 0.5j, 0.3 - 0.6j, (1e-10, -1.2 + 0.3j)),
+    # c = alpha + beta = 1 - n is a pole of every left-hand entry
+    "pole": AppendixParams(3, 0.4 + 0.5j, -2.4 - 0.5j,
+                           (0.1j, -1.2, -2.4 + 0.3j)),
+    # alpha = -2 passes the rank-3 guard and terminates every series
+    "terminating": AppendixParams(3, -2.0, 0.3 - 0.6j,
+                                  (0.1j, -1.2, -2.4 + 0.3j)),
+}
+
+
+class TestLemmaABatchRadii:
+    RADII = (0.1, 0.3, 0.6, 0.9, 0.9999)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bit_identical_to_per_radius_batches(self, n):
+        aps = _seed42_draws(100)[n]
+        want = outcome(lambda: np.array(
+            [ref.lemma_a_sides_batch(aps, r) for r in self.RADII]).swapaxes(0, 1))
+        assert outcome(lambda: np.array(lemma_a_sides_batch(aps, self.RADII))) == want
+
+    @pytest.mark.parametrize("kind", SPECIAL_DRAWS)
+    def test_special_draws_match_per_radius_batches(self, kind):
+        bad = SPECIAL_DRAWS[kind]
+        regular = _seed42_draws(6)[bad.n]
+        aps = regular[:3] + [bad] + regular[3:]
+        for radii in (self.RADII, (0.3,), (0.9,)):
+            want = outcome(lambda: np.array(
+                [ref.lemma_a_sides_batch(aps, r) for r in radii]).swapaxes(0, 1))
+            assert outcome(lambda: np.array(lemma_a_sides_batch(aps, radii))) == want
+
+    def test_array_forms_match_per_x_reference(self):
+        rng = np.random.default_rng(5)
+        a, b, c = (rng.uniform(-2, 3, (40, 3)) + 1j * rng.uniform(-1, 1, (40, 3))
+                   for _ in range(3))
+        a[0] = (-1.0, -2.0, -5.0)                  # terminating
+        c[1] = a[1] + b[1] + (0.0, 2.0, -1.0)      # logarithmic case
+        xs = (0.19, 0.5, 0.64, 0.91, 0.9999)
+        assert (outcome(lambda: _gauss_2f1_array(a, b, c, xs))
+                == outcome(lambda: [ref._gauss_2f1_array(a, b, c, x) for x in xs]))
+        got = _eval_2f1_ld_array(a, b, c, xs)
+        assert np.array_equal(
+            got, np.array([ref._eval_2f1_ld_array(a, b, c, x) for x in xs]))
+
+
+class TestStackSize:
+    def test_entry_bits_do_not_depend_on_the_stack(self):
+        # 20,000 entries: the Gamma arrays, the connection products and the
+        # series stacks all pass numpy's 256 KiB temporary-elision size
+        rng = np.random.default_rng(11)
+        a, b, c = (rng.uniform(-2, 3, 20000) + 1j * rng.uniform(-1, 1, 20000)
+                   for _ in range(3))
+        for xs in ((0.64, 0.91), (0.2, 0.45)):
+            stacked = _gauss_2f1_array(a, b, c, xs)
+            chunks = np.concatenate(
+                [_gauss_2f1_array(a[i:i + 1000], b[i:i + 1000], c[i:i + 1000], xs)
+                 for i in range(0, a.size, 1000)], axis=1)
+            assert np.array_equal(stacked.view(np.uint64), chunks.view(np.uint64))
+            for i in (0, 7777, 19999):
+                alone = _gauss_2f1_array(a[i:i + 1], b[i:i + 1], c[i:i + 1], xs)
+                assert np.array_equal(stacked[:, i:i + 1].view(np.uint64),
+                                      alone.view(np.uint64))
+
+
+class TestWorkCounts:
+    @staticmethod
+    def _count(monkeypatch, modules, name):
+        calls = []
+        inner = getattr(special, name)
+
+        def counting(*args):
+            calls.append(1)
+            return inner(*args)
+
+        for mod in modules:
+            monkeypatch.setattr(mod, name, counting)
+        return calls
+
+    def test_lemma_a_identity_gamma_arrays(self, monkeypatch):
+        # 7 Gamma arrays per rank, for both tables and both connection radii
+        calls = self._count(monkeypatch, (special,), "_gamma_array")
+        assert verify.lemma_a_identity().passed
+        assert len(calls) == 3 * 7
+
+    def test_lemma_a_identity_series_passes(self, monkeypatch):
+        # per rank one long-double pass (r = 0.9) and one connection pass
+        # (r = 0.3 and 0.6, both sub-series, both tables)
+        calls = self._count(monkeypatch, (special, identities),
+                            "_series_2f1_array")
+        assert verify.lemma_a_identity().passed
+        assert len(calls) == 3 * 2
+
+    @pytest.mark.parametrize("p", [SpectralParams(2, 0, 3.0),    # log case
+                                   SpectralParams(2, 1, 3.5)],   # connection
+                             ids=["log", "connection"])
+    def test_norm_sandwiches_gamma_calls_do_not_grow_with_radii(self, monkeypatch, p):
+        # every radius >= 0.75 puts x = r^2 above 1/2
+        f = KTypeFunction({(0, 0): 0.3, (1, 0): 1.0, (1, 1): 0.2j})
+        calls = self._count(monkeypatch, (special,), "gamma")
+        counts = []
+        for radii in (DEFAULT_RADII[1:3],
+                      tuple(1.0 - 2.0 ** -j for j in range(2, 16))):
+            calls.clear()
+            norm_sandwiches(p, [f], 2.0, radii, TorusGrid(2, 8))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0

@@ -176,7 +176,7 @@ class TestGauss2F1:
             return inner(z)
 
         monkeypatch.setattr(special, "digamma", counting)
-        special._log_case_2f1(1.25 + 0.5j, 0.75 - 0.25j, m, 0.25)
+        special._log_case_2f1(1.25 + 0.5j, 0.75 - 0.25j, m, (0.25,))
         ints = [z for z in args if isinstance(z, float)]
         terms = (len(args) - len(ints)) // 2
         assert ints == [float(j) for j in range(1, terms + m + 1)]
@@ -255,7 +255,7 @@ class TestArrayForms:
             j = np.arange(1, n + 1)
             for a, b, c in ((alpha, bp + j, alpha + beta),
                             (alpha + n - j, bp + n, alpha + beta + n - j)):
-                got = _gauss_2f1_array(a, b, c, x)
+                got = _gauss_2f1_array(a, b, c, (x,))[0]
                 a, b, c = np.broadcast_arrays(a, b, c)
                 ref = np.array([gauss_2f1(*abc, x) for abc in
                                 zip(a.ravel(), b.ravel(), c.ravel())])
@@ -270,7 +270,7 @@ class TestArrayForms:
         b = np.array([1.1 - 0.4j, 1.5 + 0.5j, 0.75 - 0.25j, 0.5])
         c = np.array([2.5, 2.25, a[2] + b[2] - 3, a[3] - 2.0])
         for x in (0.3, 0.8):
-            got = _gauss_2f1_array(a, b, c, x)
+            got = _gauss_2f1_array(a, b, c, (x,))[0]
             ref = [gauss_2f1(*abc, x) for abc in zip(a, b, c)]
             assert got[1] == ref[1] and got[2] == ref[2]
             for i in (0, 3):
@@ -289,7 +289,7 @@ class TestArrayForms:
         ok = (0.3 + 0.2j, 1.1 - 0.4j, 2.5)
         with pytest.raises(error):
             _gauss_2f1_array(np.array([ok[0], a]), np.array([ok[1], b]),
-                             np.array([ok[2], c]), x)
+                             np.array([ok[2], c]), (x,))
 
 
 class TestEulerTransform:

@@ -4,12 +4,14 @@ boundary-asymptotic ratio."""
 import numpy as np
 import pytest
 
+import radius_reference
 from matball import spherical
 from matball.errors import DomainError
 from matball.special import SpectralParams, c_function, gauss_2f1
 from matball.spherical import (boundary_weight, gamma_constant,
                                key_lemma_ratio, phi_big, phi_bigs, phi_scalar,
                                phi_scalar_core, weyl_dimension)
+from matball.verify import signatures_up_to
 
 
 def rel(a, b):
@@ -25,6 +27,14 @@ class TestWeylDimension:
     def test_rejects_increasing(self):
         with pytest.raises(DomainError):
             weyl_dimension((0, 1))
+
+    def test_matches_exact_fractions(self):
+        sigs = [m for n in (1, 2, 3, 4) for m in signatures_up_to(n, 3)]
+        sigs += [(50, 0, -50), (50, 49, -3, -50), (7, 7, 7), (50, 25, 0, -25, -50)]
+        for m in sigs:
+            got = weyl_dimension(m)
+            assert type(got) is int
+            assert got == radius_reference.weyl_dimension(m)
 
     def test_rejects_huge_parts(self):
         with pytest.raises(DomainError):
@@ -133,30 +143,30 @@ class TestPhiBigs:
         sigs = self.SIGS[n]
         for r in (0.0, 0.3, 0.9, 0.99):
             expected = [reference_phi_big(p, m, r) for m in sigs]
-            assert phi_bigs(p, sigs, r) == expected
+            assert phi_bigs(p, sigs, (r,))[0] == expected
             assert [phi_big(p, m, r) for m in sigs] == expected
 
     def test_each_scalar_profile_once(self, monkeypatch):
         # m = 0 at rank 3 needs k = m_i - i + j in -2..2 only, not 9 entries
         calls = []
-        inner = spherical.phi_scalar
+        inner = spherical._phi_scalar_cores
 
-        def counting(p, k, r):
+        def counting(p, k, radii):
             calls.append(k)
-            return inner(p, k, r)
+            return inner(p, k, radii)
 
-        monkeypatch.setattr(spherical, "phi_scalar", counting)
+        monkeypatch.setattr(spherical, "_phi_scalar_cores", counting)
         phi_big(SpectralParams(3, 0, 4.5), (0, 0, 0), 0.5)
         assert sorted(calls) == [-2, -1, 0, 1, 2]
 
     def test_validation(self):
         p = SpectralParams(2, 0, 3.0)
         with pytest.raises(DomainError):
-            phi_bigs(p, [(1, 0), (0, 1)], 0.5)
+            phi_bigs(p, [(1, 0), (0, 1)], (0.5,))
         with pytest.raises(DomainError):
-            phi_bigs(p, [(1, 0, 0)], 0.5)
+            phi_bigs(p, [(1, 0, 0)], (0.5,))
         with pytest.raises(DomainError):
-            phi_bigs(p, [(1, 0)], 1.0)
+            phi_bigs(p, [(1, 0)], (1.0,))
 
 
 class TestKeyLemmaRatio:
