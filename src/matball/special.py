@@ -8,7 +8,9 @@ is always s = i*lambda; no function in this package consumes lambda itself.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,17 +47,38 @@ def _near_nonpositive_integer(z: complex, tol: float = _INT_TOL) -> bool:
     return k <= 0 and abs(z.real - k) <= tol
 
 
+# gamma and digamma sit behind bounded LRU memos: one library call repeats
+# many of their arguments (the entries k and -k of a Phi table share
+# Gamma(1 + |k|), and every k >= 0 shares Gamma((s + n - nu)/2)).  The
+# key is the exact bits of the argument, signed zeros included: complex
+# equality merges 2+0j and 2-0j, so a complex key could serve one of them
+# the value computed at the other.  lru_cache stores no exception, so a
+# pole raises PoleError on every call.
+_MEMO_SIZE = 512
+_BITS = struct.Struct("2d")
+
+
 def gamma(z: complex) -> complex:
     """Gamma function for complex argument (Lanczos sum plus reflection).
 
     Raises PoleError within 1e-12 of a non-positive integer.
     """
     z = complex(z)
+    return _gamma_memo(_BITS.pack(z.real, z.imag))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _gamma_memo(bits: bytes) -> complex:
+    z = complex(*_BITS.unpack(bits))
     if _near_nonpositive_integer(z):
         raise PoleError(f"Gamma pole at z={z}")
     if z.real < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z).  It reads the
+        # memo directly, so a call of the public gamma is one call whatever
+        # the memo holds.
+        w = 1.0 - z
+        return math.pi / (cmath.sin(math.pi * z)
+                          * _gamma_memo(_BITS.pack(w.real, w.imag)))
     w = z - 1.0
     x = complex(_LANCZOS_COEFFS[0])
     for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
@@ -123,6 +146,12 @@ def digamma(z: complex) -> complex:
     series ln z - 1/(2z) - sum B_2k / (2k z^2k) is applied.
     """
     z = complex(z)
+    return _digamma_memo(_BITS.pack(z.real, z.imag))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _digamma_memo(bits: bytes) -> complex:
+    z = complex(*_BITS.unpack(bits))
     if _near_nonpositive_integer(z):
         raise PoleError(f"digamma pole at z={z}")
     acc = 0.0 + 0.0j
@@ -311,6 +340,7 @@ def _series_2f1_array(a, b, c, x, tol):
     a, b, c, x = a.ravel(), b.ravel(), c.ravel(), x.ravel()
     term = np.ones_like(a)
     total = np.ones_like(a)
+    stopped = np.zeros(a.size, dtype=bool)
     for k in range(_SERIES_MAX_TERMS):
         if not live.size:
             break
@@ -324,13 +354,20 @@ def _series_2f1_array(a, b, c, x, tol):
         stop = term == 0
         if k > 2:
             stop |= np.abs(term) <= tol * np.abs(total)
-        if stop.any():
-            sums.flat[live[stop]] = total[stop]
-            keep = ~stop
-            live, a, b, c, x, term, total = (
-                v[keep] for v in (live, a, b, c, x, term, total))
+        new = stop & ~stopped
+        if new.any():
+            # an entry's sum is taken at its own stop term; its zeroed term
+            # then rides along until a quarter of the arrays has stopped and
+            # they are compacted, rather than re-indexed at every stop
+            sums.flat[live[new]] = total[new]
+            term[new] = 0
+            stopped |= new
+            if 4 * np.count_nonzero(stopped) >= live.size:
+                keep = ~stopped
+                live, a, b, c, x, term, total, stopped = (
+                    v[keep] for v in (live, a, b, c, x, term, total, stopped))
     done = np.ones(sums.shape, dtype=bool)
-    done.flat[live] = False
+    done.flat[live[~stopped]] = False
     return sums, done
 
 
@@ -466,9 +503,14 @@ def c_function(p: SpectralParams) -> complex:
         c(s) = GindikinGamma(n) GindikinGamma(s)
                / [GindikinGamma((s+n+nu)/2) GindikinGamma((s+n-nu)/2)]
 
-    evaluated at s = i*lambda.
+    evaluated at s = i*lambda.  Where a denominator factor has its pole
+    and the numerator is finite (s on the excluded lattice) c(s) is exactly
+    zero; a numerator pole raises PoleError.
     """
     n, nu, s = p.n, p.nu, p.s
     num = gindikin_gamma(complex(n), n) * gindikin_gamma(s, n)
-    den = gindikin_gamma((s + n + nu) / 2.0, n) * gindikin_gamma((s + n - nu) / 2.0, n)
+    try:
+        den = gindikin_gamma((s + n + nu) / 2.0, n) * gindikin_gamma((s + n - nu) / 2.0, n)
+    except PoleError:
+        return 0j
     return num / den

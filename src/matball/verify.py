@@ -183,15 +183,25 @@ def hua_eigen_equation(extended: bool = False) -> CriterionResult:
          "richardson_ratios": [f"{q:.2f}" for q in ratios]})
 
 
+def draw_appendix_params_batch(rng: np.random.Generator, n: int,
+                               draws: int) -> list:
+    """A list of `draws` guarded random parameter sets: complex alpha, beta
+    with imaginary parts bounded away from zero and a p-tuple with
+    separated entries (keeps the determinant conditioning inside
+    double-precision range).  The 2n + 4 numbers of a draw are one row of a
+    single uniform array, in the order alpha, beta, p_0, p_1, ..., real part
+    first, so the stream does not depend on how the draws are batched."""
+    lo = [-1.5, 0.3, -1.5, -1.2] + [-0.25, -0.8] * n
+    hi = [1.5, 1.2, 1.5, -0.3] + [0.25, 0.8] * n
+    return [AppendixParams(n, complex(u[0], u[1]), complex(u[2], u[3]),
+                           tuple(complex(-1.2 * i + u[4 + 2 * i], u[5 + 2 * i])
+                                 for i in range(n)))
+            for u in rng.uniform(lo, hi, size=(draws, 2 * n + 4)).tolist()]
+
+
 def draw_appendix_params(rng: np.random.Generator, n: int) -> AppendixParams:
-    """Guarded random parameters: complex alpha, beta with imaginary parts
-    bounded away from zero and a p-tuple with separated entries (keeps the
-    determinant conditioning inside double-precision range)."""
-    a = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 1.2))
-    b = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.2, -0.3))
-    p = tuple(complex(-1.2 * i + rng.uniform(-0.25, 0.25),
-                      rng.uniform(-0.8, 0.8)) for i in range(n))
-    return AppendixParams(n, a, b, p)
+    """One draw of :func:`draw_appendix_params_batch`."""
+    return draw_appendix_params_batch(rng, n, 1)[0]
 
 
 def lemma_a_identity(extended: bool = False, seed: int = 42,
@@ -205,7 +215,7 @@ def lemma_a_identity(extended: bool = False, seed: int = 42,
     worst = 0.0
     radii = (0.3, 0.6, 0.9)
     for n in (2, 3, 4):
-        aps = [draw_appendix_params(rng, n) for _ in range(draws)]
+        aps = draw_appendix_params_batch(rng, n, draws)
         for r, lhs, rhs in zip(radii, *lemma_a_sides_batch(aps, radii)):
             bad = ~(np.isfinite(lhs) & np.isfinite(rhs) & (lhs != 0))
             if bad.any():

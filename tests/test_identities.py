@@ -18,7 +18,7 @@ from matball.identities import (AppendixParams, _det_ld, _det_ld_batch,
                                 pochhammer_product_check)
 from matball.special import SpectralParams, gauss_2f1
 from matball.spherical import weyl_dimension
-from matball.verify import draw_appendix_params
+from matball.verify import draw_appendix_params, draw_appendix_params_batch
 
 
 class TestLemmaA:
@@ -156,20 +156,35 @@ class TestLemmaACriterion:
     def test_singular_table_fails_loudly(self, monkeypatch):
         # equal p entries give two equal rows, so lhs = 0 and the relative
         # error 0/0: a named refusal, never a nan worst_rel
-        draws = iter([AppendixParams(2, 0.4 + 0.5j, 0.3 - 0.6j,
-                                     (0.2 + 0.1j, 0.2 + 0.1j))])
+        singular = AppendixParams(2, 0.4 + 0.5j, 0.3 - 0.6j,
+                                  (0.2 + 0.1j, 0.2 + 0.1j))
 
-        def draw(rng, n):
-            return next(draws, None) or draw_appendix_params(rng, n)
+        def draw(rng, n, draws):
+            return [singular] + draw_appendix_params_batch(rng, n, draws - 1)
 
-        monkeypatch.setattr(verify, "draw_appendix_params", draw)
+        monkeypatch.setattr(verify, "draw_appendix_params_batch", draw)
         with pytest.raises(GuardError, match="relative error undefined"):
             verify.lemma_a_identity(draws=3)
         monkeypatch.setattr(verify, "ALL_CRITERIA", (verify.lemma_a_identity,))
-        draws = iter([AppendixParams(2, 0.4 + 0.5j, 0.3 - 0.6j,
-                                     (0.2 + 0.1j, 0.2 + 0.1j))])
         (res,), _ = verify.run_all()
         assert not res.passed and "GuardError" in res.details["error"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_batch_draws_equal_the_per_draw_stream(self, n):
+        # one uniform array per rank reproduces the scalar calls bit for bit
+        def per_draw(rng):
+            a = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 1.2))
+            b = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.2, -0.3))
+            p = tuple(complex(-1.2 * i + rng.uniform(-0.25, 0.25),
+                              rng.uniform(-0.8, 0.8)) for i in range(n))
+            return AppendixParams(n, a, b, p)
+
+        for seed in (42, 7, 123):
+            ref, batch, single = (np.random.default_rng(seed) for _ in range(3))
+            want = repr([per_draw(ref) for _ in range(20)])
+            assert repr(draw_appendix_params_batch(batch, n, 20)) == want
+            assert repr([draw_appendix_params(single, n) for _ in range(20)]) == want
+            assert ref.random() == batch.random() == single.random()
 
 
 class TestDpFactor:

@@ -7,12 +7,13 @@ with mpmath at test time.
 
 import cmath
 import math
+import struct
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from matball import special
+from matball import identities, special, spherical
 from matball.errors import (ConvergenceError, DegenerateConnection, DomainError,
                             PoleError)
 from matball.special import (SpectralParams, _gamma_array, _gauss_2f1_array,
@@ -375,3 +376,178 @@ class TestCFunction:
             got = c_function(SpectralParams(1, 0, s))
             ref = gamma(s) / gamma((s + 1) / 2.0) ** 2
             assert rel(got, ref) <= 1e-12
+
+    @pytest.mark.parametrize("n, nu, s0", [(1, 2, 1.0), (2, 2, 2.0), (1, 3, 2.0),
+                                           (2, 3, 3.0), (1, -2, 1.0)])
+    def test_exactly_zero_on_the_excluded_lattice(self, n, nu, s0):
+        # a denominator Gindikin Gamma has its pole at s0 inside Re s > n - 1
+        # while the numerator is finite, so c(s0) = 0 (60-digit reference in
+        # reciprocal-Gamma form); key_lemma_ratio still refuses s0, where it
+        # would divide by c(s0)
+        p = SpectralParams(n, nu, s0)
+        assert not p.in_generic_set and p.in_asymptotic_range
+        with mp.workdps(60):
+            ref = self._mp_c_function(n, nu, s0)
+        assert ref == 0
+        got = c_function(p)
+        assert type(got) is complex and _bits(got) == _bits(0j)
+        with pytest.raises(DomainError):
+            spherical.key_lemma_ratio(p, (0,) * n, 0.99)
+        # next to s0, c(s) vanishes linearly and the usual expression holds
+        for eps in (1e-3, -1e-3, 1e-3j):
+            s = s0 + eps
+            with mp.workdps(60):
+                ref = complex(self._mp_c_function(n, nu, s))
+            assert rel(c_function(SpectralParams(n, nu, s)), ref) <= 1e-11
+
+    @staticmethod
+    def _mp_c_function(n, nu, s):
+        s = mp.mpc(complex(s).real, complex(s).imag)
+
+        def gg(z, f):
+            out = mp.mpf(1)
+            for j in range(n):
+                out *= f(z - j)
+            return out
+
+        return (gg(n, mp.gamma) * gg(s, mp.gamma) * gg((s + n + nu) / 2, mp.rgamma)
+                * gg((s + n - nu) / 2, mp.rgamma))
+
+    def test_numerator_pole_still_raises(self):
+        # s = 0 at n = 1, nu = 2: Gamma(s) has its pole, 1/Gamma(2) is not 0
+        with pytest.raises(PoleError):
+            c_function(SpectralParams(1, 2, 0.0))
+
+
+def _bits(z):
+    return struct.pack("2d", z.real, z.imag)
+
+
+def _gamma_body(z):
+    """The unmemoized Lanczos body of special.gamma."""
+    z = complex(z)
+    if special._near_nonpositive_integer(z):
+        raise PoleError(f"Gamma pole at z={z}")
+    if z.real < 0.5:
+        return math.pi / (cmath.sin(math.pi * z) * _gamma_body(1.0 - z))
+    w = z - 1.0
+    x = complex(special._LANCZOS_COEFFS[0])
+    for i, c in enumerate(special._LANCZOS_COEFFS[1:], start=1):
+        x += c / (w + i)
+    t = w + special._LANCZOS_G
+    return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * x
+
+
+def _digamma_body(z):
+    """The unmemoized recurrence and asymptotic body of special.digamma."""
+    z = complex(z)
+    if special._near_nonpositive_integer(z):
+        raise PoleError(f"digamma pole at z={z}")
+    acc = 0.0 + 0.0j
+    while z.real < 10.0:
+        acc -= 1.0 / z
+        z += 1.0
+    out = cmath.log(z) - 0.5 / z
+    z2 = 1.0 / (z * z)
+    zp = z2
+    for i, b in enumerate(special._DIGAMMA_BERNOULLI, start=1):
+        out -= b / (2.0 * i) * zp
+        zp *= z2
+    return out + acc
+
+
+def _outcome_bits(f, z):
+    try:
+        return _bits(f(z))
+    except PoleError as exc:
+        return type(exc)
+
+
+class TestMemo:
+    MEMOS = {"gamma": (special._gamma_memo, _gamma_body),
+             "digamma": (special._digamma_memo, _digamma_body)}
+
+    @staticmethod
+    def _pointwise_args(monkeypatch):
+        """Every gamma and digamma argument of a seeded scalar mix like the
+        pointwise benchmark's: 2F1 on each branch, Phi tables at ranks 1 to
+        3, the c-function and the Lemma A and B tables."""
+        args = {"gamma": [], "digamma": []}
+        for name, store in args.items():
+            inner = getattr(special, name)
+            spy = (lambda z, inner=inner, store=store:
+                   store.append(complex(z)) or inner(z))
+            for mod in (special, identities):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, spy)
+        rng = np.random.default_rng(2718)
+
+        def cplx(lo, hi, im):
+            return complex(rng.uniform(lo, hi), rng.uniform(-im, im))
+
+        for _ in range(6):
+            a, b, c = cplx(-3, 5, 2), cplx(-3, 5, 2), cplx(0.5, 6, 2)
+            gauss_2f1(a, b, c, rng.uniform(0.0, 0.5))
+            gauss_2f1(a, b, c, rng.uniform(0.55, 0.999))
+            gauss_2f1(a, b, a + b + int(rng.integers(-3, 4)), 0.9)
+            gauss_2f1(-float(rng.integers(1, 9)), b, c, 0.7)
+        for n in (1, 2, 3):
+            for r in (0.4, 0.8, 0.99):
+                nu = int(rng.integers(-2, 3))
+                s = (n + 0.5 * int(rng.integers(1, 5)) if rng.random() < 0.5
+                     else cplx(n - 0.8, n + 2.5, 1.5))
+                p = SpectralParams(n, nu, s)
+                m = sorted(rng.integers(-3, 4, n), reverse=True)
+                spherical.phi_big(p, m, r)
+                c_function(p)
+        for n in (2, 3):
+            ap = draw_appendix_params(rng, n)
+            for r in (0.3, 0.6, 0.9):
+                identities.lemma_a_sides(ap, r)
+            identities.lemma_b_ratio(draw_appendix_params(rng, n), 1.0 - 1e-5)
+        monkeypatch.undo()
+        return args
+
+    def test_cold_and_warm_bits_equal_the_body(self, monkeypatch):
+        args = self._pointwise_args(monkeypatch)
+        rng = np.random.default_rng(5)
+        for name, (memo, body) in self.MEMOS.items():
+            public = getattr(special, name)
+            zs = list(dict.fromkeys(args[name]))
+            # the same points with the other zero sign, and a pole
+            zs += [complex(z.real, -z.imag) for z in zs if z.imag == 0.0]
+            zs += [-2.0 + 0j]
+            assert len(zs) > 100
+            want = {_bits(z): _outcome_bits(body, z) for z in zs}
+            memo.cache_clear()
+            for sweep in ("cold", "warm"):
+                order = rng.permutation(len(zs))
+                got = {_bits(zs[i]): _outcome_bits(public, zs[i]) for i in order}
+                assert got == want, sweep
+            assert memo.cache_info().hits > len(zs) // 4
+
+    @pytest.mark.parametrize("name", ["gamma", "digamma"])
+    def test_signed_zeros_are_separate_keys(self, name):
+        memo, body = self.MEMOS[name]
+        public = getattr(special, name)
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            memo.cache_clear()
+            for im in (first, second, first):
+                z = complex(2, im)
+                assert _bits(public(z)) == _bits(body(z))
+            assert memo.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("name", ["gamma", "digamma"])
+    def test_poles_raise_on_every_call(self, name):
+        memo, _ = self.MEMOS[name]
+        public = getattr(special, name)
+        memo.cache_clear()
+        for _ in range(3):
+            for z in (0.0, -3.0, -3.0 + 1e-13j):
+                with pytest.raises(PoleError):
+                    public(z)
+        assert memo.cache_info().currsize == 0
+
+    def test_size_is_the_module_constant(self):
+        for memo, _ in self.MEMOS.values():
+            assert memo.cache_info().maxsize == special._MEMO_SIZE
