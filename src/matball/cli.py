@@ -103,7 +103,7 @@ SUBCOMMANDS = {
     "key-lemma": ("boundary asymptotic ratios", "n nu s radii max-m",
                   dict(radii=(0.9, 0.99, 0.999, 0.9999))),
     "forelli-rudin": ("kernel mass growth", "n nu s radii grid",
-                      dict(radii=(0.5, 0.9, 0.99), grid=32)),
+                      dict(radii=(0.5, 0.9, 0.99), grid=64)),
     "sandwich": ("two-sided norm estimate", "n nu s radii grid pexp",
                  dict(radii=DEFAULT_RADII, grid=32)),
     "invert": ("boundary-value inversion error", "n nu s radii",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import (TorusGrid, _distinct_nodes, _grid_sum, _power_table,
-                       kernel_mass, require_kernel_resolution)
+                       kernel_mass)
 from .errors import DomainError
 from .special import SpectralParams, c_function
 from .spherical import (_require_asymptotic, _require_asymptotic_range,
@@ -147,27 +147,19 @@ def forelli_rudin_growth(p: SpectralParams, radii, grid: TorusGrid) -> SweepResu
 
         (r, int |P(rI, U)| dU, (1-r^2)^(n(n-nu-Re s)/2), ratio)
 
-    The grid is refined automatically where the kernel-concentration rule
-    requires more points.  Passes when the ratio stays within a factor-10
-    band over the radii.
+    Every radius uses the grid's N (see :func:`kernel_mass`).  Passes when
+    the ratio stays within a factor-10 band over the radii.
     """
     _require_asymptotic_range(p)
     radii = [validate_radius(r) for r in radii]
     rows = []
     ratios = []
     for r in radii:
-        g = grid
-        while True:
-            try:
-                require_kernel_resolution(r, g)
-                break
-            except DomainError:
-                g = g.refined()
-        integral = kernel_mass(p, r, g)
+        integral = kernel_mass(p, r, grid)
         reference = math.exp(log_boundary_weight(p, r).real)
         ratio = integral / reference
         ratios.append(ratio)
-        rows.append((r, integral, reference, ratio, g.points_per_dim))
+        rows.append((r, integral, reference, ratio, grid.points_per_dim))
     passed = max(ratios) / min(ratios) <= 10.0
     return SweepResult(
         columns=("r", "kernel_mass", "reference", "ratio", "grid_points"),

@@ -10,6 +10,7 @@ import itertools
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -82,16 +83,17 @@ class TestWeylIntegrate:
             assert abs(val - 1.0) <= 1e-12
 
     def test_refined_grid_memory(self):
-        # criterion 10 refines a rank-2 grid to N = 2048 (2^22 nodes) at
-        # r = 0.99; the kernel mass is summed in bounded blocks
+        # the kernel mass runs the given N at every radius, up to
+        # r = 1 - 1e-6, and sums the rank-3 grid in bounded blocks
+        radii = [0.5, 0.9, 0.99, 0.999, 1 - 1e-6]
         tracemalloc.start()
         try:
-            sweep = forelli_rudin_growth(SpectralParams(2, 0, 3.0), [0.99],
-                                         TorusGrid(2, 32))
+            sweep = forelli_rudin_growth(SpectralParams(3, 0, 3.75), radii,
+                                         TorusGrid(3, 64))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sweep.rows[0][-1] == 2048
+        assert sweep.column("grid_points") == [64] * len(radii)
         assert peak < 64 * 2 ** 20
 
     def test_character_orthogonality(self):
@@ -453,15 +455,32 @@ class TestKernelMass:
     ])
     def test_matches_weyl_integral_of_kernel_modulus(self, n, grids):
         # reference: |kernel| integrated against the squared-Vandermonde
-        # weight with coincident nodes masked
+        # weight with coincident nodes masked, on a uniform grid fine enough
+        # for the kernel at r; the tanh-sinh sum has converged at N = 128
         for nu in (-1, 0, 2):
             for s in (n + 0.75, n + 1.5 + 0.7j):
                 p = SpectralParams(n, nu, s)
                 for N, r in grids:
-                    g = TorusGrid(n, N).refined()
                     ref = weyl_integrate(
-                        lambda a: np.abs(poisson_kernel_torus(p, r, a)), g).real
-                    assert rel(kernel_mass(p, r, g), ref) <= 1e-13
+                        lambda a: np.abs(poisson_kernel_torus(p, r, a)),
+                        TorusGrid(n, N).refined()).real
+                    assert rel(kernel_mass(p, r, TorusGrid(n, 128)), ref) <= 1e-13
+
+    @pytest.mark.parametrize("shift", [-0.7, -0.4, 0.05, 0.75, 1.9])
+    def test_rank_one_closed_form_to_60_digits(self, shift):
+        # (1-r^2)^((Re s+1-nu)/2) 2F1(a, a; 1; r^2), a = (Re s+1)/2, at the
+        # accuracy the kernel_mass docstring states for Re s - 1 = shift
+        N, bound = (64, 1e-10) if shift >= 0 else (128, 1e-8)
+        radii = [0.0, 0.5, 0.9] + [1 - 10 ** (-k / 4) for k in range(8, 25)]
+        for r in radii:
+            with mp.workdps(60):
+                a, x = (mp.mpf(shift) + 2) / 2, mp.mpf(r) ** 2
+                f = mp.hyp2f1(a, a, 1, x)
+                closed = [float((1 - x) ** (a - nu / 2) * f) for nu in (0, 1)]
+            for nu in (0, 1):
+                for s in (1 + shift, 1 + shift + 0.5j):
+                    got = kernel_mass(SpectralParams(1, nu, s), r, TorusGrid(1, N))
+                    assert rel(got, closed[nu]) <= bound
 
     def test_validation(self):
         p = SpectralParams(2, 0, 3.0)

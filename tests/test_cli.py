@@ -222,10 +222,10 @@ class TestExitCodes:
         assert "DomainError" in capsys.readouterr().err
 
     def test_oversized_grid_is_a_guard(self, tmp_path, capsys):
-        # r = 0.99 at rank 3 asks for N = 2048 per dimension; the grid is
-        # refused before any node array is allocated
-        code = run_cli(["forelli-rudin", "--n", "3", "--radii", "0.99",
-                        "--out", str(tmp_path / "fr.csv")])
+        # 512^3 nodes exceed the 2^24-node limit; the grid is refused
+        # before any node array is allocated
+        code = run_cli(["sandwich", "--n", "3", "--grid", "512",
+                        "--out", str(tmp_path / "sw.csv")])
         assert code == 3
         assert "nodes" in capsys.readouterr().err
 

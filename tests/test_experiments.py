@@ -128,8 +128,10 @@ class TestKeyLemmaSweep:
 
 class TestForelliRudin:
     def test_zero_radius_row(self):
+        # N = 64 is where the tanh-sinh sum reaches its stated accuracy;
+        # at N = 32 the r = 0 row reads 1 - 7.4e-11
         p = SpectralParams(2, 1, 3.0)
-        sw = forelli_rudin_growth(p, [0.0, 0.5], TorusGrid(2, 32))
+        sw = forelli_rudin_growth(p, [0.0, 0.5], TorusGrid(2, 64))
         r0 = sw.rows[0]
         assert r0[0] == 0.0 and abs(r0[1] - 1.0) < 1e-12 and r0[2] == 1.0
 
@@ -143,6 +145,16 @@ class TestForelliRudin:
             ref = (1 - r * r) ** ((p.s.real + 1 - p.nu) / 2.0) \
                 * gauss_2f1(sig, sig, 1.0, r * r).real
             assert rel(mass, ref) < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_ratio_tends_to_c_function(self, n):
+        # near r = 1 the ratio approaches c(n, 0, Re s), whatever nu and
+        # Im s; the gap is ~(1 - r), measured up to 1.1e-6 at r = 1 - 1e-6
+        for nu, s in ((0, n + 0.75), (1, n + 0.75), (0, n + 0.3 + 0.5j)):
+            sw = forelli_rudin_growth(SpectralParams(n, nu, s), [1 - 1e-6],
+                                      TorusGrid(n, 64))
+            limit = c_function(SpectralParams(n, 0, s.real)).real
+            assert rel(sw.column("ratio")[0], limit) <= 2e-6
 
     def test_bounded_band(self):
         p = SpectralParams(2, 1, 3.0)
