@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (TorusGrid, _distinct_nodes, _grid_sum, _power_table,
-                       kernel_mass)
+from .boundary import (_CHUNK, TorusGrid, _distinct_nodes, _grid_sum,
+                       _power_table, kernel_mass)
 from .errors import DomainError
 from .special import SpectralParams, c_function
 from .spherical import (_require_asymptotic, _require_asymptotic_range,
@@ -83,8 +83,10 @@ def _norms(fs, pexp: float, grid: TorusGrid) -> list:
     is of |A_f / a_delta|^p |a_delta|^2, divided by n! N^n.  The
     coincident-angle nodes, where a_delta = 0, are skipped.  The
     quotient is taken before the power: |A_f|^p alone overflows long
-    before |f|^p does.  Each f sums its own terms in its own sorted order,
-    so its norm does not depend on the other functions.
+    before |f|^p does.  Per block the integrand of every f is one row of a
+    (functions x nodes) array; each f sums its own terms in its own sorted
+    order, and each row sum is the 1-D sum of that row, so its norm does
+    not depend on the other functions.
     """
     if not (math.isfinite(pexp) and pexp >= 1.0):
         raise DomainError(f"norm exponent must be a finite number >= 1, got {pexp}")
@@ -92,17 +94,29 @@ def _norms(fs, pexp: float, grid: TorusGrid) -> list:
         raise DomainError(f"grid rank {grid.n} != K-type rank of some f")
     n, N = grid.n, grid.points_per_dim
     sigs = sorted({m for f in fs for m in f.coeffs})
-    rows = [[(sigs.index(m), c / weyl_dimension(m)) for m, c in f.items()]
-            for f in fs]
+    dims = {m: weyl_dimension(m) for m in sigs}
+    rows = [[(sigs.index(m), c / dims[m]) for m, c in f.items()] for f in fs]
 
     def integrand(block, alternants):
-        base, *alts = alternants
         keep = _distinct_nodes(N, n, block)
-        base = base[keep]
+        base, *alts = (alt[keep] for alt in alternants)
         weight = np.abs(base) ** 2
-        As = (sum(w * alts[i] for i, w in row) for row in rows)
-        return np.array([np.sum(np.abs(A[keep] / base) ** pexp * weight)
-                         for A in As])
+        # the rows of several f form one (functions x nodes) array of at
+        # most _CHUNK entries, and every step runs in place on it: fresh
+        # temporaries per step cost more than the per-f loop they replace
+        per = max(1, _CHUNK // base.size)
+        sums = []
+        for part in (rows[i:i + per] for i in range(0, len(rows), per)):
+            A = np.zeros((len(part), base.size), dtype=complex)
+            for A_f, row in zip(A, part):
+                for i, w in row:
+                    A_f += w * alts[i]
+            A /= base
+            terms = np.abs(A)
+            terms **= pexp
+            terms *= weight
+            sums.append(terms.sum(axis=1))
+        return np.concatenate(sums)
 
     totals = _grid_sum(integrand, _power_table(N, (0,) * n),
                        *(_power_table(N, m) for m in sigs))

@@ -51,9 +51,11 @@ def _eval_2f1_ld_array(a, b, c, xs) -> np.ndarray:
     """:func:`_eval_2f1_ld` over broadcast arrays of parameters at each x of
     xs; the result has a leading axis over xs.  In the series region every
     entry is bit-identical to the scalar one; above it the entries come from
-    the array form of gauss_2f1.  Each region sums all its xs in one pass."""
-    a, b, c = (np.asarray(v, dtype=complex) for v in np.broadcast_arrays(a, b, c))
-    out = np.empty((len(xs),) + a.shape, dtype=_LD)
+    the array form of gauss_2f1, which sees the parameters in their own
+    shapes.  Each region sums all its xs in one pass."""
+    a, b, c = (np.asarray(v, dtype=complex) for v in (a, b, c))
+    shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
+    out = np.empty((len(xs),) + shape, dtype=_LD)
     high = [t for t, x in enumerate(xs) if x > 0.5]
     low = [t for t, x in enumerate(xs) if x <= 0.5]
     if high:
@@ -63,14 +65,13 @@ def _eval_2f1_ld_array(a, b, c, xs) -> np.ndarray:
         if pole.any():
             raise PoleError(
                 f"2F1 lower parameter c={c[pole][0]} is a non-positive integer")
-        x = np.array([xs[t] for t in low], dtype=_LD).reshape((-1,) + (1,) * a.ndim)
+        x = np.array([xs[t] for t in low], dtype=_LD).reshape((-1,) + (1,) * len(shape))
         sums, done = _series_2f1_array(a.astype(_LD), b.astype(_LD),
                                        c.astype(_LD), x, _LD_SERIES_TOL)
         if not done.all():
             t, *i = np.unravel_index(np.argmin(done), done.shape)
-            i = tuple(i)
-            raise GuardError(f"series for 2F1({a[i]},{b[i]};{c[i]};"
-                             f"{xs[low[t]]}) stalled")
+            a, b, c = (np.broadcast_to(v, shape)[tuple(i)] for v in (a, b, c))
+            raise GuardError(f"series for 2F1({a},{b};{c};{xs[low[t]]}) stalled")
         out[low] = sums
     return out
 
@@ -189,16 +190,24 @@ def lemma_a_sides(ap: AppendixParams, r: float):
     x = 1.0 - r * r
     lhs = _hyp_det([[_eval_2f1_ld(alpha, beta + p[i] + (j + 1), alpha + beta, x)
                      for j in range(n)] for i in range(n)])
-    return lhs, _lemma_a_prefactor(ap, x) * _shifted_det(ap, x)
+    return lhs, _lemma_a_prefactor(n, x, _ratio_powers(ap)) * _shifted_det(ap, x)
 
 
-def _lemma_a_prefactor(ap: AppendixParams, x: float) -> complex:
-    """The factor in front of the right side's determinant."""
+def _ratio_powers(ap: AppendixParams) -> list:
+    """The radius-free factors [(alpha+k-1)/(alpha+beta+k-1)]^(n-k),
+    k = 1..n-1, of the right side's prefactor."""
     n, alpha, beta = ap.n, ap.alpha, ap.beta
+    return [((alpha + k - 1) / (alpha + beta + k - 1)) ** (n - k)
+            for k in range(1, n)]
+
+
+def _lemma_a_prefactor(n: int, x: float, powers) -> complex:
+    """The factor in front of the right side's determinant at x, from the
+    ratio powers of :func:`_ratio_powers`, multiplied in order."""
     q0 = n * (n - 1) // 2
     pref = complex((-1) ** q0) * x ** q0
-    for k in range(1, n):
-        pref *= ((alpha + k - 1) / (alpha + beta + k - 1)) ** (n - k)
+    for power in powers:
+        pref *= power
     return pref
 
 
@@ -208,8 +217,10 @@ def lemma_a_sides_batch(aps, radii):
     together as arrays.  Returns (lhs, rhs) as complex arrays of shape
     (len(radii), len(aps)).  Series-region sides (x <= 1/2) equal the
     per-draw ones bit for bit; above it the array connection formula moves
-    them at rounding level.
+    them at rounding level.  An empty aps is refused with GuardError.
     """
+    if not aps:
+        raise GuardError("Lemma A batch needs at least one draw")
     n = aps[0].n
     for ap in aps:
         if ap.n != n:
@@ -227,10 +238,12 @@ def lemma_a_sides_batch(aps, radii):
         np.stack(np.broadcast_arrays(bp + j, bp + n)),
         np.stack(np.broadcast_arrays(alpha + beta, alpha + beta + n - j)), xs)
     dets = _det_ld_batch(tables.reshape(-1, n, n)).reshape(len(xs), 2, len(aps))
-    rhs = [[_lemma_a_prefactor(ap, x) * d
-            for ap, d in zip(aps, shifted.astype(complex).tolist())]
+    powers = [_ratio_powers(ap) for ap in aps]
+    rhs = [[_lemma_a_prefactor(n, x, pw) * d
+            for pw, d in zip(powers, shifted.astype(complex).tolist())]
            for x, shifted in zip(xs, dets[:, 1])]
-    return dets[:, 0].astype(complex), np.array(rhs, dtype=complex)
+    return (dets[:, 0].astype(complex),
+            np.array(rhs, dtype=complex).reshape(len(xs), len(aps)))
 
 
 def dp_factor(p) -> complex:

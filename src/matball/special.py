@@ -328,6 +328,45 @@ def gauss_2f1(a: complex, b: complex, c: complex, x: float) -> complex:
     return _gauss_2f1_xs(a, b, c, (x,))[0]
 
 
+def _below_tol(term, total, tol):
+    """The series stop test |term| <= tol |total|, entry by entry."""
+    return np.abs(term) <= tol * np.abs(total)
+
+
+# The relative band around tol inside which a long-double stop is decided
+# exactly: the complex128 magnitudes put the ratio within ~1e-15 of its
+# exact value, and long double rounds within ~1e-19
+_SCREEN_BAND = 1e-12
+_TINY = np.finfo(float).tiny
+
+
+def _small_terms(term, total, tol, settled):
+    """:func:`_below_tol` for the entries not marked in ``settled`` (those
+    already stopped by a zero term, whose result is not read).
+
+    A long-double entry whose ratio |term| / |total| lies more than
+    _SCREEN_BAND (relative) from tol is decided from complex128
+    magnitudes, which give the same answer and skip long double's slow
+    hypot.  The exact test runs on the rest: entries inside the band, and
+    entries whose cast leaves double's normal range (non-finite, zero or
+    subnormal), since long double reaches beyond it.  complex128 stacks
+    take the exact test throughout; a screen is slower there.
+    """
+    if term.dtype != np.clongdouble:
+        return _below_tol(term, total, tol)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = np.abs(term.astype(complex))
+        s = np.abs(total.astype(complex))
+        ratio = t / s
+    small = ratio <= tol * (1.0 - _SCREEN_BAND)
+    large = ratio >= tol * (1.0 + _SCREEN_BAND)
+    normal = (np.minimum(t, s) >= _TINY) & (np.maximum(t, s) < np.inf)
+    exact = ~(settled | (normal & (small | large)))
+    if exact.any():
+        small[exact] = _below_tol(term[exact], total[exact], tol)
+    return small
+
+
 def _series_2f1_array(a, b, c, x, tol):
     """Power series of 2F1 over broadcast arrays of complex or clongdouble
     parameters a, b, c and of real or same-dtype arguments x.  Each entry
@@ -353,7 +392,7 @@ def _series_2f1_array(a, b, c, x, tol):
         total = total + term
         stop = term == 0
         if k > 2:
-            stop |= np.abs(term) <= tol * np.abs(total)
+            stop |= _small_terms(term, total, tol, stop)
         new = stop & ~stopped
         if new.any():
             # an entry's sum is taken at its own stop term; its zeroed term
@@ -380,18 +419,30 @@ def _series_2f1_array(a, b, c, x, tol):
 # with a real scalar commute bit for bit and need no pin.
 
 def _connection_2f1_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, ys):
-    """The two-term connection formula of :func:`gauss_2f1` over 1-D
-    arrays of parameters off its special branches, at each y = 1 - x of ys
-    (y < 1/2).  The Gamma factors are formed once for all ys, and both
-    sub-series at every y are summed in one :func:`_series_2f1_array`
-    call.  Returns (values, done) of shape (len(ys), a.size)."""
-    d = c - a - b
-    gc = _gamma_array(c)
-    coef1 = np.multiply(gc, _gamma_array(d)) * _rgamma_array(c - a) * _rgamma_array(c - b)
-    coef2 = np.multiply(gc, _gamma_array(-d)) * _rgamma_array(a) * _rgamma_array(b)
+    """The two-term connection formula of :func:`gauss_2f1` over
+    broadcastable arrays of parameters off its special branches, at each
+    y = 1 - x of ys (y < 1/2).  Each Gamma factor is formed once for all ys,
+    over the shape of its own argument before it is broadcast, so a
+    parameter that is constant along an axis is evaluated once along it;
+    both sub-series at every y are summed in one :func:`_series_2f1_array`
+    call.  Returns (values, done) of shape (len(ys), size of the broadcast
+    shape), entries in its C order."""
+    shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
+
+    def full(v):
+        return np.broadcast_to(v, shape).ravel()
+
+    ca = c - a
+    d = full(ca - b)
+    gc = full(_gamma_array(c))
+    coef1 = (np.multiply(gc, _gamma_array(d)) * full(_rgamma_array(ca))
+             * full(_rgamma_array(c - b)))
+    coef2 = (np.multiply(gc, _gamma_array(-d)) * full(_rgamma_array(a))
+             * full(_rgamma_array(b)))
+    a, b, c = full(a), full(b), full(c)
     # axes: sub-series, y, entry
     (s1, s2), done = _series_2f1_array(
-        np.stack([a, c - a])[:, None], np.stack([b, c - b])[:, None],
+        np.stack([a, full(ca)])[:, None], np.stack([b, c - b])[:, None],
         np.stack([a + b - c + 1.0, d + 1.0])[:, None],
         np.array(ys)[:, None], _SERIES_TOL)
     log_y = np.array([math.log(y) for y in ys])[:, None]
@@ -407,11 +458,13 @@ def _gauss_2f1_array(a, b, c, xs) -> np.ndarray:
     for all xs.  Every other entry (terminating, logarithmic case, the
     ill-conditioned ring, a pole of c, an x outside [0, 1), a series past
     its term limit, a non-finite array value) goes through gauss_2f1 one by
-    one, so it returns or raises exactly what the scalar call does.
+    one, so it returns or raises exactly what the scalar call does.  When
+    every entry takes the connection branch, its Gamma factors see the
+    parameters in their own shapes (see :func:`_connection_2f1_array`).
     """
-    a, b, c = (np.asarray(v, dtype=complex) for v in np.broadcast_arrays(a, b, c))
-    shape = (len(xs),) + a.shape
-    a, b, c = a.ravel(), b.ravel(), c.ravel()
+    args = [np.asarray(v, dtype=complex) for v in (a, b, c)]
+    shape = np.broadcast_shapes(*(v.shape for v in args))
+    a, b, c = (np.broadcast_to(v, shape).ravel() for v in args)
     special = (_near_nonpositive_integer_array(a)
                | _near_nonpositive_integer_array(b)
                | _near_nonpositive_integer_array(c))
@@ -430,7 +483,8 @@ def _gauss_2f1_array(a, b, c, xs) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if sub[0] > 0.5:
                 vals, done = _connection_2f1_array(
-                    a[fast], b[fast], c[fast], [1.0 - x for x in sub])
+                    *(args if fast.all() else (a[fast], b[fast], c[fast])),
+                    [1.0 - x for x in sub])
             else:
                 vals, done = _series_2f1_array(
                     a[fast], b[fast], c[fast], np.array(sub)[:, None],
@@ -440,7 +494,7 @@ def _gauss_2f1_array(a, b, c, xs) -> np.ndarray:
         scalar[block] = ~(done & np.isfinite(vals))
     for t, i in zip(*np.nonzero(scalar)):
         out[t, i] = gauss_2f1(a[i], b[i], c[i], xs[t])
-    return out.reshape(shape)
+    return out.reshape((len(xs),) + shape)
 
 
 def gindikin_gamma(s: complex, n: int) -> complex:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import TorusGrid, spherical_oracle, spherical_oracles
-from .errors import GuardError, MatballError, PoleError
+from .errors import DomainError, GuardError, MatballError, PoleError
 from .experiments import (KTypeFunction, forelli_rudin_growth,
                           inversion_experiment, key_lemma_sweep, norm_sandwiches)
 from .hua import hua_residual
@@ -210,7 +210,10 @@ def lemma_a_identity(extended: bool = False, seed: int = 42,
     guarded draws for n in {2, 3, 4}, r in {0.3, 0.6, 0.9}.  The draws of
     one rank are evaluated together at all three radii; a zero or
     non-finite side is refused with GuardError, since the relative error is
-    then undefined."""
+    then undefined, and fewer than one draw per rank with DomainError,
+    since zero draws would pass vacuously."""
+    if draws < 1:
+        raise DomainError(f"Lemma A needs at least one draw per rank, got {draws}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     radii = (0.3, 0.6, 0.9)

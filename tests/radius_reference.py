@@ -3,8 +3,11 @@ long-double Lemma A tables and the Phi tables that evaluate one x at a
 time, which the radius-batched forms of ``matball`` replace.
 
 Every Gamma prefactor, digamma list and connection coefficient is formed
-again for each x, and ``weyl_dimension`` is taken in exact fractions.  The
-tests compare the library's batched forms with these bit for bit.
+again for each x, on every entry of the broadcast parameters; the series
+take the exact stop test |term| <= tol |total| at every entry; the Lemma A
+prefactor is formed whole for each draw and x; and ``weyl_dimension`` is
+taken in exact fractions.  The tests compare the library's batched forms
+with these bit for bit.
 """
 
 import cmath
@@ -16,7 +19,7 @@ import numpy as np
 from matball.errors import (ConvergenceError, DegenerateConnection,
                             DomainError, GuardError, PoleError)
 from matball.identities import (_LD, _LD_SERIES_TOL, _det_ld_batch,
-                                _lemma_a_prefactor, check_identity_guard)
+                                check_identity_guard)
 from matball.special import (_INT_TOL, _RING_TOL, _SERIES_MAX_TERMS,
                              _SERIES_TOL, SpectralParams, _gamma_array,
                              _near_nonpositive_integer,
@@ -220,6 +223,16 @@ def _eval_2f1_ld_array(a, b, c, x: float) -> np.ndarray:
         raise GuardError(f"series for 2F1({a.flat[i]},{b.flat[i]};{c.flat[i]};"
                          f"{x}) stalled")
     return sums
+
+
+def _lemma_a_prefactor(ap, x: float) -> complex:
+    """The factor in front of the right side's determinant."""
+    n, alpha, beta = ap.n, ap.alpha, ap.beta
+    q0 = n * (n - 1) // 2
+    pref = complex((-1) ** q0) * x ** q0
+    for k in range(1, n):
+        pref *= ((alpha + k - 1) / (alpha + beta + k - 1)) ** (n - k)
+    return pref
 
 
 def lemma_a_sides_batch(aps, r: float):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from matball import verify
-from matball.errors import (CoincidentError, DegenerateConnection, GuardError,
-                            PoleError)
+from matball.errors import (CoincidentError, DegenerateConnection,
+                            DomainError, GuardError, PoleError)
 from matball.identities import (AppendixParams, _det_ld, _det_ld_batch,
                                 _eval_2f1_ld, _eval_2f1_ld_array, dp_factor,
                                 e9_identity_check, induction_identity_check,
@@ -151,6 +151,14 @@ class TestLemmaABatch:
         with pytest.raises(GuardError):
             lemma_a_sides_batch(aps[2] + aps[3], (0.6,))
 
+    def test_empty_inputs(self):
+        with pytest.raises(GuardError, match="at least one draw"):
+            lemma_a_sides_batch([], (0.3, 0.9))
+        aps = _seed42_draws(3)[3]
+        lhs, rhs = lemma_a_sides_batch(aps, ())
+        assert lhs.shape == rhs.shape == (0, 3)
+        assert lhs.dtype == rhs.dtype == complex
+
 
 class TestLemmaACriterion:
     def test_singular_table_fails_loudly(self, monkeypatch):
@@ -168,6 +176,17 @@ class TestLemmaACriterion:
         monkeypatch.setattr(verify, "ALL_CRITERIA", (verify.lemma_a_identity,))
         (res,), _ = verify.run_all()
         assert not res.passed and "GuardError" in res.details["error"]
+
+    @pytest.mark.parametrize("draws", [0, -1])
+    def test_no_draws_refused(self, monkeypatch, draws):
+        # zero draws would pass with worst_rel 0; the refusal is named, so
+        # run_all reports a failed criterion instead of a traceback
+        with pytest.raises(DomainError, match="at least one draw"):
+            verify.lemma_a_identity(draws=draws)
+        monkeypatch.setattr(verify, "ALL_CRITERIA", (
+            lambda extended: verify.lemma_a_identity(extended, draws=draws),))
+        (res,), _ = verify.run_all()
+        assert not res.passed and "DomainError" in res.details["error"]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_batch_draws_equal_the_per_draw_stream(self, n):

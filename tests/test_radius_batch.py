@@ -143,6 +143,77 @@ class TestLemmaABatchRadii:
             got, np.array([ref._eval_2f1_ld_array(a, b, c, x) for x in xs]))
 
 
+def _ld(v):
+    return np.asarray(v, dtype=np.clongdouble)
+
+
+def _recording(monkeypatch, name, seen):
+    """Wrap special.<name> so that each call records the dtype and size of
+    its first argument."""
+    inner = getattr(special, name)
+
+    def recording(first, *args):
+        seen.append((first.dtype, first.size))
+        return inner(first, *args)
+
+    monkeypatch.setattr(special, name, recording)
+
+
+def _ld_entries(seen):
+    return sum(size for dtype, size in seen if dtype == np.clongdouble)
+
+
+# long-double series whose stop tests leave double's range or stop early;
+# each is (a, b, c, x) for 30 entries
+def _stop_cases():
+    rng = np.random.default_rng(17)
+    a, b, c = (rng.uniform(-2, 3, 30) + 1j * rng.uniform(-1, 1, 30)
+               for _ in range(3))
+    huge = np.array([1e100, -3e120 + 1e119j, 2e150j] * 10)
+    return {
+        # every term from k = 1 on is below 1e-308: the casts are zero or
+        # subnormal, and each series stops at k = 3
+        "tiny_terms": (a, b, c, 1e-200),
+        # an integer a ends each series with exact zero terms, and a huge b
+        # drives the terms before them above 1e308
+        "huge_terms": (np.array([-5.0, -6.0, -7.0] * 10), huge, c, 0.25),
+        # a small x stops every series at k = 3, inside double's range
+        "stop_at_k3": (a, b, c, 1e-7),
+        "regular": (a, b, c, 0.45),
+    }
+
+
+class TestScreenedStop:
+    """The long-double stop test decided from complex128 magnitudes, with
+    the exact test on the entries the screen cannot decide, against the
+    per-entry scalar series and the reference's exact-test stack."""
+
+    @pytest.mark.parametrize("case", _stop_cases())
+    @pytest.mark.parametrize("band", [special._SCREEN_BAND, 1e300],
+                             ids=["screen", "all_exact"])
+    def test_bit_identical_to_per_entry_and_reference(self, monkeypatch, case,
+                                                      band):
+        a, b, c, x = _stop_cases()[case]
+        monkeypatch.setattr(special, "_SCREEN_BAND", band)
+        seen = []
+        _recording(monkeypatch, "_below_tol", seen)
+        got, done = special._series_2f1_array(_ld(a), _ld(b), _ld(c), _ld(x),
+                                              identities._LD_SERIES_TOL)
+        assert done.all() and got.dtype == np.clongdouble
+        want = np.array([identities._eval_2f1_ld(*abc, x)
+                         for abc in zip(a, b, c)])
+        assert np.array_equal(got, want)
+        ref_sums, ref_done = ref._series_2f1_array(
+            _ld(a), _ld(b), _ld(c), _ld(x), identities._LD_SERIES_TOL)
+        assert ref_done.all() and np.array_equal(got, ref_sums)
+        if case == "huge_terms":
+            assert (np.abs(got) > 1e308).all()
+        if band == 1e300 or case in ("tiny_terms", "huge_terms"):
+            assert _ld_entries(seen) > 0    # the fallback did run
+        else:
+            assert _ld_entries(seen) == 0
+
+
 class TestStackSize:
     def test_entry_bits_do_not_depend_on_the_stack(self):
         # 20,000 entries: the Gamma arrays, the connection products and the
@@ -161,6 +232,26 @@ class TestStackSize:
                 assert np.array_equal(stacked[:, i:i + 1].view(np.uint64),
                                       alone.view(np.uint64))
 
+    def test_long_double_entry_bits_do_not_depend_on_the_stack(self, monkeypatch):
+        # one entry in 50 has terms above double's range, so the screen's
+        # exact subset is a different set of indices in every stack
+        rng = np.random.default_rng(13)
+        a, b, c = (rng.uniform(-2, 3, 20000) + 1j * rng.uniform(-1, 1, 20000)
+                   for _ in range(3))
+        a[::50], b[::50] = -6.0, 1e120
+        seen = []
+        _recording(monkeypatch, "_below_tol", seen)
+        xs = (0.2, 0.45)
+        stacked = _eval_2f1_ld_array(a, b, c, xs)
+        assert _ld_entries(seen) > 0
+        chunks = np.concatenate(
+            [_eval_2f1_ld_array(a[i:i + 1000], b[i:i + 1000], c[i:i + 1000], xs)
+             for i in range(0, a.size, 1000)], axis=1)
+        assert np.array_equal(stacked, chunks)
+        for i in (0, 1, 7777, 19950, 19999):
+            alone = _eval_2f1_ld_array(a[i:i + 1], b[i:i + 1], c[i:i + 1], xs)
+            assert np.array_equal(stacked[:, i:i + 1], alone)
+
 
 class TestWorkCounts:
     @staticmethod
@@ -177,10 +268,26 @@ class TestWorkCounts:
         return calls
 
     def test_lemma_a_identity_gamma_arrays(self, monkeypatch):
-        # 7 Gamma arrays per rank, for both tables and both connection radii
-        calls = self._count(monkeypatch, (special,), "_gamma_array")
+        # 7 Gamma arrays per rank, for both tables and both connection
+        # radii.  Gamma(c), 1/Gamma(a) and 1/Gamma(c - a) do not depend on
+        # the row, so they are formed once per (table, draw, column), the
+        # other four per entry: 2 x 100 x (3 n + 4 n^2) entries summed over
+        # n = 2, 3, 4, where all seven per entry would be 40,600
+        sizes = []
+        _recording(monkeypatch, "_gamma_array", sizes)
         assert verify.lemma_a_identity().passed
-        assert len(calls) == 3 * 7
+        assert len(sizes) == 3 * 7
+        assert sum(size for _, size in sizes) == 28_600
+
+    def test_lemma_a_identity_long_double_stops_screened(self, monkeypatch):
+        # every long-double stop test of the criterion is decided from
+        # complex128 magnitudes; the exact long-double test never runs
+        screened, exact = [], []
+        _recording(monkeypatch, "_small_terms", screened)
+        _recording(monkeypatch, "_below_tol", exact)
+        assert verify.lemma_a_identity().passed
+        assert _ld_entries(screened) > 0
+        assert _ld_entries(exact) == 0
 
     def test_lemma_a_identity_series_passes(self, monkeypatch):
         # per rank one long-double pass (r = 0.9) and one connection pass
