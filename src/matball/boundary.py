@@ -10,9 +10,9 @@ the probability Haar measure as
 
 so the Vandermonde denominator of a character never has to be divided out.
 The quadrature oracle for Phi_{s,m} sums kernel x a_{m+delta} x conj(a_delta)
-node by node over the full n-dimensional grid.  The kernel mass sums
-weight x |a_delta|^2 the same way, on a tanh-sinh grid after the disk
-automorphism.  Neither sum is reduced to one-dimensional integrals
+node by node over the full n-dimensional grid, and the kernel mass sums
+weight x |a_delta|^2 the same way; both sum on one tanh-sinh grid after the
+disk automorphism.  Neither sum is reduced to one-dimensional integrals
 (Andreief/Heine): the reduction is the determinant formula the oracle is
 there to check.
 """
@@ -20,6 +20,7 @@ there to check.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,9 +33,9 @@ from .special import SpectralParams
 from .spherical import (phi_scalar_core, validate_radius, validate_signature,
                         weyl_dimension)
 
-# The rank-3 N = 256 grid-refinement gate is the largest grid a shipped check
-# builds; the limit bounds the run time of a torus sum, not its memory,
-# which the streamed blocks keep small.
+# The rank-3 N = 160 grid-refinement gate of the oracle is the largest grid a
+# shipped check builds; the limit bounds the run time of a torus sum, not its
+# memory, which the streamed blocks keep small.
 MAX_GRID_NODES = 1 << 24
 
 
@@ -66,8 +67,9 @@ class TorusGrid:
 
     Nodes are theta_j = 2 pi (j + 1/2) / N per dimension; the trapezoidal
     weight (2 pi / N)^n integrates trigonometric polynomials of per-variable
-    degree < N exactly.  :func:`kernel_mass` puts N tanh-sinh nodes on each
-    axis instead, at every radius.
+    degree < N exactly.  The K-type norms sum on this grid;
+    :func:`spherical_oracles` and :func:`kernel_mass` put N tanh-sinh nodes
+    on each axis instead (:func:`_disk_axis`), at every radius.
     """
 
     n: int
@@ -95,8 +97,8 @@ def _torus_axis(N: int) -> np.ndarray:
 
 _CHUNK = 1 << 18
 
-# the tanh-sinh rule psi = pi tanh(2.2 sinh t), |t| < 2.75, of kernel_mass:
-# its outermost nodes lie ~3e-14 from the cusp at psi = +-pi
+# the tanh-sinh rule psi = pi tanh(2.2 sinh t), |t| < 2.75, of the kernel
+# sums: its outermost nodes lie ~3e-14 from the cusp at psi = +-pi
 _DE_TMAX, _DE_C = 2.75, 2.2
 
 
@@ -105,15 +107,6 @@ def _blocks(N: int, n: int):
     at most _CHUNK nodes each (a single slice when one alone is larger)."""
     rows = max(1, _CHUNK // N ** (n - 1))
     return (slice(start, start + rows) for start in range(0, N, rows))
-
-
-def require_kernel_resolution(r: float, grid: TorusGrid) -> None:
-    """Kernel quadrature needs N to grow like 1/(1-r): the kernel at radius
-    r concentrates on an angular scale ~ (1-r)."""
-    if r >= 0.9 and grid.points_per_dim < 16.0 / (1.0 - r):
-        raise DomainError(
-            f"grid with N={grid.points_per_dim} too coarse for kernel "
-            f"quadrature at r={r}; need N >= {16.0 / (1.0 - r):.0f}")
 
 
 def poisson_kernel(p: SpectralParams, Z: np.ndarray,
@@ -165,13 +158,33 @@ def _kernel_factor(p: SpectralParams, z: complex, theta: np.ndarray,
     return np.exp(-2.0 * sigma * np.log(np.abs(w)) + log_scale) * w ** (-p.nu)
 
 
+@functools.cache
 def _levi_civita(n: int) -> np.ndarray:
-    """The rank-n Levi-Civita tensor: sgn(k) at each permutation k."""
+    """The rank-n Levi-Civita tensor: sgn(k) at each permutation k (cached;
+    read-only)."""
     eps = np.zeros((n,) * n)
     for perm in itertools.permutations(range(n)):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         eps[perm] = (-1.0) ** inversions
+    eps.flags.writeable = False
     return eps
+
+
+def _cofactor_operands(table: np.ndarray) -> list:
+    """The einsum operands, in sublist form, of :func:`_cofactors`."""
+    n = table.shape[1]
+    operands = [_levi_civita(n), list(range(n))]
+    for j in range(1, n):
+        operands += [table, [n + j, j]]
+    return operands + [[0, *range(n + 1, 2 * n)]]
+
+
+@functools.lru_cache(maxsize=64)
+def _cofactor_path(n: int, N: int) -> tuple:
+    """The contraction order that ``einsum(optimize=True)`` picks for the
+    cofactors of an (N, n) table; it depends on the shapes only."""
+    table = np.empty((N, n), dtype=complex)
+    return tuple(np.einsum_path(*_cofactor_operands(table), optimize=True)[0])
 
 
 def _cofactors(table: np.ndarray) -> np.ndarray:
@@ -179,11 +192,27 @@ def _cofactors(table: np.ndarray) -> np.ndarray:
     row: C[k_1, a_2, ..., a_n] = eps_{k_1..k_n} prod_{j>=2} T[a_j, k_j] for
     an (N, n) power table T, so that the alternant at node (a_1, ..., a_n)
     is sum_k T[a_1, k] C[k, a_2, ..., a_n]."""
-    n = table.shape[1]
-    operands = [_levi_civita(n), list(range(n))]
-    for j in range(1, n):
-        operands += [table, [n + j, j]]
-    return np.einsum(*operands, [0, *range(n + 1, 2 * n)], optimize=True)
+    return np.einsum(*_cofactor_operands(table),
+                     optimize=_cofactor_path(table.shape[1], table.shape[0]))
+
+
+# Grow-only alternant buffers, one per table of a walk, reused by every walk
+# of the process (so walks must not run in several threads at once).  Fresh
+# 4 MiB blocks per rank-3 walk were mapped from the system and handed back
+# after it, at 1,500-2,500 minor page faults per N = 128 oracle call; the
+# buffers keep the largest walk's blocks instead (6 x 4 MiB after criterion
+# 1 at rank 3).
+_ALTERNANT_BUFFERS: list = []
+
+
+def _alternant_buffers(count: int, size: int) -> list:
+    """``count`` complex buffers of at least ``size`` entries each."""
+    bufs = _ALTERNANT_BUFFERS
+    bufs += [np.empty(0, dtype=complex)] * (count - len(bufs))
+    for i in range(count):
+        if bufs[i].size < size:
+            bufs[i] = np.empty(size, dtype=complex)
+    return bufs[:count]
 
 
 def _grid_sum(integrand, *tables):
@@ -195,18 +224,23 @@ def _grid_sum(integrand, *tables):
 
     This is the one walk over the torus grid: every torus sum forms its
     integrand from these alternants node by node, never reducing it to
-    one-dimensional integrals (Andreief/Heine).
+    one-dimensional integrals (Andreief/Heine).  The alternants are views
+    of module buffers that the next block and the next walk overwrite: an
+    integrand must not keep one, or a view of one, after it returns, nor
+    start a walk of its own.
     """
     N, n = tables[0].shape
-    cofactors = [_cofactors(table) for table in tables]
-    alternants = [None] * len(tables)
+    cofactors = [_cofactors(table).reshape(n, -1) for table in tables]
+    width = N ** (n - 1)
+    bufs = _alternant_buffers(len(tables), min(N, max(1, _CHUNK // width)) * width)
     total = 0
     for block in _blocks(N, n):
-        # each alternant replaces the previous block's one at a time, so the
-        # allocator reuses that memory; dropping a whole block's alternants
-        # at once hands it back to the system and ran 2x slower (rank 3)
-        for i, (table, cof) in enumerate(zip(tables, cofactors)):
-            alternants[i] = np.tensordot(table[block], cof, 1)
+        rows = len(range(N)[block])
+        alternants = []
+        for buf, table, cof in zip(bufs, tables, cofactors):
+            out = buf[:rows * width].reshape(rows, width)
+            np.dot(table[block], cof, out=out)
+            alternants.append(out.reshape((rows,) + (N,) * (n - 1)))
         total += integrand(block, alternants)
     return total
 
@@ -225,11 +259,31 @@ def _distinct_nodes(N: int, n: int, block: slice) -> np.ndarray:
     return keep
 
 
-def _power_table(N: int, m) -> np.ndarray:
-    """The (N, n) row table z^(m_k + n - k) of the alternant a_{m+delta} on
-    the N-point axis, z = e^{i theta}."""
+def _power_table(z: np.ndarray, m) -> np.ndarray:
+    """The (N, n) row table z^(m_k + n - k) of the alternant a_{m+delta} at
+    the N points z of one axis."""
     delta = np.arange(len(m) - 1, -1, -1)
-    return np.exp(1j * _torus_axis(N))[:, None] ** (np.asarray(m) + delta)
+    return z[:, None] ** (np.asarray(m) + delta)
+
+
+def _disk_axis(N: int, r: float):
+    """The N tanh-sinh nodes psi_j = pi tanh(2.2 sinh t_j) sgn(t_j),
+    |t_j| < 2.75 (Takahasi-Mori), of one axis of the kernel sums at radius
+    r, clustered at the cusp v = -1 of the disk automorphism
+    e^{i theta} = (v + r)/(1 + r v), v = e^{i psi}.
+
+    Returns (log_weight, log_dist, v): the log of each node's weight
+    dpsi / (2 pi), log|1 + r v| and v.  gap = pi - |psi| and
+    |1 + r v|^2 = (1-r)^2 + 4 r sin^2(gap/2) keep their digits near the
+    cusp.
+    """
+    h = 2.0 * _DE_TMAX / N
+    t = h * (np.arange(N) + 0.5) - _DE_TMAX
+    u = np.abs(_DE_C * np.sinh(t))
+    gap = 2.0 * np.pi / (np.exp(2.0 * u) + 1.0)
+    log_weight = np.log(_DE_C / 2.0 * h * np.cosh(t) / np.cosh(u) ** 2)
+    log_dist = np.log((1.0 - r) ** 2 + 4.0 * r * np.sin(gap / 2.0) ** 2) / 2.0
+    return log_weight, log_dist, np.exp(1j * np.copysign(np.pi - gap, t))
 
 
 def spherical_oracles(p: SpectralParams, sigs, r: float,
@@ -238,35 +292,64 @@ def spherical_oracles(p: SpectralParams, sigs, r: float,
 
         Phi_{s,m}(r) = int P(r I, U) phi_m(U) dU,   m in sigs,
 
-    reduced to the torus by Weyl integration in numerator form:
+    reduced to the torus by Weyl integration in numerator form,
 
-        sum_nodes prod_j g(th_j) a_{m+delta}(e^{i theta}) conj a_delta(e^{i theta})
-            (1-r^2)^(n sigma) / (n! N^n d_m)
+        (1/(n! d_m)) int_{T^n} prod_j k(th_j) a_{m+delta}(e^{i theta})
+            conj a_delta(e^{i theta}) dtheta / (2 pi)^n,
 
-    with sigma = (s+n-nu)/2 and g the per-angle kernel factor at r; all
-    signatures share one walk, one g and one a_delta alternant.  The
-    character's Vandermonde denominator cancels against the Haar weight, so
-    coincident angles need no special treatment.  Every node's integrand
-    value is formed before the sum; the sum is never reduced to
-    one-dimensional integrals (Andreief/Heine), because that reduction is
-    the determinant formula of :func:`matball.spherical.phi_bigs`, for
-    which this is the independent oracle.
+    with k(th) = (1-r^2)^sigma |w|^(-2 sigma) w^(-nu), w = 1 - r e^{-i th}
+    and sigma = (s+n-nu)/2 the kernel's factor per angle.  Each angle goes
+    through the disk automorphism of :func:`kernel_mass` onto the same N
+    tanh-sinh nodes per axis, at every radius; row j of each a_{m+delta}
+    table carries k times the Jacobian times the node weight
+    (:func:`_oracle_rows`).  All signatures share one walk and one a_delta
+    alternant.  The character's Vandermonde denominator cancels against the
+    Haar weight, so coincident angles need no special treatment.  The sum
+    runs node by node and is never reduced to one-dimensional integrals
+    (Andreief/Heine), because that reduction is the determinant formula of
+    :func:`matball.spherical.phi_bigs`, for which this is the independent
+    oracle.
+
+    Against ``phi_bigs`` at N = 80, with Re s - n in [0.5, 1.5] and the
+    signatures of criterion 1, the relative error is <= 1e-9 at ranks 1-3
+    up to r = 0.7, and stays below 1e-6 at r = 0.999 (rank 1), 0.99
+    (rank 2) and 0.9 (rank 3).  Larger Re s needs a larger N: the
+    integrand peaks at v = 1 with a width ~ (Re s - n)^(-1/2), where the
+    nodes are sparsest.  At rank 2, nu = 0 and r <= 0.7 the worst error at
+    N = 80 is 2e-10 at s = 10, 8e-8 at s = 15, 4e-6 at s = 20 and 4e-3 at
+    s = 40.
     """
     sigs = [validate_signature(m, p.n) for m in sigs]
     r = validate_radius(r)
-    require_kernel_resolution(r, grid)
     if grid.n != p.n:
         raise DomainError(f"grid rank {grid.n} != params rank {p.n}")
-    n, N = p.n, grid.points_per_dim
-    # the kernel factor of each angle scales that angle's row of a_{m+delta}
-    g = _kernel_factor(p, r, _torus_axis(N))[:, None]
+    z, c = _oracle_rows(p, r, grid.points_per_dim)
     totals = _grid_sum(
         lambda _, alts: np.array([np.vdot(alts[0], a) for a in alts[1:]]),
-        _power_table(N, (0,) * n), *(g * _power_table(N, m) for m in sigs))
-    sigma = (p.s + n - p.nu) / 2.0
-    scale = cmath.exp(n * sigma * math.log1p(-r * r))
-    return [complex(t) * scale / (math.factorial(n) * N ** n * weyl_dimension(m))
+        _power_table(z, (0,) * p.n), *(c * _power_table(z, m) for m in sigs))
+    return [complex(t) / (math.factorial(p.n) * weyl_dimension(m))
             for t, m in zip(totals, sigs)]
+
+
+def _oracle_rows(p: SpectralParams, r: float, N: int):
+    """The mapped nodes z_j = (v_j + r)/(1 + r v_j) of one axis and, as an
+    (N, 1) column, the row factors of :func:`spherical_oracles`.  Under the
+    map, w = 1 - r conj z_j = (1-r^2)/(1 + r conj v_j) and dth/dpsi =
+    (1-r^2)/|1 + r v_j|^2, so the kernel factor times the Jacobian times
+    the node weight omega_j is
+
+        c_j = (1-r^2)^(1-sigma-nu) |1 + r v_j|^(2 sigma - 2)
+              (1 + r conj v_j)^nu omega_j,
+
+    formed in log form so that no entry overflows where Phi is finite."""
+    log_weight, log_dist, v = _disk_axis(N, r)
+    sigma = (p.s + p.n - p.nu) / 2.0
+    # arg (1 + r conj v)^nu = -nu arg(1 + r v); its modulus joins log_dist
+    log_c = (log_weight
+             + (1.0 - sigma - p.nu) * math.log((1.0 - r) * (1.0 + r))
+             + (2.0 * sigma - 2.0 + p.nu) * log_dist
+             - 1j * p.nu * np.angle(1.0 + r * v))
+    return (v + r) / (1.0 + r * v), np.exp(log_c)[:, None]
 
 
 def spherical_oracle(p: SpectralParams, m, r: float, grid: TorusGrid) -> complex:
@@ -285,11 +368,11 @@ def kernel_mass(p: SpectralParams, r: float, grid: TorusGrid) -> float:
             |a_delta(v)|^2 dpsi / (2 pi)^n,     v = e^{i psi},
 
     summed node by node as sum_nodes |det(sqrt(c_j) v_j^{delta_k})|^2 / n!
-    over the N^n product of tanh-sinh nodes psi_j (Takahasi-Mori), which
-    cluster at the cusp v = -1.  c_j joins node j's weight, |1 + r v_j|^(Re
-    s-n) and its share of the (1-r^2) power in log form, so that no entry
-    overflows where the mass is finite.  N does not depend on r.  Up to
-    r = 1 - 1e-6 the relative error is <= 1e-10 at N = 64 for
+    over the N^n product of tanh-sinh nodes psi_j (:func:`_disk_axis`),
+    which cluster at the cusp v = -1.  c_j joins node j's weight,
+    |1 + r v_j|^(Re s-n) and its share of the (1-r^2) power in log form, so
+    that no entry overflows where the mass is finite.  N does not depend on
+    r.  Up to r = 1 - 1e-6 the relative error is <= 1e-10 at N = 64 for
     n <= Re s <= n + 2, and <= 1e-8 at N = 128 for n - 1 < Re s < n.
     Larger Re s needs larger N: the integrand peaks at v = 1 with a width
     ~ (Re s - n)^(-1/2).
@@ -297,18 +380,10 @@ def kernel_mass(p: SpectralParams, r: float, grid: TorusGrid) -> float:
     r = validate_radius(r)
     if grid.n != p.n:
         raise DomainError(f"grid rank {grid.n} != params rank {p.n}")
-    n, N = p.n, grid.points_per_dim
-    h = 2.0 * _DE_TMAX / N
-    t = h * (np.arange(N) + 0.5) - _DE_TMAX
-    u = np.abs(_DE_C * np.sinh(t))
-    # psi = pi tanh(u) sgn(t); gap = pi - |psi| and |1 + r v|^2 =
-    # (1-r)^2 + 4 r sin^2(gap/2) keep their digits near the cusp
-    gap = 2.0 * np.pi / (np.exp(2.0 * u) + 1.0)
-    log_weight = np.log(_DE_C / 2.0 * h * np.cosh(t) / np.cosh(u) ** 2)
-    log_dist = np.log((1.0 - r) ** 2 + 4.0 * r * np.sin(gap / 2.0) ** 2) / 2.0
+    n = p.n
+    log_weight, log_dist, v = _disk_axis(grid.points_per_dim, r)
     log_c = (log_weight + (p.s.real - n) * log_dist
              + (n - p.nu - p.s.real) / 2.0 * math.log((1.0 - r) * (1.0 + r)))
-    v = np.exp(1j * np.copysign(np.pi - gap, t))
     table = np.exp(log_c / 2.0)[:, None] * v[:, None] ** np.arange(n - 1, -1, -1)
     total = _grid_sum(lambda _, alts: complex(np.vdot(alts[0], alts[0])), table)
     return total.real / math.factorial(n)

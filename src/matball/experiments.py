@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import (_CHUNK, TorusGrid, _distinct_nodes, _grid_sum,
-                       _power_table, kernel_mass)
+                       _power_table, _torus_axis, kernel_mass)
 from .errors import DomainError
 from .special import SpectralParams, c_function
 from .spherical import (_require_asymptotic, _require_asymptotic_range,
@@ -71,12 +71,14 @@ class KTypeFunction:
 
     def norm(self, pexp: float, grid: TorusGrid) -> float:
         """L^p norm (int |f|^p dU)^(1/p) on the grid (see :func:`_norms`)."""
-        return _norms([self], pexp, grid)[0]
+        return _norms([self.items()], pexp, grid)[0]
 
 
-def _norms(fs, pexp: float, grid: TorusGrid) -> list:
-    """L^p norms (int |f|^p dU)^(1/p) on the grid of the K-type functions
-    in fs, from one walk of the grid, in numerator form.
+def _norms(coefficient_rows, pexp: float, grid: TorusGrid) -> list:
+    """L^p norms (int |f|^p dU)^(1/p) on the grid of K-type functions f,
+    from one walk of the grid, in numerator form.  Each f is given by its
+    sorted (signature, coefficient) pairs, as ``KTypeFunction.items``
+    returns them: signatures already validated, of one rank per f.
 
     With A_f = sum_m (c_m/d_m) a_{m+delta} at each node, f = A_f / a_delta
     and the Haar weight is |a_delta|^2, so the sum over the full N^n grid
@@ -90,12 +92,13 @@ def _norms(fs, pexp: float, grid: TorusGrid) -> list:
     """
     if not (math.isfinite(pexp) and pexp >= 1.0):
         raise DomainError(f"norm exponent must be a finite number >= 1, got {pexp}")
-    if any(f.rank != grid.n for f in fs):
+    if any(len(items[0][0]) != grid.n for items in coefficient_rows):
         raise DomainError(f"grid rank {grid.n} != K-type rank of some f")
     n, N = grid.n, grid.points_per_dim
-    sigs = sorted({m for f in fs for m in f.coeffs})
+    sigs = sorted({m for items in coefficient_rows for m, _ in items})
     dims = {m: weyl_dimension(m) for m in sigs}
-    rows = [[(sigs.index(m), c / dims[m]) for m, c in f.items()] for f in fs]
+    rows = [[(sigs.index(m), c / dims[m]) for m, c in items]
+            for items in coefficient_rows]
 
     def integrand(block, alternants):
         keep = _distinct_nodes(N, n, block)
@@ -118,8 +121,9 @@ def _norms(fs, pexp: float, grid: TorusGrid) -> list:
             sums.append(terms.sum(axis=1))
         return np.concatenate(sums)
 
-    totals = _grid_sum(integrand, _power_table(N, (0,) * n),
-                       *(_power_table(N, m) for m in sigs))
+    z = np.exp(1j * _torus_axis(N))
+    totals = _grid_sum(integrand, _power_table(z, (0,) * n),
+                       *(_power_table(z, m) for m in sigs))
     return [(float(t) / (math.factorial(n) * N ** n)) ** (1.0 / pexp)
             for t in totals]
 
@@ -202,13 +206,15 @@ def norm_sandwiches(p: SpectralParams, fs, pexp: float, radii=DEFAULT_RADII,
     radii = [validate_radius(r) for r in radii]
     sigs = sorted({m for f in fs for m in f.coeffs})
     # the Poisson extension of each f at each radius, sum_m c_m Phi_m(r)
-    # phi_m, as a K-type function; radius-major
+    # phi_m, as the coefficient pairs of a K-type function whose signatures
+    # f has validated; radius-major
+    items = [f.items() for f in fs]
     slices = []
     for row in phi_bigs(p, sigs, radii):
         phi = dict(zip(sigs, row))
-        slices += [KTypeFunction({m: c * phi[m] for m, c in f.items()})
-                   for f in fs]
-    norms = _norms(list(fs) + slices, pexp, grid)
+        slices += [[(m, complex(c * phi[m])) for m, c in f_items]
+                   for f_items in items]
+    norms = _norms(items + slices, pexp, grid)
     weights = [math.exp(-log_boundary_weight(p, r).real) for r in radii]
     cmod = abs(c_function(p))
     out = []

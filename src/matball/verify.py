@@ -54,10 +54,10 @@ def _fmt(x: float) -> str:
 
 
 def oracle_grid(n: int, r: float) -> TorusGrid:
-    """Grid size for kernel-times-character quadrature: the integrand's
-    Fourier modes decay like r^N times polynomial growth, so larger radii
-    need finer grids (N = 48 suffices through r = 0.55; r = 0.7 needs 128)."""
-    return TorusGrid(n, 48 if r <= 0.55 else 128)
+    """Grid of the kernel-times-character quadrature: N = 80 tanh-sinh nodes
+    per axis after the disk automorphism, at every radius r (see
+    :func:`matball.boundary.spherical_oracles`)."""
+    return TorusGrid(n, 80)
 
 
 def oracle_equivalence(extended: bool = False) -> CriterionResult:

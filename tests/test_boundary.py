@@ -14,17 +14,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from matball import boundary, experiments
 from matball.boundary import (TorusGrid, fourier_mode_check, kernel_mass,
-                              poisson_kernel, require_kernel_resolution,
-                              spherical_oracle, spherical_oracles,
-                              validate_ball_point)
+                              poisson_kernel, spherical_oracle,
+                              spherical_oracles, validate_ball_point)
 from matball.errors import DomainError, SingularError
 from matball.experiments import (KTypeFunction, forelli_rudin_growth,
                                  norm_sandwich)
 from matball.special import SpectralParams
-from matball.spherical import phi_big, phi_scalar, weyl_dimension
-from torus_reference import (kernel_projection, poisson_kernel_torus,
-                             schur_character, weyl_integrate)
+from matball.spherical import phi_big, phi_bigs, phi_scalar, weyl_dimension
+from torus_reference import (disk_weyl_integrate, einsum_cofactors,
+                             kernel_projection, poisson_kernel_torus,
+                             schur_character, tensordot_grid_sum,
+                             weyl_integrate)
 
 
 def rel(a, b):
@@ -46,8 +48,8 @@ class TestTorusGrid:
                 TorusGrid(n, N)
 
     def test_node_limit(self):
-        # 2^24 nodes (the rank-3 N = 256 refinement gate) is the largest
-        # grid allowed; nodes are built lazily, so nothing is allocated here
+        # 2^24 nodes (N = 256 at rank 3) is the largest grid allowed;
+        # nodes are built lazily, so nothing is allocated here
         TorusGrid(3, 256)
         TorusGrid(2, 4096)
         for n, N in ((3, 512), (2, 8192), (1, 1 << 25)):
@@ -122,9 +124,10 @@ class TestWeylIntegrate:
             assert abs(weyl_integrate(f, g) - ref) <= 1e-12
 
     def test_refinement_convergence(self):
+        # the oracle's N = 80 tanh-sinh nodes per axis against N = 160
         p = SpectralParams(2, 1, 3.5)
         for r in (0.3, 0.5):
-            g = TorusGrid(2, 48)
+            g = TorusGrid(2, 80)
             a = spherical_oracle(p, (2, 1), r, g)
             b = spherical_oracle(p, (2, 1), r, g.refined())
             assert abs(a - b) <= 1e-8
@@ -351,20 +354,23 @@ class TestSchurCharacter:
 
 
 class TestSphericalOracle:
+    # the tanh-sinh rule is not exact on trigonometric polynomials as the
+    # uniform one is: at r = 0 the constant type is 3.6e-4 off at N = 16 and
+    # 4e-15 off from N = 48 on
     def test_trivial(self):
         p = SpectralParams(2, 1, 2.5)
-        assert rel(spherical_oracle(p, (0, 0), 0.0, TorusGrid(2, 16)), 1.0) < 1e-12
+        assert rel(spherical_oracle(p, (0, 0), 0.0, TorusGrid(2, 48)), 1.0) < 1e-12
 
     def test_rank_one_matches_scalar_profile(self):
         p = SpectralParams(1, 1, 2.0)
-        g = TorusGrid(1, 64)
+        g = TorusGrid(1, 80)
         for k in (-2, -1, 0, 1, 2):
             got = spherical_oracle(p, (k,), 0.5, g)
             assert rel(got, phi_scalar(p, k, 0.5)) <= 1e-10
 
     def test_rank_two_matches_determinant(self):
         p = SpectralParams(2, 1, 2.5)
-        g = TorusGrid(2, 48)
+        g = TorusGrid(2, 80)
         for m in [(1, 0), (2, 1), (1, -1)]:
             for r in (0.1, 0.3, 0.5):
                 assert rel(spherical_oracle(p, m, r, g),
@@ -378,11 +384,18 @@ class TestSphericalOracle:
             got = weyl_integrate(lambda a: poisson_kernel_torus(p, r, a), g)
             assert rel(got, phi_big(p, (0, 0), r)) <= 1e-8
 
-    def test_resolution_guard(self):
-        p = SpectralParams(2, 0, 2.5)
-        with pytest.raises(DomainError):
-            spherical_oracle(p, (0, 0), 0.95, TorusGrid(2, 32))
-        require_kernel_resolution(0.95, TorusGrid(2, 512))
+    @pytest.mark.parametrize("n,r", [(1, 0.999), (2, 0.99), (3, 0.9)])
+    def test_matches_determinant_near_the_boundary(self, n, r):
+        # N = 80 at every radius, where a uniform grid needed N >= 16/(1-r)
+        # (1.6e4 at rank 1, r = 0.999): criterion 1's parameters and
+        # signatures within 1e-6 of phi_bigs
+        sigs = ORACLE_SIGS[n]
+        for p in (SpectralParams(n, 0, n + 0.5), SpectralParams(n, 1, n + 1.5),
+                  SpectralParams(n, 2, n + 0.5)):
+            [phis] = phi_bigs(p, sigs, (r,))
+            for phi, orc in zip(phis, spherical_oracles(p, sigs, r,
+                                                        TorusGrid(n, 80))):
+                assert rel(orc, phi) <= 1e-6
 
     @pytest.mark.parametrize("n,sigs", [
         (1, [(0,), (2,), (-3,)]),
@@ -391,20 +404,22 @@ class TestSphericalOracle:
     ])
     def test_matches_weyl_integral_of_kernel_times_character(self, n, sigs):
         # reference: the kernel times the normalized character, integrated
-        # against the squared-Vandermonde weight with coincident nodes masked
+        # against the squared-Vandermonde weight with coincident nodes
+        # masked, on the same mapped tanh-sinh nodes
         for nu in (-1, 0, 2):
             for s in (n + 0.5, n + 1.5 + 0.7j):
                 p = SpectralParams(n, nu, s)
                 for m in sigs:
                     for N, r in ((16, 0.3), (24, 0.5)):
                         g = TorusGrid(n, N)
-                        ref = weyl_integrate(
+                        ref = disk_weyl_integrate(
                             lambda a: (poisson_kernel_torus(p, r, a)
-                                       * schur_character(m, a)), g)
+                                       * schur_character(m, a)),
+                            r, g)
                         assert rel(spherical_oracle(p, m, r, g), ref) <= 1e-13
 
     def test_refinement_gate_memory(self):
-        # the rank-3 N = 256 gate (2^24 nodes) is summed in bounded chunks
+        # the largest rank-3 grid (2^24 nodes) is summed in bounded chunks
         tracemalloc.start()
         try:
             spherical_oracle(SpectralParams(3, 1, 4.5), (2, 1, 0), 0.7,
@@ -442,9 +457,77 @@ class TestSphericalOracles:
         with pytest.raises(DomainError):
             spherical_oracles(p, [(0, 0), (0, 1)], 0.3, TorusGrid(2, 16))
         with pytest.raises(DomainError):
-            spherical_oracles(p, [(0, 0)], 0.95, TorusGrid(2, 32))
-        with pytest.raises(DomainError):
             spherical_oracles(p, [(0, 0)], 0.3, TorusGrid(3, 16))
+        with pytest.raises(DomainError):
+            spherical_oracles(p, [(0, 0)], 1.0, TorusGrid(2, 16))
+
+    def test_second_call_reuses_the_walk_buffers(self):
+        # a rank-3 N = 80 walk holds two 4 MiB alternant blocks; the second
+        # call writes them into the buffers the first one left
+        p = SpectralParams(3, 1, 4.5)
+        spherical_oracle(p, (2, 1, 0), 0.7, TorusGrid(3, 80))
+        tracemalloc.start()
+        try:
+            spherical_oracle(p, (2, 1, 0), 0.7, TorusGrid(3, 80))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+class TestGridWalk:
+    """The walk into reused buffers against a fresh tensordot block per
+    table and block (torus_reference.tensordot_grid_sum)."""
+
+    GRIDS = [(1, 64), (1, 300000), (2, 32), (2, 600), (3, 24), (3, 128)]
+
+    @staticmethod
+    def reference(monkeypatch, compute):
+        with monkeypatch.context() as patch:
+            patch.setattr(boundary, "_grid_sum", tensordot_grid_sum)
+            patch.setattr(experiments, "_grid_sum", tensordot_grid_sum)
+            return compute()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cached_cofactors_bit_identical(self, n):
+        # the cached Levi-Civita tensor and contraction order, twice per
+        # shape, against both formed afresh
+        for N in (48, 80, 128, 48):
+            table = np.exp(1j * np.arange(N * n) * 0.37).reshape(N, n) * 1.3
+            assert np.array_equal(boundary._cofactors(table),
+                                  einsum_cofactors(table))
+
+    @pytest.mark.parametrize("n,N", GRIDS)
+    def test_kernel_mass_bit_identical(self, monkeypatch, n, N):
+        # one block on the first grid of each rank, several on the second
+        assert (len(list(boundary._blocks(N, n))) > 1) == (N in (300000, 600, 128))
+
+        def compute():
+            return [kernel_mass(SpectralParams(n, nu, s), r, TorusGrid(n, N))
+                    for nu, s in ((0, n + 0.75), (1, n - 0.5 + 0.3j))
+                    for r in (0.0, 0.5, 0.999)]
+        assert compute() == self.reference(monkeypatch, compute)
+
+    @pytest.mark.parametrize("n,N", GRIDS[::2] + [(2, 600), (3, 80)])
+    def test_ktype_norms_bit_identical(self, monkeypatch, n, N):
+        rest = (0,) * (n - 1)
+        fs = [KTypeFunction({(0,) * n: 1.0, (1,) + rest: 0.5 - 0.25j}),
+              KTypeFunction({(2,) + rest: 0.3j, (-1,) * n: 0.2})]
+
+        def compute():
+            return [experiments._norms([f.items() for f in fs], pexp,
+                                       TorusGrid(n, N))
+                    for pexp in (1.0, 2.0, 3.5)]
+        assert compute() == self.reference(monkeypatch, compute)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 32), (3, 24), (3, 128)])
+    def test_oracle_bit_identical(self, monkeypatch, n, N):
+        sigs = ORACLE_SIGS[n]
+
+        def compute():
+            return spherical_oracles(SpectralParams(n, 1, n + 1.5), sigs, 0.7,
+                                     TorusGrid(n, N))
+        assert compute() == self.reference(monkeypatch, compute)
 
 
 class TestKernelMass:

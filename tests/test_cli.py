@@ -97,7 +97,7 @@ class TestOptionTable:
 
     @pytest.mark.parametrize("argv, grids", [
         (["--grid", "40"], [40, 40]),
-        ([], [48, 128]),  # the default: verify.oracle_grid at each radius
+        ([], [80, 80]),  # the default: verify.oracle_grid at each radius
     ])
     def test_phi_grid(self, tmp_path, monkeypatch, argv, grids):
         seen = []

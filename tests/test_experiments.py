@@ -73,8 +73,8 @@ class TestKTypeFunction:
         with pytest.raises(DomainError):
             norm_sandwich(p, f, 2.0, (0.5,), TorusGrid(3, 8))
         with pytest.raises(DomainError):
-            experiments._norms([f, KTypeFunction({(1, 0, 0): 1.0})], 2.0,
-                               TorusGrid(2, 8))
+            experiments._norms([f.items(), KTypeFunction({(1, 0, 0): 1.0}).items()],
+                               2.0, TorusGrid(2, 8))
 
     @pytest.mark.parametrize("pexp", [1.0, 2.0, 3.0])
     def test_norms_of_mixed_signature_sets(self, pexp):
@@ -85,9 +85,10 @@ class TestKTypeFunction:
               KTypeFunction({(1, 0): 0.5 - 0.25j, (2, 1): 0.3j}),
               KTypeFunction({(1, 1): -0.4, (0, 0): 0.2})]
         g = TorusGrid(2, 16)
-        got = experiments._norms(fs, pexp, g)
+        rows = [f.items() for f in fs]
+        got = experiments._norms(rows, pexp, g)
         assert got == [f.norm(pexp, g) for f in fs]
-        assert got[::-1] == experiments._norms(fs[::-1], pexp, g)
+        assert got[::-1] == experiments._norms(rows[::-1], pexp, g)
         if pexp == 2.0:
             for f, norm in zip(fs, got):
                 assert rel(norm, f.boundary_norm2()) < 1e-12

@@ -4,18 +4,19 @@ numerator-form sums of ``matball.boundary`` replace.
 Class functions are evaluated at the angle rows of each grid block, with
 characters taken as the ratio of two batched determinants, and summed
 against the squared-Vandermonde weight with the zero-weight (coincident
-angle) nodes skipped.  The tests compare the library's sums with these
-expressions at their own tolerances.
+angle) nodes skipped, on the uniform grid or on the kernel sums' tanh-sinh
+nodes after the disk automorphism.  The tests compare the library's sums
+with these expressions at their own tolerances.
 """
 
-import cmath
 import itertools
 import math
 
 import numpy as np
 
-from matball.boundary import (TorusGrid, _blocks, _grid_sum, _kernel_factor,
-                              _power_table, _torus_axis)
+from matball.boundary import (TorusGrid, _blocks, _disk_axis, _grid_sum,
+                              _kernel_factor, _oracle_rows, _power_table,
+                              _torus_axis)
 from matball.errors import DomainError
 from matball.special import SpectralParams
 from matball.spherical import validate_signature, weyl_dimension
@@ -34,18 +35,51 @@ def weyl_integrate(f, grid: TorusGrid) -> complex:
     N-point axis, calls ``f`` once and is summed.  Nodes with vanishing
     weight are skipped, so ``f`` is never evaluated at coincident angles.
     """
+    N = grid.points_per_dim
+    return _weighted_sum(f, grid, _torus_axis(N), np.full(N, 1.0 / N))
+
+
+def disk_weyl_integrate(f, r: float, grid: TorusGrid) -> complex:
+    """The same integral on the nodes of the kernel sums: the N tanh-sinh
+    nodes psi_j of ``boundary._disk_axis`` per axis, mapped by the disk
+    automorphism e^{i theta} = (v + r)/(1 + r v), v = e^{i psi}, each
+    weighted by its node weight times dtheta/dpsi = (1-r^2)/|1 + r v|^2:
+
+        (1/n!) sum_nodes f(theta) prod_{i<j}|e^{i th_i}-e^{i th_j}|^2
+            prod_j w_j (1-r^2)/|1 + r v_j|^2
+
+    Angles are taken with ``np.angle``, so the squared-Vandermonde weight
+    is formed from the angles, independently of the library's alternants.
+    The nodes on either side of the cusp v = -1 lie ~1e-11 apart at
+    N = 16, so nodes with two angles closer than 1e-8 on the circle, which
+    ``schur_character`` refuses, are skipped too: their squared-Vandermonde
+    weight is below 1e-16 and their node weight below ~1e-8.
+    """
+    log_weight, _, v = _disk_axis(grid.points_per_dim, r)
+    theta = np.angle((v + r) / (1.0 + r * v))
+    weights = np.exp(log_weight) * (1.0 - r * r) / np.abs(1.0 + r * v) ** 2
+    return _weighted_sum(f, grid, theta, weights)
+
+
+def _weighted_sum(f, grid: TorusGrid, theta: np.ndarray,
+                  axis_weights: np.ndarray) -> complex:
     n, N = grid.n, grid.points_per_dim
-    theta = _torus_axis(N)
     total = 0.0 + 0.0j
     for block in _blocks(N, n):
-        axes = np.meshgrid(theta[block], *[theta] * (n - 1), indexing="ij")
-        angles = np.stack(axes, axis=-1).reshape(-1, n)
-        weights = np.ones(angles.shape[0])
+        index = np.meshgrid(np.arange(N)[block], *[np.arange(N)] * (n - 1),
+                            indexing="ij")
+        rows = np.stack(index, axis=-1).reshape(-1, n)
+        angles = theta[rows]
+        weights = np.prod(axis_weights[rows], axis=1)
+        keep = np.ones(len(rows), dtype=bool)
         for i, j in itertools.combinations(range(n), 2):
-            weights *= 4.0 * np.sin((angles[:, i] - angles[:, j]) / 2.0) ** 2
-        keep = weights != 0.0
+            gap2 = 4.0 * np.sin((angles[:, i] - angles[:, j]) / 2.0) ** 2
+            weights *= gap2
+            # pairs closer than 1e-8 on the circle: on the uniform grid,
+            # exactly the coincident ones, of zero weight
+            keep &= gap2 >= MIN_ANGLE_GAP ** 2
         total += complex(np.sum(np.asarray(f(angles[keep])) * weights[keep]))
-    return total / (math.factorial(n) * N ** n)
+    return total / math.factorial(n)
 
 
 def poisson_kernel_torus(p: SpectralParams, z: complex, angles: np.ndarray) -> np.ndarray:
@@ -108,19 +142,44 @@ def ktype_evaluate(f, angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def kernel_projection(p: SpectralParams, m, z: complex, grid: TorusGrid) -> complex:
+def kernel_projection(p: SpectralParams, m, r: float, grid: TorusGrid) -> complex:
     """One signature's numerator-form kernel projection in a walk of its own
-    over exactly two tables, a_delta and g a_{m+delta}:
+    over exactly two tables, a_delta and c a_{m+delta}, on the mapped
+    tanh-sinh nodes z_j with the row factors c_j of the library's oracle:
 
-        sum_nodes prod_j g(th_j) a_{m+delta} conj a_delta (1-|z|^2)^(n sigma)
-            / (n! N^n d_m)
+        sum_nodes prod_j c_j a_{m+delta}(z) conj a_delta(z) / (n! d_m)
 
     The library's multi-signature walk must reproduce it bit for bit.
     """
-    n, N = p.n, grid.points_per_dim
-    num = _kernel_factor(p, z, _torus_axis(N))[:, None] * _power_table(N, m)
+    n = p.n
+    z, c = _oracle_rows(p, r, grid.points_per_dim)
     total = _grid_sum(lambda _, alts: complex(np.vdot(alts[0], alts[1])),
-                      _power_table(N, (0,) * n), num)
-    sigma = (p.s + n - p.nu) / 2.0
-    return (total * cmath.exp(n * sigma * math.log1p(-(z * z.conjugate()).real))
-            / (math.factorial(n) * N ** n * weyl_dimension(m)))
+                      _power_table(z, (0,) * n), c * _power_table(z, m))
+    return total / (math.factorial(n) * weyl_dimension(m))
+
+
+def einsum_cofactors(table: np.ndarray) -> np.ndarray:
+    """First-row cofactors of the alternants of an (N, n) table, with the
+    Levi-Civita tensor and the contraction order formed afresh on every
+    call: the library caches both and must give the same bits."""
+    n = table.shape[1]
+    eps = np.zeros((n,) * n)
+    for perm in itertools.permutations(range(n)):
+        eps[perm] = np.linalg.det(np.eye(n)[list(perm)])
+    operands = [eps, list(range(n))]
+    for j in range(1, n):
+        operands += [table, [n + j, j]]
+    return np.einsum(*operands, [0, *range(n + 1, 2 * n)], optimize=True)
+
+
+def tensordot_grid_sum(integrand, *tables):
+    """The torus walk with fresh cofactors and a fresh alternant block per
+    table and block, formed by ``np.tensordot``: the library's walk into
+    reused buffers must give the same sums bit for bit."""
+    N, n = tables[0].shape
+    cofactors = [einsum_cofactors(table) for table in tables]
+    total = 0
+    for block in _blocks(N, n):
+        total += integrand(block, [np.tensordot(table[block], cof, 1)
+                                   for table, cof in zip(tables, cofactors)])
+    return total
