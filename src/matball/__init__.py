@@ -10,9 +10,9 @@ __version__ = "0.1.0"
 
 from .boundary import (TorusGrid, fourier_mode_check, kernel_mass,
                        poisson_kernel, spherical_oracle, spherical_oracles)
-from .errors import (CoincidentError, DegenerateConnection, DomainError,
-                     GuardError, MarginError, MatballError, PoleError,
-                     RangeError, SingularError)
+from .errors import (CoincidentError, ConvergenceError, DegenerateConnection,
+                     DomainError, GuardError, MarginError, MatballError,
+                     PoleError, RangeError, SingularError)
 from .experiments import (KTypeFunction, SweepResult, forelli_rudin_growth,
                           inversion_experiment, key_lemma_sweep, norm_sandwich,
                           norm_sandwiches)
@@ -27,7 +27,7 @@ from .spherical import (gamma_constant, key_lemma_ratio, phi_big, phi_bigs,
                         phi_scalar, weyl_dimension)
 
 __all__ = [
-    "AppendixParams", "CheckReport", "CoincidentError",
+    "AppendixParams", "CheckReport", "CoincidentError", "ConvergenceError",
     "DegenerateConnection", "DomainError", "GuardError",
     "HuaResult", "KTypeFunction", "MarginError", "MatballError", "PoleError",
     "RangeError", "SingularError", "SpectralParams", "SweepResult", "TorusGrid",

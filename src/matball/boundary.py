@@ -86,9 +86,6 @@ class TorusGrid:
                 f"grid of {self.points_per_dim}^{self.n} nodes exceeds the "
                 f"limit of {MAX_GRID_NODES} nodes")
 
-    def refined(self) -> "TorusGrid":
-        return TorusGrid(self.n, 2 * self.points_per_dim)
-
 
 def _torus_axis(N: int) -> np.ndarray:
     """The N midpoint-offset angles 2 pi (j + 1/2) / N of one grid axis."""
@@ -118,26 +115,20 @@ def poisson_kernel(p: SpectralParams, Z: np.ndarray,
 
     with s = i*lambda.  The first factor is a positive-real base raised to a
     complex power (principal logarithm); the second is an integer power.
-    ``U`` may be an n x n unitary matrix or a length-n vector of torus angles.
-    ``Z`` is one n x n point (a complex result) or an (M, n, n) stack (M
-    values): checks and determinants run once over the stack, and each value
-    is finished in Python arithmetic, whose last bits numpy's do not match.
+    ``U`` is an n x n unitary matrix.  ``Z`` is one n x n point (a complex
+    result) or an (M, n, n) stack (M values): checks and determinants run
+    once over the stack, and each value is finished in Python arithmetic,
+    whose last bits numpy's do not match.
     """
     Z = validate_ball_point(Z, stack=True)
     n, nu, s = p.n, p.nu, p.s
     if Z.shape[-1] != n:
         raise DomainError(f"ball point has size {Z.shape[-1]}, params have n={n}")
-    U = np.asarray(U)
-    if U.ndim == 1:
-        if U.shape[0] != n:
-            raise DomainError(f"angle vector has length {U.shape[0]}, expected {n}")
-        U = np.diag(np.exp(1j * U.astype(float)))
-    else:
-        U = U.astype(complex)
-        if U.shape != (n, n):
-            raise DomainError(f"boundary matrix must be {n}x{n}, got {U.shape}")
-        if np.max(np.abs(U @ U.conj().T - np.eye(n))) > 1e-12:
-            raise DomainError("boundary matrix is not unitary to 1e-12")
+    U = np.asarray(U, dtype=complex)
+    if U.shape != (n, n):
+        raise DomainError(f"boundary matrix must be {n}x{n}, got {U.shape}")
+    if np.max(np.abs(U @ U.conj().T - np.eye(n))) > 1e-12:
+        raise DomainError("boundary matrix is not unitary to 1e-12")
     detA = np.linalg.det(np.eye(n) - Z @ Z.conj().swapaxes(-1, -2)).real
     detW = np.linalg.det(np.eye(n) - Z @ U.conj().T)
     if np.any(detW == 0.0):

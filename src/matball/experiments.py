@@ -69,10 +69,6 @@ class KTypeFunction:
         return math.sqrt(sum(abs(c) ** 2 / weyl_dimension(m) ** 2
                              for m, c in self.items()))
 
-    def norm(self, pexp: float, grid: TorusGrid) -> float:
-        """L^p norm (int |f|^p dU)^(1/p) on the grid (see :func:`_norms`)."""
-        return _norms([self.items()], pexp, grid)[0]
-
 
 def _norms(coefficient_rows, pexp: float, grid: TorusGrid) -> list:
     """L^p norms (int |f|^p dU)^(1/p) on the grid of K-type functions f,

@@ -20,10 +20,6 @@ class CheckReport:
     passed: bool
     extras: dict = field(default_factory=dict)
 
-    def __str__(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return f"[{status}] {self.label}: rel_error={self.rel_error:.3e}"
-
 
 def make_report(label: str, computed: complex, reference: complex,
                 tol: float, **extras) -> CheckReport:

@@ -453,42 +453,33 @@ def _gauss_2f1_array(a, b, c, xs) -> np.ndarray:
     """:func:`gauss_2f1` over broadcast arrays of parameters at each x of
     xs; the result has a leading axis over xs.
 
-    Entries on the series branch (x <= 1/2) or on the two-term connection
-    branch are summed together as arrays, in one series pass per branch
-    for all xs.  Every other entry (terminating, logarithmic case, the
-    ill-conditioned ring, a pole of c, an x outside [0, 1), a series past
-    its term limit, a non-finite array value) goes through gauss_2f1 one by
-    one, so it returns or raises exactly what the scalar call does.  When
-    every entry takes the connection branch, its Gamma factors see the
-    parameters in their own shapes (see :func:`_connection_2f1_array`).
+    Entries on the two-term connection branch (1/2 < x < 1) are summed
+    together as arrays, in one series pass for all xs.  Every other entry
+    (an x outside (1/2, 1), terminating, logarithmic case, the
+    ill-conditioned ring, a pole of c, a series past its term limit, a
+    non-finite array value) goes through gauss_2f1 one by one, so it
+    returns or raises exactly what the scalar call does.  When every entry
+    takes the connection branch, its Gamma factors see the parameters in
+    their own shapes (see :func:`_connection_2f1_array`).
     """
     args = [np.asarray(v, dtype=complex) for v in (a, b, c)]
     shape = np.broadcast_shapes(*(v.shape for v in args))
     a, b, c = (np.broadcast_to(v, shape).ravel() for v in args)
-    special = (_near_nonpositive_integer_array(a)
-               | _near_nonpositive_integer_array(b)
-               | _near_nonpositive_integer_array(c))
     d = c - a - b
-    ring = ((np.abs(d.imag) < _RING_TOL)
-            & (np.abs(d.real - np.round(d.real)) < _RING_TOL))
-    low = [t for t, x in enumerate(xs) if 0.0 <= x <= 0.5]
-    high = [t for t, x in enumerate(xs) if 0.5 < x < 1.0]
+    fast = ~(_near_nonpositive_integer_array(a)
+             | _near_nonpositive_integer_array(b)
+             | _near_nonpositive_integer_array(c)
+             | ((np.abs(d.imag) < _RING_TOL)
+                & (np.abs(d.real - np.round(d.real)) < _RING_TOL)))
+    rows = [t for t, x in enumerate(xs) if 0.5 < x < 1.0]
     out = np.empty((len(xs), a.size), dtype=complex)
     scalar = np.ones(out.shape, dtype=bool)
-    for rows, fast in ((low, ~special), (high, ~(special | ring))):
-        if not (rows and fast.any()):
-            continue
-        sub = [xs[t] for t in rows]
+    if rows and fast.any():
         # an entry that overflows here is redone, and refused, by the scalar
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if sub[0] > 0.5:
-                vals, done = _connection_2f1_array(
-                    *(args if fast.all() else (a[fast], b[fast], c[fast])),
-                    [1.0 - x for x in sub])
-            else:
-                vals, done = _series_2f1_array(
-                    a[fast], b[fast], c[fast], np.array(sub)[:, None],
-                    _SERIES_TOL)
+            vals, done = _connection_2f1_array(
+                *(args if fast.all() else (a[fast], b[fast], c[fast])),
+                [1.0 - xs[t] for t in rows])
         block = np.ix_(rows, fast)
         out[block] = vals
         scalar[block] = ~(done & np.isfinite(vals))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import TorusGrid, spherical_oracle, spherical_oracles
-from .errors import DomainError, GuardError, MatballError, PoleError
+from .errors import GuardError, MatballError, PoleError
 from .experiments import (KTypeFunction, forelli_rudin_growth,
                           inversion_experiment, key_lemma_sweep, norm_sandwiches)
 from .hua import hua_residual
@@ -81,7 +81,8 @@ def oracle_equivalence(extended: bool = False) -> CriterionResult:
         gate_grid = oracle_grid(n, 0.7)
         sigs = sigs_by_rank[n]
         a = spherical_oracle(params[1], sigs[3], 0.7, gate_grid)
-        b = spherical_oracle(params[1], sigs[3], 0.7, gate_grid.refined())
+        b = spherical_oracle(params[1], sigs[3], 0.7,
+                             TorusGrid(n, 2 * gate_grid.points_per_dim))
         worst_gate = max(worst_gate, abs(a - b))
         for p in params:
             for r, phis in zip(radii, phi_bigs(p, sigs, radii)):
@@ -168,8 +169,7 @@ def hua_eigen_equation(extended: bool = False) -> CriterionResult:
     residuals = [hua_residual(SpectralParams(n, nu, s), Z, U, h=1e-3).rel_error
                  for n, nu, s, Z, U in combos]
     worst = max(residuals)
-    ok = all(res <= 1e-4 for (n, nu, *_), res in zip(combos, residuals)
-             if (n, nu) != (2, 2))
+    ok = worst <= 1e-4
     # Richardson order check on two representative combos
     ratios = []
     for i in (0, 4):
@@ -204,17 +204,14 @@ def draw_appendix_params(rng: np.random.Generator, n: int) -> AppendixParams:
     return draw_appendix_params_batch(rng, n, 1)[0]
 
 
-def lemma_a_identity(extended: bool = False, seed: int = 42,
-                     draws: int = 100) -> CriterionResult:
-    """Column-shift determinant identity to <= 1e-8 relative on seeded
-    guarded draws for n in {2, 3, 4}, r in {0.3, 0.6, 0.9}.  The draws of
-    one rank are evaluated together at all three radii; a zero or
+def lemma_a_identity(extended: bool = False) -> CriterionResult:
+    """Column-shift determinant identity to <= 1e-8 relative on 100 seeded
+    guarded draws per rank for n in {2, 3, 4}, r in {0.3, 0.6, 0.9}.  The
+    draws of one rank are evaluated together at all three radii; a zero or
     non-finite side is refused with GuardError, since the relative error is
-    then undefined, and fewer than one draw per rank with DomainError,
-    since zero draws would pass vacuously."""
-    if draws < 1:
-        raise DomainError(f"Lemma A needs at least one draw per rank, got {draws}")
-    rng = np.random.default_rng(seed)
+    then undefined."""
+    draws = 100
+    rng = np.random.default_rng(42)
     worst = 0.0
     radii = (0.3, 0.6, 0.9)
     for n in (2, 3, 4):
@@ -232,10 +229,10 @@ def lemma_a_identity(extended: bool = False, seed: int = 42,
         {"worst_rel": _fmt(worst), "draws_per_rank": draws})
 
 
-def lemma_b_asymptotics(extended: bool = False, seed: int = 47) -> CriterionResult:
+def lemma_b_asymptotics(extended: bool = False) -> CriterionResult:
     """|ratio - 1| <= 5e-2 at r = 1 - 1e-5 (resolved sign), with first-order
     convergence in (1 - r^2) between r = 1-1e-3 and r = 1-1e-4."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(47)
     ranks = (1, 2, 3) if extended else (1, 2)
     ok = True
     details = {}

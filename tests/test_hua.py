@@ -302,6 +302,20 @@ class TestHuaResidual:
                           h=1e-3, tol=1.0)
         assert abs(r1.rel_error - r2.rel_error) <= 1e-4
 
+    def test_criterion_judges_every_combo(self, monkeypatch):
+        # a residual above 1e-4 at any of the seven combinations fails
+        # criterion 4, the (n, nu) = (2, 2) one included
+        inner = verify.hua_residual
+
+        def residual(p, Z, U, h):
+            rep = inner(p, Z, U, h=h)
+            if (p.n, p.nu) == (2, 2):
+                rep.rel_error = 2e-4
+            return rep
+
+        monkeypatch.setattr(verify, "hua_residual", residual)
+        assert not verify.hua_eigen_equation().passed
+
     @pytest.mark.parametrize("seed", [12, 21, 27])
     def test_underflowing_kernel_is_refused(self, seed):
         # at s = 2000 these draws put the kernel at ~1e-202, 0.0 and

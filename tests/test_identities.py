@@ -146,6 +146,14 @@ class TestLemmaABatch:
         assert np.max(np.abs(lhs - ref[:, 0]) / np.abs(ref[:, 0])) <= 1e-11
         assert np.max(np.abs(rhs - ref[:, 1]) / np.abs(ref[:, 1])) <= 1e-11
 
+    def test_zero_radius_refused(self):
+        # r = 0 puts every table entry at x = 1, outside 2F1's domain
+        aps = _seed42_draws(2)[2]
+        with pytest.raises(DomainError):
+            lemma_a_sides(aps[0], 0.0)
+        with pytest.raises(DomainError):
+            lemma_a_sides_batch(aps, (0.0,))
+
     def test_mixed_ranks_refused(self):
         aps = _seed42_draws(2)
         with pytest.raises(GuardError):
@@ -172,21 +180,10 @@ class TestLemmaACriterion:
 
         monkeypatch.setattr(verify, "draw_appendix_params_batch", draw)
         with pytest.raises(GuardError, match="relative error undefined"):
-            verify.lemma_a_identity(draws=3)
+            verify.lemma_a_identity()
         monkeypatch.setattr(verify, "ALL_CRITERIA", (verify.lemma_a_identity,))
         (res,), _ = verify.run_all()
         assert not res.passed and "GuardError" in res.details["error"]
-
-    @pytest.mark.parametrize("draws", [0, -1])
-    def test_no_draws_refused(self, monkeypatch, draws):
-        # zero draws would pass with worst_rel 0; the refusal is named, so
-        # run_all reports a failed criterion instead of a traceback
-        with pytest.raises(DomainError, match="at least one draw"):
-            verify.lemma_a_identity(draws=draws)
-        monkeypatch.setattr(verify, "ALL_CRITERIA", (
-            lambda extended: verify.lemma_a_identity(extended, draws=draws),))
-        (res,), _ = verify.run_all()
-        assert not res.passed and "DomainError" in res.details["error"]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_batch_draws_equal_the_per_draw_stream(self, n):

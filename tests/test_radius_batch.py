@@ -136,8 +136,9 @@ class TestLemmaABatchRadii:
         a[0] = (-1.0, -2.0, -5.0)                  # terminating
         c[1] = a[1] + b[1] + (0.0, 2.0, -1.0)      # logarithmic case
         xs = (0.19, 0.5, 0.64, 0.91, 0.9999)
-        assert (outcome(lambda: _gauss_2f1_array(a, b, c, xs))
-                == outcome(lambda: [ref._gauss_2f1_array(a, b, c, x) for x in xs]))
+        high = xs[2:]                              # the connection region
+        assert (outcome(lambda: _gauss_2f1_array(a, b, c, high))
+                == outcome(lambda: [ref._gauss_2f1_array(a, b, c, x) for x in high]))
         got = _eval_2f1_ld_array(a, b, c, xs)
         assert np.array_equal(
             got, np.array([ref._eval_2f1_ld_array(a, b, c, x) for x in xs]))

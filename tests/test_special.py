@@ -263,6 +263,17 @@ class TestArrayForms:
                 err = np.abs(got.ravel() - ref) / np.abs(ref)
                 assert np.max(err) <= 1e-11, (n, x, np.max(err))
 
+    @pytest.mark.parametrize("x", [0.0, 0.19, 0.5])
+    def test_series_region_is_the_scalar_call(self, x):
+        # only 1/2 < x < 1 is summed as arrays; at x <= 1/2 every entry is
+        # gauss_2f1's own value, beside a connection-region row
+        rng = np.random.default_rng(7)
+        a, b, c = (rng.uniform(-2, 3, 30) + 1j * rng.uniform(-1, 1, 30)
+                   for _ in range(3))
+        got = _gauss_2f1_array(a, b, c, (x, 0.8))[0]
+        ref = np.array([gauss_2f1(*abc, x) for abc in zip(a, b, c)])
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
     def test_special_branches_return_the_scalar_value(self):
         # a terminating entry (1) and a log-case entry (2) take gauss_2f1
         # itself, beside ordinary entries (0) and one whose first connection
