@@ -10,11 +10,13 @@ the probability Haar measure as
 
 so the Vandermonde denominator of a character never has to be divided out.
 The quadrature oracle for Phi_{s,m} sums kernel x a_{m+delta} x conj(a_delta)
-node by node over the full n-dimensional grid, and the kernel mass sums
-weight x |a_delta|^2 the same way; both sum on one tanh-sinh grid after the
-disk automorphism.  Neither sum is reduced to one-dimensional integrals
-(Andreief/Heine): the reduction is the determinant formula the oracle is
-there to check.
+node by node, and the kernel mass sums weight x |a_delta|^2 the same way;
+both sum on one tanh-sinh grid after the disk automorphism.  Every such
+integrand is symmetric in a node's indices, so the walk visits only the
+nodes whose trailing indices increase, a_2 < ... < a_n, and multiplies by
+(n-1)!: all N^n nodes at ranks 1-2, N C(N, 2) (about half) at rank 3.
+Neither sum is reduced to one-dimensional integrals (Andreief/Heine): the
+reduction is the determinant formula the oracle is there to check.
 """
 
 from __future__ import annotations
@@ -189,10 +191,11 @@ def _cofactors(table: np.ndarray) -> np.ndarray:
 
 # Grow-only alternant buffers, one per table of a walk, reused by every walk
 # of the process (so walks must not run in several threads at once).  Fresh
-# 4 MiB blocks per rank-3 walk were mapped from the system and handed back
-# after it, at 1,500-2,500 minor page faults per N = 128 oracle call; the
-# buffers keep the largest walk's blocks instead (6 x 4 MiB after criterion
-# 1 at rank 3).
+# blocks per rank-3 walk were mapped from the system and handed back after
+# it, at 1,500-2,500 minor page faults per N = 128 oracle call; the buffers
+# keep the largest walk's blocks instead (6 x ~2 MiB after criterion 1 at
+# rank 3, a block being up to 2^18 / N^(n-1) first-axis rows of the C(N, n-1)
+# ordered trailing tuples).
 _ALTERNANT_BUFFERS: list = []
 
 
@@ -206,12 +209,33 @@ def _alternant_buffers(count: int, size: int) -> list:
     return bufs[:count]
 
 
+@functools.lru_cache(maxsize=16)
+def _trailing_indices(N: int, n: int) -> np.ndarray:
+    """The C(N, n-1) increasing index tuples a_2 < ... < a_n of the walk, in
+    lexicographic order, as an (n-1, C(N, n-1)) array (cached; read-only)."""
+    tuples = list(itertools.combinations(range(N), n - 1))
+    table = np.array(tuples, dtype=np.intp).reshape(len(tuples), n - 1).T.copy()
+    table.flags.writeable = False
+    return table
+
+
 def _grid_sum(integrand, *tables):
-    """Sum integrand(block, alternants) over the blocks of the full N^n grid
-    of index tuples (a_1, ..., a_n).  ``block`` is the block's first-axis
-    slice and ``alternants`` holds, for each given (N, n) row table T, the
-    alternant det T[a_j, k] at every node of the block, formed from
-    first-row cofactors.
+    """Sum integrand(block, alternants) over the N^n grid of index tuples
+    (a_1, ..., a_n), visiting only the nodes whose trailing indices increase,
+    a_2 < ... < a_n, and return that sum times (n-1)!.  ``block`` is a
+    first-axis slice and ``alternants`` holds, for each given (N, n) row
+    table T, the alternant det T[a_j, k] at every node of the block, formed
+    from first-row cofactors, as a (rows, C(N, n-1)) array whose columns
+    are the tuples of :func:`_trailing_indices`.
+
+    Both alternants of a node are antisymmetric in its indices and the row
+    factors are per-axis, so every integrand of the kernel sums and K-type
+    norms is symmetric in a node's indices, and nodes with two equal
+    trailing indices add zero: (n-1)! times the ordered sum is the sum over
+    the full grid.  At ranks 1 and 2 every trailing tuple is increasing, so
+    the walk visits every node in the full grid's order; at rank 3 it
+    visits N C(N, 2) nodes instead of N^3 (252,800 instead of 512,000 at
+    N = 80), and the factor 2 is exact.
 
     This is the one walk over the torus grid: every torus sum forms its
     integrand from these alternants node by node, never reducing it to
@@ -222,8 +246,12 @@ def _grid_sum(integrand, *tables):
     """
     N, n = tables[0].shape
     cofactors = [_cofactors(table).reshape(n, -1) for table in tables]
-    width = N ** (n - 1)
-    bufs = _alternant_buffers(len(tables), min(N, max(1, _CHUNK // width)) * width)
+    if n > 2:
+        columns = np.ravel_multi_index(_trailing_indices(N, n), (N,) * (n - 1))
+        cofactors = [cof[:, columns] for cof in cofactors]
+    width = cofactors[0].shape[1]
+    bufs = _alternant_buffers(len(tables),
+                              min(N, max(1, _CHUNK // N ** (n - 1))) * width)
     total = 0
     for block in _blocks(N, n):
         rows = len(range(N)[block])
@@ -231,22 +259,25 @@ def _grid_sum(integrand, *tables):
         for buf, table, cof in zip(bufs, tables, cofactors):
             out = buf[:rows * width].reshape(rows, width)
             np.dot(table[block], cof, out=out)
-            alternants.append(out.reshape((rows,) + (N,) * (n - 1)))
+            alternants.append(out)
         total += integrand(block, alternants)
-    return total
+    return total * math.factorial(n - 1) if n > 2 else total
 
 
 def _distinct_nodes(N: int, n: int, block: slice) -> np.ndarray:
-    """Mask of the nodes of a block whose n indices are pairwise distinct.
+    """Mask of the nodes of a block of :func:`_grid_sum` whose n indices are
+    pairwise distinct: the trailing indices are, so a_1 is compared with
+    each of them.
 
     The other nodes are the coincident-angle ones, where every alternant
     and the Haar weight vanish; the cofactor sums leave roundoff there
     rather than an exact zero.
     """
-    axes = np.ix_(np.arange(N)[block], *[np.arange(N)] * (n - 1))
-    keep = np.ones(np.broadcast_shapes(*(a.shape for a in axes)), dtype=bool)
-    for i, j in itertools.combinations(range(n), 2):
-        keep &= axes[i] != axes[j]
+    first = np.arange(N)[block][:, None]
+    trailing = _trailing_indices(N, n)
+    keep = np.ones((len(first), trailing.shape[1]), dtype=bool)
+    for a in trailing:
+        keep &= first != a
     return keep
 
 
@@ -296,7 +327,8 @@ def spherical_oracles(p: SpectralParams, sigs, r: float,
     (:func:`_oracle_rows`).  All signatures share one walk and one a_delta
     alternant.  The character's Vandermonde denominator cancels against the
     Haar weight, so coincident angles need no special treatment.  The sum
-    runs node by node and is never reduced to one-dimensional integrals
+    runs node by node on the ordered nodes of :func:`_grid_sum`, a_2 < ...
+    < a_n, times (n-1)!, and is never reduced to one-dimensional integrals
     (Andreief/Heine), because that reduction is the determinant formula of
     :func:`matball.spherical.phi_bigs`, for which this is the independent
     oracle.
@@ -360,7 +392,8 @@ def kernel_mass(p: SpectralParams, r: float, grid: TorusGrid) -> float:
 
     summed node by node as sum_nodes |det(sqrt(c_j) v_j^{delta_k})|^2 / n!
     over the N^n product of tanh-sinh nodes psi_j (:func:`_disk_axis`),
-    which cluster at the cusp v = -1.  c_j joins node j's weight,
+    which cluster at the cusp v = -1, as (n-1)! times the sum over the
+    ordered nodes of :func:`_grid_sum`.  c_j joins node j's weight,
     |1 + r v_j|^(Re s-n) and its share of the (1-r^2) power in log form, so
     that no entry overflows where the mass is finite.  N does not depend on
     r.  Up to r = 1 - 1e-6 the relative error is <= 1e-10 at N = 64 for

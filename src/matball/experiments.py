@@ -77,8 +77,9 @@ def _norms(coefficient_rows, pexp: float, grid: TorusGrid) -> list:
     returns them: signatures already validated, of one rank per f.
 
     With A_f = sum_m (c_m/d_m) a_{m+delta} at each node, f = A_f / a_delta
-    and the Haar weight is |a_delta|^2, so the sum over the full N^n grid
-    is of |A_f / a_delta|^p |a_delta|^2, divided by n! N^n.  The
+    and the Haar weight is |a_delta|^2, so the sum over the N^n grid is of
+    |A_f / a_delta|^p |a_delta|^2, divided by n! N^n; the walk visits the
+    ordered nodes a_2 < ... < a_n and multiplies by (n-1)!.  The
     coincident-angle nodes, where a_delta = 0, are skipped.  The
     quotient is taken before the power: |A_f|^p alone overflows long
     before |f|^p does.  Per block the integrand of every f is one row of a

@@ -24,6 +24,7 @@ from matball.experiments import (KTypeFunction, forelli_rudin_growth,
 from matball.special import SpectralParams
 from matball.spherical import phi_big, phi_bigs, phi_scalar, weyl_dimension
 from torus_reference import (disk_weyl_integrate, einsum_cofactors,
+                             full_distinct_nodes, full_grid_sum,
                              kernel_projection, poisson_kernel_torus,
                              schur_character, tensordot_grid_sum,
                              weyl_integrate)
@@ -463,8 +464,9 @@ class TestSphericalOracles:
             spherical_oracles(p, [(0, 0)], 1.0, TorusGrid(2, 16))
 
     def test_second_call_reuses_the_walk_buffers(self):
-        # a rank-3 N = 80 walk holds two 4 MiB alternant blocks; the second
-        # call writes them into the buffers the first one left
+        # a rank-3 N = 80 walk holds two ~2 MiB alternant blocks (40 rows of
+        # 3,160 ordered trailing tuples); the second call writes them into
+        # the buffers the first one left
         p = SpectralParams(3, 1, 4.5)
         spherical_oracle(p, (2, 1, 0), 0.7, TorusGrid(3, 80))
         tracemalloc.start()
@@ -478,16 +480,53 @@ class TestSphericalOracles:
 
 class TestGridWalk:
     """The walk into reused buffers against a fresh tensordot block per
-    table and block (torus_reference.tensordot_grid_sum)."""
+    table and block on the same ordered nodes
+    (torus_reference.tensordot_grid_sum), and against the walk over all
+    N^n nodes (torus_reference.full_grid_sum)."""
 
     GRIDS = [(1, 64), (1, 300000), (2, 32), (2, 600), (3, 24), (3, 128)]
 
     @staticmethod
-    def reference(monkeypatch, compute):
+    def reference(monkeypatch, compute, walk=tensordot_grid_sum):
         with monkeypatch.context() as patch:
-            patch.setattr(boundary, "_grid_sum", tensordot_grid_sum)
-            patch.setattr(experiments, "_grid_sum", tensordot_grid_sum)
+            patch.setattr(boundary, "_grid_sum", walk)
+            patch.setattr(experiments, "_grid_sum", walk)
+            if walk is full_grid_sum:
+                patch.setattr(experiments, "_distinct_nodes", full_distinct_nodes)
             return compute()
+
+    @pytest.mark.parametrize("n,N,nodes", [
+        (1, 80, 80), (2, 80, 6400), (3, 80, 252800), (3, 160, 2035200)])
+    def test_walk_visits_ordered_trailing_indices(self, n, N, nodes):
+        # N C(N, n-1) nodes: every node at ranks 1-2, half of N^3 at rank 3
+        table = np.exp(1j * np.arange(N * n) * 0.37).reshape(N, n)
+        shapes = []
+        boundary._grid_sum(lambda _, alts: shapes.append(alts[0].shape) or 0,
+                           table)
+        assert sum(rows * width for rows, width in shapes) == nodes
+        assert {width for _, width in shapes} == {math.comb(N, n - 1)}
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 32), (3, 24), (3, 48)])
+    def test_sums_match_the_full_grid(self, monkeypatch, n, N):
+        rest = (0,) * (n - 1)
+        fs = [KTypeFunction({(0,) * n: 1.0, (1,) + rest: 0.5 - 0.25j}),
+              KTypeFunction({(2,) + rest: 0.3j, (-1,) * n: 0.2})]
+        grid = TorusGrid(n, N)
+
+        def compute():
+            oracles = [spherical_oracles(SpectralParams(n, nu, s),
+                                         ORACLE_SIGS[n], r, grid)
+                       for nu, s in ((1, n + 1.5), (-1, n + 0.5 + 0.7j))
+                       for r in (0.1, 0.4, 0.7)]
+            masses = [kernel_mass(SpectralParams(n, nu, s), r, grid)
+                      for nu, s in ((0, n + 0.75), (1, n - 0.5 + 0.3j))
+                      for r in (0.0, 0.5, 0.9, 0.999)]
+            norms = [experiments._norms([f.items() for f in fs], pexp, grid)
+                     for pexp in (1.0, 2.0, 3.5)]
+            return np.concatenate([np.ravel(oracles), masses, np.ravel(norms)])
+        got = compute()
+        full = self.reference(monkeypatch, compute, full_grid_sum)
+        assert np.max(np.abs(got - full) / np.abs(full)) <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_cached_cofactors_bit_identical(self, n):

@@ -182,6 +182,17 @@ class TestCsvFormat:
         assert "ratio_re" in header and "ratio_im" in header
         assert all(c == c.lower() for c in header)
 
+    def test_stdout_gets_the_file_bytes(self, tmp_path):
+        # '--out -' is the default; the child's stdout is read as raw bytes
+        args = ["lemma-b", "--n", "2", "--seed", "7"]
+        out = tmp_path / "lb.csv"
+        assert run_cli(args + ["--out", str(out)]) == 0
+        child = subprocess.run(
+            [sys.executable, "-m", "matball", *args, "--out", "-"],
+            capture_output=True, env=_child_env(), timeout=120)
+        assert child.returncode == 0
+        assert child.stdout == out.read_bytes()
+
     def test_seventeen_digit_floats(self, tmp_path):
         out = tmp_path / "km.csv"
         run_cli(["key-lemma", "--n", "1", "--s", "1.5", "--max-m", "1",

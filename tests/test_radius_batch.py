@@ -222,16 +222,23 @@ class TestStackSize:
         rng = np.random.default_rng(11)
         a, b, c = (rng.uniform(-2, 3, 20000) + 1j * rng.uniform(-1, 1, 20000)
                    for _ in range(3))
-        for xs in ((0.64, 0.91), (0.2, 0.45)):
-            stacked = _gauss_2f1_array(a, b, c, xs)
-            chunks = np.concatenate(
-                [_gauss_2f1_array(a[i:i + 1000], b[i:i + 1000], c[i:i + 1000], xs)
-                 for i in range(0, a.size, 1000)], axis=1)
-            assert np.array_equal(stacked.view(np.uint64), chunks.view(np.uint64))
-            for i in (0, 7777, 19999):
-                alone = _gauss_2f1_array(a[i:i + 1], b[i:i + 1], c[i:i + 1], xs)
-                assert np.array_equal(stacked[:, i:i + 1].view(np.uint64),
-                                      alone.view(np.uint64))
+        xs = (0.64, 0.91)
+        stacked = _gauss_2f1_array(a, b, c, xs)
+        chunks = np.concatenate(
+            [_gauss_2f1_array(a[i:i + 1000], b[i:i + 1000], c[i:i + 1000], xs)
+             for i in range(0, a.size, 1000)], axis=1)
+        assert np.array_equal(stacked.view(np.uint64), chunks.view(np.uint64))
+        for i in (0, 7777, 19999):
+            alone = _gauss_2f1_array(a[i:i + 1], b[i:i + 1], c[i:i + 1], xs)
+            assert np.array_equal(stacked[:, i:i + 1].view(np.uint64),
+                                  alone.view(np.uint64))
+        # outside the connection region every entry is its own gauss_2f1
+        # call, whatever the stack, so a small stack checks those bits
+        xs = (0.2, 0.45)
+        small = _gauss_2f1_array(a[:40], b[:40], c[:40], xs)
+        scalar = np.array([[gauss_2f1(a[i], b[i], c[i], x) for i in range(40)]
+                           for x in xs])
+        assert np.array_equal(small.view(np.uint64), scalar.view(np.uint64))
 
     def test_long_double_entry_bits_do_not_depend_on_the_stack(self, monkeypatch):
         # one entry in 50 has terms above double's range, so the screen's

@@ -173,13 +173,41 @@ def einsum_cofactors(table: np.ndarray) -> np.ndarray:
 
 
 def tensordot_grid_sum(integrand, *tables):
-    """The torus walk with fresh cofactors and a fresh alternant block per
-    table and block, formed by ``np.tensordot``: the library's walk into
-    reused buffers must give the same sums bit for bit."""
+    """The ordered torus walk with fresh cofactors and a fresh alternant
+    block per table and block, formed by ``np.tensordot`` on the cofactor
+    columns of the increasing trailing tuples a_2 < ... < a_n, listed
+    afresh: the library's walk into reused buffers must give the same sums
+    bit for bit."""
     N, n = tables[0].shape
-    cofactors = [einsum_cofactors(table) for table in tables]
+    trailing = list(itertools.combinations(range(N), n - 1))
+    cofactors = [np.stack([cof[(slice(None),) + t] for t in trailing], axis=-1)
+                 for cof in map(einsum_cofactors, tables)]
+    total = _tensordot_walk(integrand, tables, cofactors)
+    return total * math.factorial(n - 1) if n > 2 else total
+
+
+def full_grid_sum(integrand, *tables):
+    """The walk over all N^n nodes, each alternant an (rows, N, ..., N)
+    block: the library's ordered walk times (n-1)! must match its sums to
+    rounding.  Integrands that mask nodes need :func:`full_distinct_nodes`
+    in place of ``boundary._distinct_nodes``."""
+    return _tensordot_walk(integrand, tables, list(map(einsum_cofactors, tables)))
+
+
+def _tensordot_walk(integrand, tables, cofactors):
+    N, n = tables[0].shape
     total = 0
     for block in _blocks(N, n):
         total += integrand(block, [np.tensordot(table[block], cof, 1)
                                    for table, cof in zip(tables, cofactors)])
     return total
+
+
+def full_distinct_nodes(N: int, n: int, block: slice) -> np.ndarray:
+    """Mask of the nodes of a block of :func:`full_grid_sum` whose n
+    indices are pairwise distinct."""
+    axes = np.ix_(np.arange(N)[block], *[np.arange(N)] * (n - 1))
+    keep = np.ones(np.broadcast_shapes(*(a.shape for a in axes)), dtype=bool)
+    for i, j in itertools.combinations(range(n), 2):
+        keep &= axes[i] != axes[j]
+    return keep
