@@ -12,15 +12,16 @@ so the Vandermonde denominator of a character never has to be divided out.
 The quadrature oracle for Phi_{s,m} sums kernel x a_{m+delta} x conj(a_delta)
 node by node, and the kernel mass sums weight x |a_delta|^2 the same way;
 both sum on one tanh-sinh grid after the disk automorphism.  Every such
-integrand is symmetric in a node's indices, so the walk visits only the
-nodes whose trailing indices increase, a_2 < ... < a_n, and multiplies by
-(n-1)!: all N^n nodes at ranks 1-2, N C(N, 2) (about half) at rank 3.
+integrand is symmetric in a node's indices and nodes with two equal indices
+add zero, so the walk visits only the C(N, n) nodes a_1 > a_2 > ... > a_n
+and multiplies by n!.
 Neither sum is reduced to one-dimensional integrals (Andreief/Heine): the
 reduction is the determinant formula the oracle is there to check.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import itertools
@@ -37,7 +38,7 @@ from .spherical import (phi_scalar_core, validate_radius, validate_signature,
 
 # The rank-3 N = 160 grid-refinement gate of the oracle is the largest grid a
 # shipped check builds; the limit bounds the run time of a torus sum, not its
-# memory, which the streamed blocks keep small.
+# memory, which the blocks of at most _BLOCK_BUDGET products keep small.
 MAX_GRID_NODES = 1 << 24
 
 
@@ -94,18 +95,9 @@ def _torus_axis(N: int) -> np.ndarray:
     return 2.0 * np.pi * (np.arange(N) + 0.5) / N
 
 
-_CHUNK = 1 << 18
-
 # the tanh-sinh rule psi = pi tanh(2.2 sinh t), |t| < 2.75, of the kernel
 # sums: its outermost nodes lie ~3e-14 from the cusp at psi = +-pi
 _DE_TMAX, _DE_C = 2.75, 2.2
-
-
-def _blocks(N: int, n: int):
-    """First-axis slices that cut the N^n grid into blocks of whole slices,
-    at most _CHUNK nodes each (a single slice when one alone is larger)."""
-    rows = max(1, _CHUNK // N ** (n - 1))
-    return (slice(start, start + rows) for start in range(0, N, rows))
 
 
 def poisson_kernel(p: SpectralParams, Z: np.ndarray,
@@ -189,53 +181,77 @@ def _cofactors(table: np.ndarray) -> np.ndarray:
                      optimize=_cofactor_path(table.shape[1], table.shape[0]))
 
 
-# Grow-only alternant buffers, one per table of a walk, reused by every walk
-# of the process (so walks must not run in several threads at once).  Fresh
-# blocks per rank-3 walk were mapped from the system and handed back after
-# it, at 1,500-2,500 minor page faults per N = 128 oracle call; the buffers
-# keep the largest walk's blocks instead (6 x ~2 MiB after criterion 1 at
-# rank 3, a block being up to 2^18 / N^(n-1) first-axis rows of the C(N, n-1)
-# ordered trailing tuples).
+# Buffers of _BLOCK_BUDGET entries (256 KiB), one per table of a walk plus
+# one for the dense block products, reused by every walk of the process (so
+# walks must not run in several threads at once): fresh rank-3 blocks cost
+# 1,500-2,500 minor page faults per N = 128 oracle call.
+_BLOCK_BUDGET = 1 << 14
 _ALTERNANT_BUFFERS: list = []
 
 
-def _alternant_buffers(count: int, size: int) -> list:
-    """``count`` complex buffers of at least ``size`` entries each."""
+def _alternant_buffers(count: int) -> list:
+    """``count`` complex buffers of _BLOCK_BUDGET entries each."""
     bufs = _ALTERNANT_BUFFERS
-    bufs += [np.empty(0, dtype=complex)] * (count - len(bufs))
-    for i in range(count):
-        if bufs[i].size < size:
-            bufs[i] = np.empty(size, dtype=complex)
+    bufs += [np.empty(_BLOCK_BUDGET, dtype=complex)
+             for _ in range(count - len(bufs))]
     return bufs[:count]
 
 
 @functools.lru_cache(maxsize=16)
-def _trailing_indices(N: int, n: int) -> np.ndarray:
-    """The C(N, n-1) increasing index tuples a_2 < ... < a_n of the walk, in
-    lexicographic order, as an (n-1, C(N, n-1)) array (cached; read-only)."""
-    tuples = list(itertools.combinations(range(N), n - 1))
-    table = np.array(tuples, dtype=np.intp).reshape(len(tuples), n - 1).T.copy()
-    table.flags.writeable = False
-    return table
+def _walk_plan(N: int, n: int):
+    """The cofactor columns and block bounds of :func:`_grid_sum` (cached;
+    read-only).  ``columns`` holds the flat cofactor index of each trailing
+    tuple a_2 > ... > a_n in colex order (by a_2 first), so the tuples with
+    a_2 < a_1 are the first C(a_1, n-1) columns.  A block (lo, hi, c0, c1)
+    takes the first-axis rows [lo, hi) against the columns [c0, c1), at
+    most _BLOCK_BUDGET dense products (a row alone is cut into ranges)."""
+    trailing = sorted(itertools.combinations(range(N - 1, -1, -1), n - 1))
+    columns = (np.array(trailing, dtype=np.intp).reshape(len(trailing), n - 1)
+               @ N ** np.arange(n - 2, -1, -1))
+    columns.flags.writeable = False
+    blocks, lo = [], 0
+    while lo < N:
+        # the dense products (hi - lo) C(hi - 1, n - 1) grow with hi
+        hi = lo + 1 + bisect.bisect_right(
+            range(lo + 2, N + 1), _BLOCK_BUDGET,
+            key=lambda h: (h - lo) * math.comb(h - 1, n - 1))
+        width = math.comb(hi - 1, n - 1)
+        blocks += [(lo, hi, c0, min(width, c0 + _BLOCK_BUDGET))
+                   for c0 in range(0, width, _BLOCK_BUDGET)]
+        lo = hi
+    return columns, tuple(blocks)
+
+
+@functools.lru_cache(maxsize=128)
+def _block_nodes(n: int, lo: int, hi: int, c0: int, c1: int) -> np.ndarray:
+    """Flat indices, into a block's dense (hi - lo, c1 - c0) product, of its
+    nodes a_1 > ... > a_n: row a_1 keeps the columns below C(a_1, n-1)
+    (cached for at most 128 blocks, 16 MiB; read-only)."""
+    rows = np.arange(lo, hi)
+    below = np.ones(hi - lo, dtype=np.intp)
+    for j in range(n - 1):
+        below = below * (rows - j) // (j + 1)  # C(rows, j + 1), exactly
+    nodes = np.flatnonzero(np.arange(c0, c1) < below[:, None])
+    nodes.flags.writeable = False
+    return nodes
 
 
 def _grid_sum(integrand, *tables):
-    """Sum integrand(block, alternants) over the N^n grid of index tuples
-    (a_1, ..., a_n), visiting only the nodes whose trailing indices increase,
-    a_2 < ... < a_n, and return that sum times (n-1)!.  ``block`` is a
-    first-axis slice and ``alternants`` holds, for each given (N, n) row
-    table T, the alternant det T[a_j, k] at every node of the block, formed
-    from first-row cofactors, as a (rows, C(N, n-1)) array whose columns
-    are the tuples of :func:`_trailing_indices`.
+    """Sum integrand(alternants) over the nodes (a_1, ..., a_n) of the N^n
+    grid with a_1 > a_2 > ... > a_n, block by block, and return that sum
+    times n!.  For each given (N, n) row table T, ``alternants`` holds the
+    alternant det T[a_j, k] at every such node of the block, as a 1-D
+    array: one ``np.dot`` of the block's rows of T with the first-row
+    cofactors of its columns (:func:`_walk_plan`), gathered to the ordered
+    nodes (:func:`_block_nodes`).
 
     Both alternants of a node are antisymmetric in its indices and the row
     factors are per-axis, so every integrand of the kernel sums and K-type
-    norms is symmetric in a node's indices, and nodes with two equal
-    trailing indices add zero: (n-1)! times the ordered sum is the sum over
-    the full grid.  At ranks 1 and 2 every trailing tuple is increasing, so
-    the walk visits every node in the full grid's order; at rank 3 it
-    visits N C(N, 2) nodes instead of N^3 (252,800 instead of 512,000 at
-    N = 80), and the factor 2 is exact.
+    norms is symmetric in a node's indices, and a node with two equal
+    indices adds zero to the full-grid sum: n! times the ordered sum is the
+    sum over the full grid.  The walk visits C(N, n) nodes: N at rank 1,
+    3,160 instead of 6,400 at rank 2 and 82,160 instead of 512,000 at
+    rank 3 (N = 80).
 
     This is the one walk over the torus grid: every torus sum forms its
     integrand from these alternants node by node, never reducing it to
@@ -245,40 +261,22 @@ def _grid_sum(integrand, *tables):
     start a walk of its own.
     """
     N, n = tables[0].shape
-    cofactors = [_cofactors(table).reshape(n, -1) for table in tables]
-    if n > 2:
-        columns = np.ravel_multi_index(_trailing_indices(N, n), (N,) * (n - 1))
-        cofactors = [cof[:, columns] for cof in cofactors]
-    width = cofactors[0].shape[1]
-    bufs = _alternant_buffers(len(tables),
-                              min(N, max(1, _CHUNK // N ** (n - 1))) * width)
+    columns, blocks = _walk_plan(N, n)
+    cofactors = [np.take(_cofactors(table).reshape(n, -1), columns, axis=1)
+                 for table in tables]
+    dense, *bufs = _alternant_buffers(len(tables) + 1)
     total = 0
-    for block in _blocks(N, n):
-        rows = len(range(N)[block])
+    for lo, hi, c0, c1 in blocks:
+        nodes = _block_nodes(n, lo, hi, c0, c1)
+        out = dense[:(hi - lo) * (c1 - c0)].reshape(hi - lo, c1 - c0)
         alternants = []
         for buf, table, cof in zip(bufs, tables, cofactors):
-            out = buf[:rows * width].reshape(rows, width)
-            np.dot(table[block], cof, out=out)
-            alternants.append(out)
-        total += integrand(block, alternants)
-    return total * math.factorial(n - 1) if n > 2 else total
-
-
-def _distinct_nodes(N: int, n: int, block: slice) -> np.ndarray:
-    """Mask of the nodes of a block of :func:`_grid_sum` whose n indices are
-    pairwise distinct: the trailing indices are, so a_1 is compared with
-    each of them.
-
-    The other nodes are the coincident-angle ones, where every alternant
-    and the Haar weight vanish; the cofactor sums leave roundoff there
-    rather than an exact zero.
-    """
-    first = np.arange(N)[block][:, None]
-    trailing = _trailing_indices(N, n)
-    keep = np.ones((len(first), trailing.shape[1]), dtype=bool)
-    for a in trailing:
-        keep &= first != a
-    return keep
+            np.dot(table[lo:hi], cof[:, c0:c1], out=out)
+            # mode="raise" would gather through a temporary
+            alternants.append(np.take(dense, nodes, out=buf[:nodes.size],
+                                      mode="clip"))
+        total += integrand(alternants)
+    return total * math.factorial(n)
 
 
 def _power_table(z: np.ndarray, m) -> np.ndarray:
@@ -327,8 +325,8 @@ def spherical_oracles(p: SpectralParams, sigs, r: float,
     (:func:`_oracle_rows`).  All signatures share one walk and one a_delta
     alternant.  The character's Vandermonde denominator cancels against the
     Haar weight, so coincident angles need no special treatment.  The sum
-    runs node by node on the ordered nodes of :func:`_grid_sum`, a_2 < ...
-    < a_n, times (n-1)!, and is never reduced to one-dimensional integrals
+    runs node by node on the nodes a_1 > ... > a_n of :func:`_grid_sum`,
+    times n!, and is never reduced to one-dimensional integrals
     (Andreief/Heine), because that reduction is the determinant formula of
     :func:`matball.spherical.phi_bigs`, for which this is the independent
     oracle.
@@ -348,7 +346,7 @@ def spherical_oracles(p: SpectralParams, sigs, r: float,
         raise DomainError(f"grid rank {grid.n} != params rank {p.n}")
     z, c = _oracle_rows(p, r, grid.points_per_dim)
     totals = _grid_sum(
-        lambda _, alts: np.array([np.vdot(alts[0], a) for a in alts[1:]]),
+        lambda alts: np.array([np.vdot(alts[0], a) for a in alts[1:]]),
         _power_table(z, (0,) * p.n), *(c * _power_table(z, m) for m in sigs))
     return [complex(t) / (math.factorial(p.n) * weyl_dimension(m))
             for t, m in zip(totals, sigs)]
@@ -392,8 +390,8 @@ def kernel_mass(p: SpectralParams, r: float, grid: TorusGrid) -> float:
 
     summed node by node as sum_nodes |det(sqrt(c_j) v_j^{delta_k})|^2 / n!
     over the N^n product of tanh-sinh nodes psi_j (:func:`_disk_axis`),
-    which cluster at the cusp v = -1, as (n-1)! times the sum over the
-    ordered nodes of :func:`_grid_sum`.  c_j joins node j's weight,
+    which cluster at the cusp v = -1, as n! times the sum over the nodes
+    a_1 > ... > a_n of :func:`_grid_sum`.  c_j joins node j's weight,
     |1 + r v_j|^(Re s-n) and its share of the (1-r^2) power in log form, so
     that no entry overflows where the mass is finite.  N does not depend on
     r.  Up to r = 1 - 1e-6 the relative error is <= 1e-10 at N = 64 for
@@ -409,7 +407,7 @@ def kernel_mass(p: SpectralParams, r: float, grid: TorusGrid) -> float:
     log_c = (log_weight + (p.s.real - n) * log_dist
              + (n - p.nu - p.s.real) / 2.0 * math.log((1.0 - r) * (1.0 + r)))
     table = np.exp(log_c / 2.0)[:, None] * v[:, None] ** np.arange(n - 1, -1, -1)
-    total = _grid_sum(lambda _, alts: complex(np.vdot(alts[0], alts[0])), table)
+    total = _grid_sum(lambda alts: complex(np.vdot(alts[0], alts[0])), table)
     return total.real / math.factorial(n)
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (_CHUNK, TorusGrid, _distinct_nodes, _grid_sum,
-                       _power_table, _torus_axis, kernel_mass)
+from .boundary import (_BLOCK_BUDGET, TorusGrid, _grid_sum, _power_table,
+                       _torus_axis, kernel_mass)
 from .errors import DomainError
 from .special import SpectralParams, c_function
 from .spherical import (_require_asymptotic, _require_asymptotic_range,
@@ -78,14 +78,14 @@ def _norms(coefficient_rows, pexp: float, grid: TorusGrid) -> list:
 
     With A_f = sum_m (c_m/d_m) a_{m+delta} at each node, f = A_f / a_delta
     and the Haar weight is |a_delta|^2, so the sum over the N^n grid is of
-    |A_f / a_delta|^p |a_delta|^2, divided by n! N^n; the walk visits the
-    ordered nodes a_2 < ... < a_n and multiplies by (n-1)!.  The
-    coincident-angle nodes, where a_delta = 0, are skipped.  The
-    quotient is taken before the power: |A_f|^p alone overflows long
-    before |f|^p does.  Per block the integrand of every f is one row of a
-    (functions x nodes) array; each f sums its own terms in its own sorted
-    order, and each row sum is the 1-D sum of that row, so its norm does
-    not depend on the other functions.
+    |A_f / a_delta|^p |a_delta|^2, divided by n! N^n.  The walk visits
+    only the nodes a_1 > ... > a_n and multiplies by n!, so it never meets
+    a coincident-angle node, where a_delta = 0.  The quotient is taken
+    before the power: |A_f|^p alone overflows long before |f|^p does.  Per
+    block the integrand of every f is one row of a (functions x nodes)
+    array; each f sums its own terms in its own sorted order, and each row
+    sum is the 1-D sum of that row, so its norm does not depend on the
+    other functions.
     """
     if not (math.isfinite(pexp) and pexp >= 1.0):
         raise DomainError(f"norm exponent must be a finite number >= 1, got {pexp}")
@@ -97,14 +97,14 @@ def _norms(coefficient_rows, pexp: float, grid: TorusGrid) -> list:
     rows = [[(sigs.index(m), c / dims[m]) for m, c in items]
             for items in coefficient_rows]
 
-    def integrand(block, alternants):
-        keep = _distinct_nodes(N, n, block)
-        base, *alts = (alt[keep] for alt in alternants)
+    def integrand(alternants):
+        base, *alts = alternants
         weight = np.abs(base) ** 2
         # the rows of several f form one (functions x nodes) array of at
-        # most _CHUNK entries, and every step runs in place on it: fresh
-        # temporaries per step cost more than the per-f loop they replace
-        per = max(1, _CHUNK // base.size)
+        # most _BLOCK_BUDGET entries, and every step runs in place on it:
+        # fresh temporaries per step cost more than the per-f loop they
+        # replace
+        per = max(1, _BLOCK_BUDGET // base.size)
         sums = []
         for part in (rows[i:i + per] for i in range(0, len(rows), per)):
             A = np.zeros((len(part), base.size), dtype=complex)

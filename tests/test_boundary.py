@@ -24,10 +24,9 @@ from matball.experiments import (KTypeFunction, forelli_rudin_growth,
 from matball.special import SpectralParams
 from matball.spherical import phi_big, phi_bigs, phi_scalar, weyl_dimension
 from torus_reference import (disk_weyl_integrate, einsum_cofactors,
-                             full_distinct_nodes, full_grid_sum,
-                             kernel_projection, poisson_kernel_torus,
-                             schur_character, tensordot_grid_sum,
-                             weyl_integrate)
+                             full_grid_sum, kernel_projection,
+                             poisson_kernel_torus, schur_character,
+                             tensordot_grid_sum, weyl_integrate)
 
 
 def rel(a, b):
@@ -464,9 +463,9 @@ class TestSphericalOracles:
             spherical_oracles(p, [(0, 0)], 1.0, TorusGrid(2, 16))
 
     def test_second_call_reuses_the_walk_buffers(self):
-        # a rank-3 N = 80 walk holds two ~2 MiB alternant blocks (40 rows of
-        # 3,160 ordered trailing tuples); the second call writes them into
-        # the buffers the first one left
+        # a walk holds one 256 KiB dense block and one 256 KiB alternant
+        # buffer per table; the second call writes into the buffers the
+        # first one left
         p = SpectralParams(3, 1, 4.5)
         spherical_oracle(p, (2, 1, 0), 0.7, TorusGrid(3, 80))
         tracemalloc.start()
@@ -477,10 +476,22 @@ class TestSphericalOracles:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_buffers_stay_within_the_block_budget(self):
+        # the largest grid a shipped check walks: C(160, 3) nodes in blocks
+        # of at most _BLOCK_BUDGET dense products, whatever N and the rank
+        p = SpectralParams(3, 1, 4.5)
+        spherical_oracles(p, ORACLE_SIGS[3], 0.7, TorusGrid(3, 160))
+        assert len(boundary._ALTERNANT_BUFFERS) >= 7
+        assert all(buf.size <= boundary._BLOCK_BUDGET
+                   for buf in boundary._ALTERNANT_BUFFERS)
+        for N, n in ((160, 3), (256, 3), (4096, 2), (300000, 1)):
+            for lo, hi, c0, c1 in boundary._walk_plan(N, n)[1]:
+                assert (hi - lo) * (c1 - c0) <= boundary._BLOCK_BUDGET
+
 
 class TestGridWalk:
     """The walk into reused buffers against a fresh tensordot block per
-    table and block on the same ordered nodes
+    table and block on the same strictly ordered nodes
     (torus_reference.tensordot_grid_sum), and against the walk over all
     N^n nodes (torus_reference.full_grid_sum)."""
 
@@ -491,20 +502,43 @@ class TestGridWalk:
         with monkeypatch.context() as patch:
             patch.setattr(boundary, "_grid_sum", walk)
             patch.setattr(experiments, "_grid_sum", walk)
-            if walk is full_grid_sum:
-                patch.setattr(experiments, "_distinct_nodes", full_distinct_nodes)
             return compute()
 
     @pytest.mark.parametrize("n,N,nodes", [
-        (1, 80, 80), (2, 80, 6400), (3, 80, 252800), (3, 160, 2035200)])
-    def test_walk_visits_ordered_trailing_indices(self, n, N, nodes):
-        # N C(N, n-1) nodes: every node at ranks 1-2, half of N^3 at rank 3
+        (1, 80, 80), (2, 80, 3160), (3, 80, 82160), (3, 160, 669920)])
+    def test_walk_visits_strictly_ordered_nodes(self, n, N, nodes):
+        # C(N, n) nodes: N at rank 1, about N^n / n! at ranks 2-3
         table = np.exp(1j * np.arange(N * n) * 0.37).reshape(N, n)
-        shapes = []
-        boundary._grid_sum(lambda _, alts: shapes.append(alts[0].shape) or 0,
-                           table)
-        assert sum(rows * width for rows, width in shapes) == nodes
-        assert {width for _, width in shapes} == {math.comb(N, n - 1)}
+        sizes = []
+        boundary._grid_sum(lambda alts: sizes.append(alts[0].size) or 0, table)
+        assert sum(sizes) == nodes == math.comb(N, n)
+
+    @pytest.mark.parametrize("n,N", [(1, 40), (2, 40), (3, 12), (3, 48)])
+    def test_integrand_sees_each_index_set_once_in_order(self, n, N):
+        # rows x^(mu_k) of x = a + 1 make every alternant an exact integer:
+        # a_delta = prod_{i<j} (x_i - x_j) > 0 exactly when a_1 > ... > a_n
+        # (up to an even permutation, which no alternant can tell apart),
+        # and the Schur ratios e_k = a_{delta + 1^k} / a_delta recover the
+        # index set; rank 3 N = 48 walks several blocks
+        x = np.arange(1.0, N + 1.0)
+        delta = np.arange(n - 1, -1, -1)
+        tables = [x[:, None] ** (delta + (np.arange(n) < k)) for k in range(n + 1)]
+        seen = []
+
+        def record(alts):
+            vandermonde, *schur = alts
+            assert np.all(vandermonde > 0)
+            seen.extend(zip(*(np.rint((e / vandermonde).real).astype(int)
+                              for e in schur)))
+            return 0
+
+        boundary._grid_sum(record, *(t.astype(complex) for t in tables))
+        expected = [tuple(sum(math.prod(np.array(c)[list(s)] + 1)
+                              for s in itertools.combinations(range(n), k))
+                          for k in range(1, n + 1))
+                    for c in itertools.combinations(range(N), n)]
+        assert len(seen) == len(set(seen)) == math.comb(N, n)
+        assert set(seen) == set(expected)
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 32), (3, 24), (3, 48)])
     def test_sums_match_the_full_grid(self, monkeypatch, n, N):
@@ -528,6 +562,31 @@ class TestGridWalk:
         full = self.reference(monkeypatch, compute, full_grid_sum)
         assert np.max(np.abs(got - full) / np.abs(full)) <= 1e-13
 
+    def test_rows_cut_into_column_ranges(self, monkeypatch):
+        # a budget below C(N - 1, 2) cuts the top rows of a rank-3 walk into
+        # column ranges, as rows beyond N = 182 are at the shipped budget:
+        # bit for bit against the reference walk on the same blocks, and
+        # within rounding of the full grid
+        grid = TorusGrid(3, 24)
+        fs = [KTypeFunction({(0, 0, 0): 1.0, (2, 1, -1): 0.3j})]
+
+        def compute():
+            return np.concatenate([
+                spherical_oracles(SpectralParams(3, 1, 4.5), ORACLE_SIGS[3],
+                                  0.4, grid),
+                [kernel_mass(SpectralParams(3, 0, 3.75), 0.9, grid)],
+                experiments._norms([f.items() for f in fs], 3.5, grid)])
+        monkeypatch.setattr(boundary, "_BLOCK_BUDGET", 64)
+        boundary._walk_plan.cache_clear()
+        try:
+            assert any(c0 > 0 for _, _, c0, _ in boundary._walk_plan(24, 3)[1])
+            got = compute()
+            assert np.array_equal(got, self.reference(monkeypatch, compute))
+            full = self.reference(monkeypatch, compute, full_grid_sum)
+        finally:
+            boundary._walk_plan.cache_clear()
+        assert np.max(np.abs(got - full) / np.abs(full)) <= 1e-13
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_cached_cofactors_bit_identical(self, n):
         # the cached Levi-Civita tensor and contraction order, twice per
@@ -540,7 +599,8 @@ class TestGridWalk:
     @pytest.mark.parametrize("n,N", GRIDS)
     def test_kernel_mass_bit_identical(self, monkeypatch, n, N):
         # one block on the first grid of each rank, several on the second
-        assert (len(list(boundary._blocks(N, n))) > 1) == (N in (300000, 600, 128))
+        blocks = boundary._walk_plan(N, n)[1]
+        assert (len(blocks) > 1) == (N in (300000, 600, 128))
 
         def compute():
             return [kernel_mass(SpectralParams(n, nu, s), r, TorusGrid(n, N))

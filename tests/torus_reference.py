@@ -14,14 +14,22 @@ import math
 
 import numpy as np
 
-from matball.boundary import (TorusGrid, _blocks, _disk_axis, _grid_sum,
+from matball.boundary import (TorusGrid, _disk_axis, _grid_sum,
                               _kernel_factor, _oracle_rows, _power_table,
-                              _torus_axis)
+                              _torus_axis, _walk_plan)
 from matball.errors import DomainError
 from matball.special import SpectralParams
 from matball.spherical import validate_signature, weyl_dimension
 
 MIN_ANGLE_GAP = 1e-8
+CHUNK = 1 << 18
+
+
+def _blocks(N: int, n: int):
+    """First-axis slices that cut the N^n grid into blocks of whole slices,
+    at most CHUNK nodes each (a single slice when one alone is larger)."""
+    rows = max(1, CHUNK // N ** (n - 1))
+    return (slice(start, start + rows) for start in range(0, N, rows))
 
 
 def weyl_integrate(f, grid: TorusGrid) -> complex:
@@ -153,7 +161,7 @@ def kernel_projection(p: SpectralParams, m, r: float, grid: TorusGrid) -> comple
     """
     n = p.n
     z, c = _oracle_rows(p, r, grid.points_per_dim)
-    total = _grid_sum(lambda _, alts: complex(np.vdot(alts[0], alts[1])),
+    total = _grid_sum(lambda alts: complex(np.vdot(alts[0], alts[1])),
                       _power_table(z, (0,) * n), c * _power_table(z, m))
     return total / (math.factorial(n) * weyl_dimension(m))
 
@@ -173,33 +181,37 @@ def einsum_cofactors(table: np.ndarray) -> np.ndarray:
 
 
 def tensordot_grid_sum(integrand, *tables):
-    """The ordered torus walk with fresh cofactors and a fresh alternant
-    block per table and block, formed by ``np.tensordot`` on the cofactor
-    columns of the increasing trailing tuples a_2 < ... < a_n, listed
-    afresh: the library's walk into reused buffers must give the same sums
-    bit for bit."""
+    """The strictly ordered torus walk with fresh cofactors, freshly listed
+    colex tuples a_2 > ... > a_n and a fresh ``np.tensordot`` block per
+    table and block, masked to a_1 > a_2 by comparison: only the block
+    bounds come from ``boundary._walk_plan``, and the library's walk into
+    reused buffers must give the same sums bit for bit."""
     N, n = tables[0].shape
-    trailing = list(itertools.combinations(range(N), n - 1))
+    trailing = [t for t in itertools.product(range(N), repeat=n - 1)
+                if all(a > b for a, b in zip(t, t[1:]))]
+    lead = np.array([t[0] if t else -1 for t in trailing])
     cofactors = [np.stack([cof[(slice(None),) + t] for t in trailing], axis=-1)
                  for cof in map(einsum_cofactors, tables)]
-    total = _tensordot_walk(integrand, tables, cofactors)
-    return total * math.factorial(n - 1) if n > 2 else total
+    total = 0
+    for lo, hi, c0, c1 in _walk_plan(N, n)[1]:
+        keep = np.arange(lo, hi)[:, None] > lead[None, c0:c1]
+        total += integrand([np.tensordot(table[lo:hi], cof[:, c0:c1], 1)[keep]
+                            for table, cof in zip(tables, cofactors)])
+    return total * math.factorial(n)
 
 
 def full_grid_sum(integrand, *tables):
-    """The walk over all N^n nodes, each alternant an (rows, N, ..., N)
-    block: the library's ordered walk times (n-1)! must match its sums to
-    rounding.  Integrands that mask nodes need :func:`full_distinct_nodes`
-    in place of ``boundary._distinct_nodes``."""
-    return _tensordot_walk(integrand, tables, list(map(einsum_cofactors, tables)))
-
-
-def _tensordot_walk(integrand, tables, cofactors):
+    """The walk over all N^n nodes in blocks of whole first-axis slices,
+    each integrand seeing the nodes whose n indices are pairwise distinct
+    (:func:`full_distinct_nodes`): the library's ordered walk times n!
+    must match its sums to rounding."""
     N, n = tables[0].shape
+    cofactors = list(map(einsum_cofactors, tables))
     total = 0
     for block in _blocks(N, n):
-        total += integrand(block, [np.tensordot(table[block], cof, 1)
-                                   for table, cof in zip(tables, cofactors)])
+        keep = full_distinct_nodes(N, n, block)
+        total += integrand([np.tensordot(table[block], cof, 1)[keep]
+                            for table, cof in zip(tables, cofactors)])
     return total
 
 
