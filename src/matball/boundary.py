@@ -155,30 +155,17 @@ def _levi_civita(n: int) -> np.ndarray:
     return eps
 
 
-def _cofactor_operands(table: np.ndarray) -> list:
-    """The einsum operands, in sublist form, of :func:`_cofactors`."""
-    n = table.shape[1]
-    operands = [_levi_civita(n), list(range(n))]
-    for j in range(1, n):
-        operands += [table, [n + j, j]]
-    return operands + [[0, *range(n + 1, 2 * n)]]
-
-
-@functools.lru_cache(maxsize=64)
-def _cofactor_path(n: int, N: int) -> tuple:
-    """The contraction order that ``einsum(optimize=True)`` picks for the
-    cofactors of an (N, n) table; it depends on the shapes only."""
-    table = np.empty((N, n), dtype=complex)
-    return tuple(np.einsum_path(*_cofactor_operands(table), optimize=True)[0])
-
-
 def _cofactors(table: np.ndarray) -> np.ndarray:
     """Signed minors of the alternant det(T[a_j, k])_{j,k} along its first
     row: C[k_1, a_2, ..., a_n] = eps_{k_1..k_n} prod_{j>=2} T[a_j, k_j] for
     an (N, n) power table T, so that the alternant at node (a_1, ..., a_n)
-    is sum_k T[a_1, k] C[k, a_2, ..., a_n]."""
-    return np.einsum(*_cofactor_operands(table),
-                     optimize=_cofactor_path(table.shape[1], table.shape[0]))
+    is sum_k T[a_1, k] C[k, a_2, ..., a_n].  Formed from the Levi-Civita
+    tensor by n - 1 ``np.tensordot`` calls, each contracting the next index
+    k_j with the columns of T and appending a_j as the last axis."""
+    out = _levi_civita(table.shape[1])
+    for _ in range(table.shape[1] - 1):
+        out = np.tensordot(out, table, axes=([1], [1]))
+    return out
 
 
 # Buffers of _BLOCK_BUDGET entries (256 KiB), one per table of a walk plus
@@ -243,7 +230,9 @@ def _grid_sum(integrand, *tables):
     alternant det T[a_j, k] at every such node of the block, as a 1-D
     array: one ``np.dot`` of the block's rows of T with the first-row
     cofactors of its columns (:func:`_walk_plan`), gathered to the ordered
-    nodes (:func:`_block_nodes`).
+    nodes (:func:`_block_nodes`).  The cofactors of each table are formed
+    once per walk (:func:`_cofactors`, n - 1 tensordots) and taken at the
+    plan's columns.
 
     Both alternants of a node are antisymmetric in its indices and the row
     factors are per-axis, so every integrand of the kernel sums and K-type
@@ -406,7 +395,7 @@ def kernel_mass(p: SpectralParams, r: float, grid: TorusGrid) -> float:
     log_weight, log_dist, v = _disk_axis(grid.points_per_dim, r)
     log_c = (log_weight + (p.s.real - n) * log_dist
              + (n - p.nu - p.s.real) / 2.0 * math.log((1.0 - r) * (1.0 + r)))
-    table = np.exp(log_c / 2.0)[:, None] * v[:, None] ** np.arange(n - 1, -1, -1)
+    table = np.exp(log_c / 2.0)[:, None] * _power_table(v, (0,) * n)
     total = _grid_sum(lambda alts: complex(np.vdot(alts[0], alts[0])), table)
     return total.real / math.factorial(n)
 

@@ -39,14 +39,10 @@ class CriterionResult:
 
 
 def signatures_up_to(n: int, max_part: int):
-    """All weakly decreasing integer n-tuples with |m_i| <= max_part."""
-    def rec(prefix, lo):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in range(min(lo, max_part), -max_part - 1, -1):
-            yield from rec(prefix + [v], v)
-    yield from rec([], max_part)
+    """All weakly decreasing integer n-tuples with |m_i| <= max_part, in
+    lexicographically decreasing order."""
+    return itertools.combinations_with_replacement(
+        range(max_part, -max_part - 1, -1), n)
 
 
 def _fmt(x: float) -> str:

@@ -7,7 +7,8 @@ import pytest
 import radius_reference
 from matball import spherical
 from matball.errors import DomainError
-from matball.special import SpectralParams, c_function, gauss_2f1
+from matball.special import (SpectralParams, c_function, gauss_2f1,
+                             pochhammer)
 from matball.spherical import (boundary_weight, gamma_constant,
                                key_lemma_ratio, phi_big, phi_bigs, phi_scalar,
                                phi_scalar_core, weyl_dimension)
@@ -167,6 +168,48 @@ class TestPhiBigs:
             phi_bigs(p, [(1, 0, 0)], (0.5,))
         with pytest.raises(DomainError):
             phi_bigs(p, [(1, 0)], (1.0,))
+
+
+def generalized_pochhammer(x, mu):
+    """(x)_mu = prod_i (x - i + 1)_{mu_i}, i = 1..n."""
+    out = 1.0
+    for i, part in enumerate(mu):
+        out *= pochhammer(x - i, part)
+    return out
+
+
+def functional_equation_constant(p, m):
+    """gamma_m(s) = (a(s))_{m+} (b(s))_{m-} / [(a(-s))_{m+} (b(-s))_{m-}]
+    with a(s) = (s+n+nu)/2, b(s) = (s+n-nu)/2, m+ = (max(m_i, 0))_i and
+    m- = (max(-m_{n+1-i}, 0))_i."""
+    n, nu, s = p.n, p.nu, p.s
+    plus = [max(v, 0) for v in m]
+    minus = [max(-v, 0) for v in reversed(m)]
+
+    def side(t):
+        return (generalized_pochhammer((t + n + nu) / 2.0, plus)
+                * generalized_pochhammer((t + n - nu) / 2.0, minus))
+    return side(s) / side(-s)
+
+
+class TestFunctionalEquation:
+    # Phi_{s,m}(r) = gamma_m(s) Phi_{-s,m}(r), phi_big on both sides; at
+    # rank 1 it is Euler's transformation of 2F1.  Non-integer real s keeps
+    # clear of gamma_m's poles, which lie at integer s.
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("spectra", [(2.5, 4.3), (3.5 + 1j, 1.2 - 0.7j)],
+                             ids=["real", "complex"])
+    def test_phi_at_minus_s(self, n, spectra):
+        worst = 0.0
+        for nu in (-1, 0, 1):
+            for s in spectra:
+                p, q = SpectralParams(n, nu, s), SpectralParams(n, nu, -s)
+                for m in signatures_up_to(n, 2):
+                    g = functional_equation_constant(p, m)
+                    for r in (0.1, 0.3, 0.5):
+                        worst = max(worst, rel(g * phi_big(q, m, r),
+                                               phi_big(p, m, r)))
+        assert worst <= 1e-10
 
 
 class TestKeyLemmaRatio:

@@ -167,9 +167,9 @@ def kernel_projection(p: SpectralParams, m, r: float, grid: TorusGrid) -> comple
 
 
 def einsum_cofactors(table: np.ndarray) -> np.ndarray:
-    """First-row cofactors of the alternants of an (N, n) table, with the
-    Levi-Civita tensor and the contraction order formed afresh on every
-    call: the library caches both and must give the same bits."""
+    """First-row cofactors of the alternants of an (N, n) table by one
+    ``np.einsum`` on a Levi-Civita tensor formed afresh on every call: the
+    library's tensordot chain on its cached tensor must give the same bits."""
     n = table.shape[1]
     eps = np.zeros((n,) * n)
     for perm in itertools.permutations(range(n)):

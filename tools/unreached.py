@@ -2,7 +2,8 @@
 
 Runs every argv of tests/golden/cases.json and ``verify-all --extended``
 through ``matball.cli.main`` under ``sys.settrace`` and prints, per module,
-each statement of ``src/matball`` whose lines never ran.  ``raise``
+each statement of ``src/matball`` whose lines never ran, then a summary
+line with the count and the package's total line count.  ``raise``
 statements are left out: they are the argument checks and numerical
 guards, which the goldens reach only in part.  A statement inside one that
 never ran is not listed again.
@@ -112,12 +113,14 @@ def main() -> int:
     argvs = [case["argv"] for case in json.loads(CASES.read_text())]
     argvs.append(["verify-all", "--extended"])
     seen = run_commands(argvs)
-    total = 0
+    total = lines = 0
     for path in sorted(PACKAGE.glob("*.py")):
         for line, text in unreached(path, seen.get(str(path), set())):
             print(f"{path.relative_to(ROOT)}:{line}: {text}")
             total += 1
-    print(f"{total} unreached statements ({len(argvs)} commands)")
+        lines += len(path.read_text().splitlines())
+    print(f"{total} unreached statements ({len(argvs)} commands); "
+          f"src/matball/*.py has {lines:,} lines")
     return 0
 
 
