@@ -14,7 +14,7 @@ from .errors import (CoincidentError, ConvergenceError, DegenerateConnection,
                      DomainError, GuardError, MarginError, MatballError,
                      PoleError, RangeError, SingularError)
 from .experiments import (KTypeFunction, SweepResult, forelli_rudin_growth,
-                          inversion_experiment, key_lemma_sweep, norm_sandwich,
+                          inversion_experiment, key_lemma_sweep,
                           norm_sandwiches)
 from .hua import HuaResult, hua_apply, hua_residual
 from .identities import (AppendixParams, dp_factor, e9_identity_check,
@@ -35,8 +35,8 @@ __all__ = [
     "fourier_mode_check", "gamma", "gamma_constant", "gauss_2f1",
     "gindikin_gamma", "hua_apply", "hua_residual", "induction_identity_check",
     "inversion_experiment", "kernel_mass", "key_lemma_ratio",
-    "key_lemma_sweep", "lemma_a_sides", "lemma_b_ratio", "norm_sandwich",
-    "norm_sandwiches", "phi_big", "phi_bigs", "phi_scalar", "pochhammer",
+    "key_lemma_sweep", "lemma_a_sides", "lemma_b_ratio", "norm_sandwiches",
+    "phi_big", "phi_bigs", "phi_scalar", "pochhammer",
     "pochhammer_product_check", "poisson_kernel", "spherical_oracle",
     "spherical_oracles", "weyl_dimension",
 ]

@@ -168,20 +168,11 @@ def _cofactors(table: np.ndarray) -> np.ndarray:
     return out
 
 
-# Buffers of _BLOCK_BUDGET entries (256 KiB), one per table of a walk plus
-# one for the dense block products, reused by every walk of the process (so
-# walks must not run in several threads at once): fresh rank-3 blocks cost
-# 1,500-2,500 minor page faults per N = 128 oracle call.
+# Entries (256 KiB) of a walk's dense block buffer and of each of its
+# gather buffers, which the walk reuses block after block: fresh arrays per
+# block cost ~800 minor page faults per rank-3 N = 80 oracle call, and 20
+# such calls took 40-63 ms instead of 21-37 ms on a 2-vCPU Xeon.
 _BLOCK_BUDGET = 1 << 14
-_ALTERNANT_BUFFERS: list = []
-
-
-def _alternant_buffers(count: int) -> list:
-    """``count`` complex buffers of _BLOCK_BUDGET entries each."""
-    bufs = _ALTERNANT_BUFFERS
-    bufs += [np.empty(_BLOCK_BUDGET, dtype=complex)
-             for _ in range(count - len(bufs))]
-    return bufs[:count]
 
 
 @functools.lru_cache(maxsize=16)
@@ -245,15 +236,17 @@ def _grid_sum(integrand, *tables):
     This is the one walk over the torus grid: every torus sum forms its
     integrand from these alternants node by node, never reducing it to
     one-dimensional integrals (Andreief/Heine).  The alternants are views
-    of module buffers that the next block and the next walk overwrite: an
-    integrand must not keep one, or a view of one, after it returns, nor
-    start a walk of its own.
+    of the walk's own buffers, one dense block and one gather buffer per
+    table of _BLOCK_BUDGET entries each, allocated once per call, which
+    the next block overwrites: an integrand must not keep one, or a view
+    of one, after it returns, but it may start a walk of its own.
     """
     N, n = tables[0].shape
     columns, blocks = _walk_plan(N, n)
     cofactors = [np.take(_cofactors(table).reshape(n, -1), columns, axis=1)
                  for table in tables]
-    dense, *bufs = _alternant_buffers(len(tables) + 1)
+    dense, *bufs = (np.empty(_BLOCK_BUDGET, dtype=complex)
+                    for _ in range(len(tables) + 1))
     total = 0
     for lo, hi, c0, c1 in blocks:
         nodes = _block_nodes(n, lo, hi, c0, c1)
@@ -295,6 +288,9 @@ def _disk_axis(N: int, r: float):
     return log_weight, log_dist, np.exp(1j * np.copysign(np.pi - gap, t))
 
 
+_WALK_TABLES = 8  # per oracle walk: z^delta and up to 7 signatures
+
+
 def spherical_oracles(p: SpectralParams, sigs, r: float,
                       grid: TorusGrid) -> list:
     """Quadrature values of the K-type radial profiles,
@@ -311,9 +307,12 @@ def spherical_oracles(p: SpectralParams, sigs, r: float,
     through the disk automorphism of :func:`kernel_mass` onto the same N
     tanh-sinh nodes per axis, at every radius; row j of each a_{m+delta}
     table carries k times the Jacobian times the node weight
-    (:func:`_oracle_rows`).  All signatures share one walk and one a_delta
-    alternant.  The character's Vandermonde denominator cancels against the
-    Haar weight, so coincident angles need no special treatment.  The sum
+    (:func:`_oracle_rows`).  The signatures share one a_delta table and
+    are walked _WALK_TABLES - 1 at a time, so that a walk holds at most
+    _WALK_TABLES tables and its memory does not grow with the number of
+    signatures; each signature's sum is the same bit for bit however they
+    are grouped.  The character's Vandermonde denominator cancels against
+    the Haar weight, so coincident angles need no special treatment.  The sum
     runs node by node on the nodes a_1 > ... > a_n of :func:`_grid_sum`,
     times n!, and is never reduced to one-dimensional integrals
     (Andreief/Heine), because that reduction is the determinant formula of
@@ -334,9 +333,12 @@ def spherical_oracles(p: SpectralParams, sigs, r: float,
     if grid.n != p.n:
         raise DomainError(f"grid rank {grid.n} != params rank {p.n}")
     z, c = _oracle_rows(p, r, grid.points_per_dim)
-    totals = _grid_sum(
-        lambda alts: np.array([np.vdot(alts[0], a) for a in alts[1:]]),
-        _power_table(z, (0,) * p.n), *(c * _power_table(z, m) for m in sigs))
+    base, step = _power_table(z, (0,) * p.n), _WALK_TABLES - 1
+    totals = []
+    for i in range(0, len(sigs), step):
+        totals.extend(_grid_sum(
+            lambda alts: np.array([np.vdot(alts[0], a) for a in alts[1:]]),
+            base, *(c * _power_table(z, m) for m in sigs[i:i + step])))
     return [complex(t) / (math.factorial(p.n) * weyl_dimension(m))
             for t, m in zip(totals, sigs)]
 

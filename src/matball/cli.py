@@ -24,11 +24,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .boundary import TorusGrid, fourier_mode_check, spherical_oracle
+from .boundary import TorusGrid, fourier_mode_check, spherical_oracles
 from .errors import MatballError
 from .experiments import (DEFAULT_RADII, KTypeFunction, SweepResult,
                           forelli_rudin_growth, inversion_experiment,
-                          key_lemma_sweep, norm_sandwich)
+                          key_lemma_sweep, norm_sandwiches)
 from .hua import hua_residual
 from .identities import (lemma_a_sides, lemma_b_printed_sign, lemma_b_ratio,
                          lemma_b_resolved_sign)
@@ -199,14 +199,15 @@ def _rowwise(columns, rows) -> SweepResult:
 
 def cmd_phi(args, p) -> SweepResult:
     sigs = list(signatures_up_to(p.n, args.max_m))
-    by_radius = phi_bigs(p, sigs, args.radii)
+    # one spherical_oracles call per radius, as criterion 1 makes
+    by_radius = [(r, phis, spherical_oracles(
+                     p, sigs, r, oracle_grid(p.n, r) if args.grid is None
+                     else TorusGrid(p.n, args.grid)))
+                 for r, phis in zip(args.radii, phi_bigs(p, sigs, args.radii))]
     rows = []
     for i, m in enumerate(sigs):
-        for r, phis in zip(args.radii, by_radius):
-            det_val = phis[i]
-            grid = (oracle_grid(p.n, r) if args.grid is None
-                    else TorusGrid(p.n, args.grid))
-            orc = spherical_oracle(p, m, r, grid)
+        for r, phis, orcs in by_radius:
+            det_val, orc = phis[i], orcs[i]
             rel = abs(det_val - orc) / max(abs(det_val), 1e-30)
             rows.append((";".join(map(str, m)), r, det_val, orc, rel, rel <= 1e-6))
     return _rowwise(("m", "r", "profile", "oracle", "rel_error", "passed"), rows)
@@ -276,8 +277,8 @@ def _default_ktype(n: int) -> KTypeFunction:
 
 
 def cmd_sandwich(args, p) -> SweepResult:
-    sweep = norm_sandwich(p, _default_ktype(p.n), args.pexp, sorted(args.radii),
-                          TorusGrid(p.n, args.grid))
+    sweep = norm_sandwiches(p, [_default_ktype(p.n)], args.pexp,
+                            sorted(args.radii), TorusGrid(p.n, args.grid))[0]
     md = sweep.metadata
     print(f"lower bound |c| ||f||_p = {md['c_modulus'] * md['boundary_norm']:.6g}"
           f" <= hardy norm = {md['hardy_norm']:.6g}; "

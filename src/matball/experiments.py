@@ -231,12 +231,6 @@ def norm_sandwiches(p: SpectralParams, fs, pexp: float, radii=DEFAULT_RADII,
     return out
 
 
-def norm_sandwich(p: SpectralParams, f: KTypeFunction, pexp: float,
-                  radii=DEFAULT_RADII, grid: TorusGrid | None = None) -> SweepResult:
-    """The two-sided estimate of :func:`norm_sandwiches` for one f."""
-    return norm_sandwiches(p, [f], pexp, radii, grid)[0]
-
-
 def inversion_experiment(p: SpectralParams, f: KTypeFunction,
                          radii) -> SweepResult:
     """L^2 error of the boundary-inversion approximation.  Per radius the

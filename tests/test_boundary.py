@@ -20,9 +20,10 @@ from matball.boundary import (TorusGrid, fourier_mode_check, kernel_mass,
                               spherical_oracles, validate_ball_point)
 from matball.errors import DomainError, SingularError
 from matball.experiments import (KTypeFunction, forelli_rudin_growth,
-                                 norm_sandwich)
+                                 norm_sandwiches)
 from matball.special import SpectralParams
 from matball.spherical import phi_big, phi_bigs, phi_scalar, weyl_dimension
+from matball.verify import signatures_up_to
 from torus_reference import (disk_weyl_integrate, einsum_cofactors,
                              full_grid_sum, kernel_projection,
                              poisson_kernel_torus, schur_character,
@@ -462,28 +463,50 @@ class TestSphericalOracles:
         with pytest.raises(DomainError):
             spherical_oracles(p, [(0, 0)], 1.0, TorusGrid(2, 16))
 
-    def test_second_call_reuses_the_walk_buffers(self):
-        # a walk holds one 256 KiB dense block and one 256 KiB alternant
-        # buffer per table; the second call writes into the buffers the
-        # first one left
+    @pytest.mark.parametrize("n,N", [(2, 24), (3, 12)])
+    def test_more_signatures_than_one_walk_holds(self, monkeypatch, n, N):
+        # 15 signatures at rank 2 and 35 at rank 3 walk in groups of
+        # _WALK_TABLES - 1, each signature bit for bit its own walk's value
+        g = TorusGrid(n, N)
+        sigs = list(signatures_up_to(n, 2))
+        assert len(sigs) == {2: 15, 3: 35}[n] > boundary._WALK_TABLES
+        walks = []
+        inner = boundary._grid_sum
+        with monkeypatch.context() as patch:
+            patch.setattr(boundary, "_grid_sum", lambda integrand, *tables: (
+                walks.append(len(tables)) or inner(integrand, *tables)))
+            spherical_oracles(SpectralParams(n, 0, n + 1.0), sigs, 0.5, g)
+        assert walks == {2: [8, 8, 2], 3: [8] * 5}[n]
+        for p in (SpectralParams(n, 1, n + 1.5),
+                  SpectralParams(n, -1, n + 0.5 + 0.7j)):
+            for r in (0.3, 0.7):
+                assert spherical_oracles(p, sigs, r, g) == [
+                    spherical_oracle(p, m, r, g) for m in sigs]
+
+    def test_walk_peak_does_not_grow_with_signatures(self):
+        # a walk holds one 256 KiB dense block and one 256 KiB gather
+        # buffer per table, at most _WALK_TABLES tables: 10, 35 and 84
+        # rank-3 signatures peak alike.  The read-only walk plan and block
+        # nodes of the grid are cached by a first call, outside the measure
         p = SpectralParams(3, 1, 4.5)
-        spherical_oracle(p, (2, 1, 0), 0.7, TorusGrid(3, 80))
-        tracemalloc.start()
-        try:
-            spherical_oracle(p, (2, 1, 0), 0.7, TorusGrid(3, 80))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
+        spherical_oracle(p, (0, 0, 0), 0.7, TorusGrid(3, 80))
+        peaks = []
+        for max_m in (1, 2, 3):
+            sigs = list(signatures_up_to(3, max_m))
+            tracemalloc.start()
+            try:
+                spherical_oracles(p, sigs, 0.7, TorusGrid(3, 80))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert max(peaks) <= 1.05 * min(peaks)
+        assert max(peaks) <= 4.5 * 2 ** 20
 
     def test_buffers_stay_within_the_block_budget(self):
-        # the largest grid a shipped check walks: C(160, 3) nodes in blocks
-        # of at most _BLOCK_BUDGET dense products, whatever N and the rank
-        p = SpectralParams(3, 1, 4.5)
-        spherical_oracles(p, ORACLE_SIGS[3], 0.7, TorusGrid(3, 160))
-        assert len(boundary._ALTERNANT_BUFFERS) >= 7
-        assert all(buf.size <= boundary._BLOCK_BUDGET
-                   for buf in boundary._ALTERNANT_BUFFERS)
+        # the largest grid a shipped check walks, C(160, 3) nodes, and the
+        # largest grids TorusGrid accepts, in blocks of at most
+        # _BLOCK_BUDGET dense products, whatever N and the rank
         for N, n in ((160, 3), (256, 3), (4096, 2), (300000, 1)):
             for lo, hi, c0, c1 in boundary._walk_plan(N, n)[1]:
                 assert (hi - lo) * (c1 - c0) <= boundary._BLOCK_BUDGET
@@ -702,11 +725,12 @@ class TestFourierModeCheck:
 
 class TestHardyNorm:
     """The weighted slice norms (1-r^2)^(-n(n-nu-Re s)/2) ||F(r .)||_p that
-    norm_sandwich reports for the Poisson extension F of f."""
+    norm_sandwiches reports for the Poisson extension F of f."""
 
     @staticmethod
     def slice_norms(p, f, pexp, radii, g):
-        return [v for _, v in norm_sandwich(p, f, pexp, radii, g).rows]
+        [sw] = norm_sandwiches(p, [f], pexp, radii, g)
+        return [v for _, v in sw.rows]
 
     def test_constant_at_zero(self):
         p = SpectralParams(2, 1, 3.0)
@@ -733,5 +757,5 @@ class TestHardyNorm:
         p = SpectralParams(1, 0, 1.0)
         for pexp in (0.5, math.inf, math.nan):
             with pytest.raises(DomainError):
-                norm_sandwich(p, KTypeFunction({(0,): 1.0}), pexp, (0.1,),
-                              TorusGrid(1, 16))
+                norm_sandwiches(p, [KTypeFunction({(0,): 1.0})], pexp, (0.1,),
+                                TorusGrid(1, 16))

@@ -100,16 +100,17 @@ class TestOptionTable:
         ([], [80, 80]),  # the default: verify.oracle_grid at each radius
     ])
     def test_phi_grid(self, tmp_path, monkeypatch, argv, grids):
+        # one spherical_oracles call per radius, over all signatures
         seen = []
 
-        def spy(p, m, r, grid):
-            seen.append(grid.points_per_dim)
-            return 1.0
+        def spy(p, sigs, r, grid):
+            seen.append((r, len(sigs), grid.points_per_dim))
+            return [1.0] * len(sigs)
 
-        monkeypatch.setattr(cli, "spherical_oracle", spy)
-        run_cli(["phi", "--n", "1", "--max-m", "0", "--radii", "0.3,0.7",
+        monkeypatch.setattr(cli, "spherical_oracles", spy)
+        run_cli(["phi", "--n", "1", "--max-m", "1", "--radii", "0.3,0.7",
                  *argv, "--out", str(tmp_path / "phi.csv")])
-        assert seen == grids
+        assert seen == [(0.3, 3, grids[0]), (0.7, 3, grids[1])]
 
 
 # Option values for the argv fuzz: in range, out of range, non-finite and

@@ -10,7 +10,7 @@ from matball.boundary import TorusGrid, spherical_oracle
 from matball.errors import DomainError
 from matball.experiments import (KTypeFunction, forelli_rudin_growth,
                                  inversion_experiment, key_lemma_sweep,
-                                 norm_sandwich, norm_sandwiches)
+                                 norm_sandwiches)
 from matball.special import SpectralParams, c_function, gauss_2f1
 from matball.spherical import (key_lemma_ratio, log_boundary_weight, phi_big,
                                phi_bigs, weyl_dimension)
@@ -71,11 +71,11 @@ class TestKTypeFunction:
             with pytest.raises(DomainError):
                 lp_norm(f, pexp, TorusGrid(2, 8))
             with pytest.raises(DomainError):
-                norm_sandwich(p, f, pexp, (0.5,), TorusGrid(2, 8))
+                norm_sandwiches(p, [f], pexp, (0.5,), TorusGrid(2, 8))
         with pytest.raises(DomainError):
             lp_norm(f, 2.0, TorusGrid(3, 8))
         with pytest.raises(DomainError):
-            norm_sandwich(p, f, 2.0, (0.5,), TorusGrid(3, 8))
+            norm_sandwiches(p, [f], 2.0, (0.5,), TorusGrid(3, 8))
         with pytest.raises(DomainError):
             experiments._norms([f.items(), KTypeFunction({(1, 0, 0): 1.0}).items()],
                                2.0, TorusGrid(2, 8))
@@ -185,7 +185,7 @@ class TestNormSandwich:
     def test_constant_boundary_data(self):
         p = SpectralParams(2, 1, 3.0)
         f = KTypeFunction({(0, 0): 1.0})
-        sw = norm_sandwich(p, f, 2.0)
+        [sw] = norm_sandwiches(p, [f], 2.0)
         assert sw.passed
         assert rel(sw.metadata["boundary_norm"], 1.0) < 1e-12
         assert sw.metadata["hardy_norm"] >= abs(c_function(p)) * (1 - 1e-3)
@@ -197,7 +197,7 @@ class TestNormSandwich:
         m = (1, 0)
         f = KTypeFunction({m: 1.0})
         g = TorusGrid(2, 24)
-        sw = norm_sandwich(p, f, 2.0, (0.3, 0.7), g)
+        [sw] = norm_sandwiches(p, [f], 2.0, (0.3, 0.7), g)
         for r, got in sw.rows:
             weight = (1 - r * r) ** (-p.n * (p.n - p.nu - p.s.real) / 2.0)
             ref = weight * abs(phi_big(p, m, r)) / weyl_dimension(m)
@@ -206,7 +206,7 @@ class TestNormSandwich:
     def test_mixed_types_p1(self):
         p = SpectralParams(2, 0, 3.0)
         f = KTypeFunction({(0, 0): 1.0, (1, 0): 0.4j})
-        sw = norm_sandwich(p, f, 1.0)
+        [sw] = norm_sandwiches(p, [f], 1.0)
         assert sw.passed
 
     def test_many_configurations(self):
@@ -216,7 +216,7 @@ class TestNormSandwich:
                 p = SpectralParams(n, nu, s)
                 f = KTypeFunction({(0,) * n: 1.0,
                                    (1,) + (0,) * (n - 1): 0.5 - 0.25j})
-                assert norm_sandwich(p, f, 2.0).passed
+                assert norm_sandwiches(p, [f], 2.0)[0].passed
                 count += 1
         assert count >= 6
 
@@ -229,7 +229,7 @@ class TestNormSandwich:
                            (0,) * (n - 1) + (-1,): -0.4})
         grid = TorusGrid(n, 16)
         radii = (0.3, 0.9, 0.999)
-        sw = norm_sandwich(p, f, pexp, radii, grid)
+        [sw] = norm_sandwiches(p, [f], pexp, radii, grid)
         slices = [row[1] for row in sw.rows]
         assert slices == [weighted_slice_norm(p, f, pexp, r, grid)
                           for r in radii]
@@ -246,7 +246,7 @@ class TestNormSandwich:
             assert all(q is p for q, _ in configs[k:k + 3])
             grid = TorusGrid(p.n, 32)
             for f, sw in zip(fs, norm_sandwiches(p, fs, 2.0)):
-                one = norm_sandwich(p, f, 2.0)
+                [one] = norm_sandwiches(p, [f], 2.0)
                 assert sw.rows == one.rows
                 assert sw.passed == one.passed
                 assert sw.metadata == one.metadata
@@ -265,7 +265,7 @@ class TestNormSandwich:
         p = SpectralParams(2, 1, 3.0)
         f = KTypeFunction({(1, 0): 1.0})
         g = TorusGrid(2, 24)
-        val = norm_sandwich(p, f, 2.0, (0.9999,), g).rows[0][1]
+        val = norm_sandwiches(p, [f], 2.0, (0.9999,), g)[0].rows[0][1]
         ratio = val / f.boundary_norm2()
         assert abs(ratio - abs(c_function(p))) <= 5e-2 * abs(c_function(p))
 
@@ -394,7 +394,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(experiments, "_grid_sum", counting)
         f = KTypeFunction({(0, 0): 1.0, (1, 0): 0.5 - 0.25j})
-        norm_sandwich(SpectralParams(2, 0, 3.0), f, 2.0)
+        norm_sandwiches(SpectralParams(2, 0, 3.0), [f], 2.0)
         assert len(walks) == 1
 
     def test_repeated_criterion_repeats_its_work(self, monkeypatch):
