@@ -67,48 +67,39 @@ def parse_radii(text: str):
     return vals
 
 
+def _bounded(kind, name: str, op: str, low):
+    """An option type: ``kind(text)``, refused unless ``op low`` and finite.
+    Named as ``kind``, so bad text stays ``invalid int value: 'x'``."""
+    def convert(text: str):
+        value = kind(text)
+        if not ((value > low if op == ">" else value >= low) and value < math.inf):
+            finite = " and finite" if isinstance(value, float) else ""
+            raise argparse.ArgumentTypeError(
+                f"--{name} must be {op} {low}{finite}, got {value}")
+        return value
+    convert.__name__ = kind.__name__
+    return convert
+
+
 # Every option of the CLI but --out, as add_argument keywords
 OPTIONS = {
-    "n": dict(type=int, default=2, help="rank (1..3)"),
+    "n": dict(type=_bounded(int, "n", ">=", 1), default=2, help="rank (>= 1)"),
     "nu": dict(type=int, default=0, help="integer weight"),
     "s": dict(type=parse_complex, default=None,
               help="spectral variable s = i*lambda (NOT lambda), e.g. '3' or "
                    "'2.5+1i'; default n + 1"),
     "radii": dict(type=parse_radii, metavar="R1,R2,..."),
-    "grid": dict(type=int, default=None, metavar="N",
+    "grid": dict(type=_bounded(int, "grid", ">=", 8), default=None, metavar="N",
                  help="quadrature points per torus dimension (>= 8)"),
-    "max-m": dict(type=int, default=2, metavar="M",
+    "max-m": dict(type=_bounded(int, "max-m", ">=", 0), default=2, metavar="M",
                   help="signature truncation |m_i| <= M"),
-    "fd-step": dict(type=float, default=4e-4, metavar="H",
-                    help="finite-difference step"),
-    "seed": dict(type=int, default=42),
-    "pexp": dict(type=float, default=2.0, help="norm exponent p >= 1"),
+    "fd-step": dict(type=_bounded(float, "fd-step", ">", 0), default=4e-4,
+                    metavar="H", help="finite-difference step"),
+    "seed": dict(type=_bounded(int, "seed", ">=", 0), default=42),
+    "pexp": dict(type=_bounded(float, "pexp", ">=", 1), default=2.0,
+                 help="norm exponent p >= 1"),
     "extended": dict(action="store_true",
                      help="include the rank-3 targets (slower)"),
-}
-
-# subcommand: (help, its options besides --out, its own defaults)
-SUBCOMMANDS = {
-    "phi": ("radial profiles vs quadrature oracle",
-            "n nu s radii grid max-m", dict(radii=(0.1, 0.3, 0.5, 0.7))),
-    "kernel": ("kernel Fourier modes vs closed form",
-               "n nu s radii grid max-m", dict(radii=(0.3, 0.6), grid=512)),
-    "hua-check": ("operator eigen-equation residuals",
-                  "n nu s fd-step seed", {}),
-    "lemma-a": ("determinant shift identity", "n radii seed",
-                dict(radii=(0.3, 0.6, 0.9))),
-    "lemma-b": ("determinant asymptotic ratio", "n radii seed",
-                dict(radii=(1 - 1e-3, 1 - 1e-4, 1 - 1e-5))),
-    "e9": ("c-function factorization identity", "", {}),
-    "key-lemma": ("boundary asymptotic ratios", "n nu s radii max-m",
-                  dict(radii=(0.9, 0.99, 0.999, 0.9999))),
-    "forelli-rudin": ("kernel mass growth", "n nu s radii grid",
-                      dict(radii=(0.5, 0.9, 0.99), grid=64)),
-    "sandwich": ("two-sided norm estimate", "n nu s radii grid pexp",
-                 dict(radii=DEFAULT_RADII, grid=32)),
-    "invert": ("boundary-value inversion error", "n nu s radii",
-               dict(radii=(0.9, 0.99, 0.999, 0.9999))),
-    "verify-all": ("run the full verification suite", "extended seed", {}),
 }
 
 
@@ -119,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "determinants on the matrix ball (desk scale).")
     ap.add_argument("--version", action="version", version=f"matball {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, (help_text, options, defaults) in SUBCOMMANDS.items():
+    for command, (help_text, options, defaults, _, _) in SUBCOMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
         for name in options.split():
             sp.add_argument(f"--{name}", **OPTIONS[name])
@@ -134,9 +125,10 @@ def resolve_params(args, parser) -> SpectralParams:
     command."""
     s = complex(args.n + 1.0) if args.s is None else args.s
     p = SpectralParams(args.n, args.nu, s)
-    if args.command in ASYMPTOTIC_COMMANDS and not p.in_asymptotic_range:
+    guards = SUBCOMMANDS[args.command][4].split()
+    if "asymptotic" in guards and not p.in_asymptotic_range:
         parser.error(f"s={s} violates Re(s) > n-1 (asymptotic range guard)")
-    if args.command in GENERIC_COMMANDS and not p.in_generic_set:
+    if "generic" in guards and not p.in_generic_set:
         parser.error(f"s={s} lies on the excluded lattice n-2+/-nu-2k "
                      "(generic-set guard)")
     return p
@@ -195,7 +187,7 @@ def _rowwise(columns, rows) -> SweepResult:
 
 
 # Each command maps (args, params) to a SweepResult; params is the resolved
-# SpectralParams for the commands in SPECTRAL_COMMANDS and None otherwise.
+# SpectralParams for the commands that take --s and None otherwise.
 
 def cmd_phi(args, p) -> SweepResult:
     sigs = list(signatures_up_to(p.n, args.max_m))
@@ -297,46 +289,48 @@ def cmd_verify_all(args, p) -> SweepResult:
                        passed=all(res.passed for res in results))
 
 
-COMMANDS = {
-    "phi": cmd_phi,
-    "kernel": cmd_kernel,
-    "hua-check": cmd_hua_check,
-    "lemma-a": cmd_lemma_a,
-    "lemma-b": cmd_lemma_b,
-    "e9": cmd_e9,
-    "key-lemma": lambda args, p: key_lemma_sweep(
-        p, list(signatures_up_to(p.n, args.max_m)), sorted(args.radii)),
-    "forelli-rudin": lambda args, p: forelli_rudin_growth(
-        p, sorted(args.radii), TorusGrid(p.n, args.grid)),
-    "sandwich": cmd_sandwich,
-    "invert": lambda args, p: inversion_experiment(
-        p, _default_ktype(p.n), sorted(args.radii)),
-    "verify-all": cmd_verify_all,
+# subcommand: (help, its options besides --out, its own defaults, handler,
+# the guards its s must pass)
+SUBCOMMANDS = {
+    "phi": ("radial profiles vs quadrature oracle", "n nu s radii grid max-m",
+            dict(radii=(0.1, 0.3, 0.5, 0.7)), cmd_phi, ""),
+    "kernel": ("kernel Fourier modes vs closed form", "n nu s radii grid max-m",
+               dict(radii=(0.3, 0.6), grid=512), cmd_kernel, ""),
+    "hua-check": ("operator eigen-equation residuals", "n nu s fd-step seed",
+                  {}, cmd_hua_check, "generic"),
+    "lemma-a": ("determinant shift identity", "n radii seed",
+                dict(radii=(0.3, 0.6, 0.9)), cmd_lemma_a, ""),
+    "lemma-b": ("determinant asymptotic ratio", "n radii seed",
+                dict(radii=(1 - 1e-3, 1 - 1e-4, 1 - 1e-5)), cmd_lemma_b, ""),
+    "e9": ("c-function factorization identity", "", {}, cmd_e9, ""),
+    "key-lemma": ("boundary asymptotic ratios", "n nu s radii max-m",
+                  dict(radii=(0.9, 0.99, 0.999, 0.9999)), lambda args, p:
+                  key_lemma_sweep(p, list(signatures_up_to(p.n, args.max_m)),
+                                  sorted(args.radii)), "asymptotic generic"),
+    "forelli-rudin": ("kernel mass growth", "n nu s radii grid",
+                      dict(radii=(0.5, 0.9, 0.99), grid=64), lambda args, p:
+                      forelli_rudin_growth(p, sorted(args.radii),
+                                           TorusGrid(p.n, args.grid)), "asymptotic"),
+    "sandwich": ("two-sided norm estimate", "n nu s radii grid pexp",
+                 dict(radii=DEFAULT_RADII, grid=32), cmd_sandwich,
+                 "asymptotic generic"),
+    "invert": ("boundary-value inversion error", "n nu s radii",
+               dict(radii=(0.9, 0.99, 0.999, 0.9999)), lambda args, p:
+               inversion_experiment(p, _default_ktype(p.n), sorted(args.radii)),
+               "asymptotic generic"),
+    "verify-all": ("run the full verification suite", "extended seed", {},
+                   cmd_verify_all, ""),
 }
-
-# the guards the s of these commands must pass
-ASYMPTOTIC_COMMANDS = {"key-lemma", "forelli-rudin", "sandwich", "invert"}
-GENERIC_COMMANDS = {"hua-check", "key-lemma", "sandwich", "invert"}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # lower bounds of the numeric options, which must also be finite
-    for name, low in (("n", 1), ("grid", 8), ("max_m", 0), ("pexp", 1),
-                      ("seed", 0), ("fd_step", 0)):
-        value = getattr(args, name, None)
-        op = ">" if name == "fd_step" else ">="
-        if value is not None and not (
-                (value > low if op == ">" else value >= low) and value < math.inf):
-            finite = " and finite" if isinstance(value, float) else ""
-            parser.error(f"--{name.replace('_', '-')} must be {op} {low}{finite}, "
-                         f"got {value}")
     try:
         p = resolve_params(args, parser) if "s" in args else None
         # overflow and NaN are refused by _require_finite, not warned about
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            sweep = COMMANDS[args.command](args, p)
+            sweep = SUBCOMMANDS[args.command][3](args, p)
         _require_finite(sweep.rows)
     except (MatballError, ArithmeticError) as exc:
         print(f"numerical guard: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -346,7 +340,11 @@ def main(argv=None) -> int:
         config["radii"] = ";".join(f"{r:.17g}" for r in args.radii)
     if p is not None:
         config["s"] = p.s
-    write_csv(args.out, args.command, config, sweep.columns, sweep.rows)
+    try:
+        write_csv(args.out, args.command, config, sweep.columns, sweep.rows)
+    except OSError as exc:  # an unwritable path is the caller's, not a check's
+        print(f"matball: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_PASS if sweep.passed else EXIT_CHECK_FAILED
 
 

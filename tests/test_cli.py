@@ -4,6 +4,7 @@ determinism and exit codes."""
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +113,88 @@ class TestOptionTable:
                  *argv, "--out", str(tmp_path / "phi.csv")])
         assert seen == [(0.3, 3, grids[0]), (0.7, 3, grids[1])]
 
+    def test_readme_table_lists_each_subcommand_options(self):
+        # README's "subcommand | options" table is a second copy of the table
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text().splitlines()
+        start = lines.index("| subcommand | options |") + 2
+        listed = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            commands, options = line.split("|")[1:3]
+            listed += [(c, re.findall(r"--([\w-]+)", options))
+                       for c in re.findall(r"`([\w-]+)`", commands)]
+        assert sorted(listed) == sorted(
+            (c, row[1].split()) for c, row in SUBCOMMANDS.items())
+
+
+# A value just past each bounded option's bound, and the nearest it accepts
+BOUNDS = {"n": ("0", "1"), "grid": ("7", "8"), "max-m": ("-1", "0"),
+          "seed": ("-1", "0"), "pexp": ("0.999", "1"), "fd-step": ("0", "1e-300")}
+BOUNDED = [(c, name) for c, row in SUBCOMMANDS.items()
+           for name in row[1].split() if name in BOUNDS]
+# an s outside one guard only, and the name the refusal gives that guard
+GUARD_ARGV = {
+    "asymptotic": (["--n", "2", "--s", "0.5"], "asymptotic range guard"),
+    "generic": (["--n", "1", "--nu", "2", "--s", "1"], "generic-set guard"),
+}
+
+
+def usage_error(argv, capsys) -> str:
+    """stderr of a run that must stop with a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2, argv
+    return capsys.readouterr().err
+
+
+class TestAcceptedDomain:
+    """Every bound and guard of SUBCOMMANDS and OPTIONS, one case each."""
+
+    def test_guarded_subcommands(self):
+        assert {c: row[4] for c, row in SUBCOMMANDS.items() if row[4]} == {
+            "hua-check": "generic", "key-lemma": "asymptotic generic",
+            "forelli-rudin": "asymptotic", "sandwich": "asymptotic generic",
+            "invert": "asymptotic generic"}
+
+    def test_every_bounded_option_has_a_case(self):
+        plain = (None, int, parse_complex, parse_radii)
+        assert {name for name, kw in OPTIONS.items()
+                if kw.get("type") not in plain} == set(BOUNDS)
+
+    @pytest.mark.parametrize("command, name", BOUNDED)
+    def test_just_past_the_bound_is_usage_error(self, capsys, command, name):
+        past, bound = BOUNDS[name]
+        err = usage_error([command, f"--{name}={past}"], capsys)
+        assert f"--{name} must be" in err
+        args = build_parser().parse_args([command, f"--{name}={bound}"])
+        assert getattr(args, name.replace("-", "_")) == float(bound)
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("command, name", [
+        (c, name) for c, name in BOUNDED
+        if OPTIONS[name]["type"].__name__ == "float"])
+    def test_non_finite_float_is_usage_error(self, capsys, command, name, value):
+        err = usage_error([command, f"--{name}={value}"], capsys)
+        assert f"--{name} must be" in err and "and finite" in err
+
+    @pytest.mark.parametrize("command, guard", [
+        (c, guard) for c, row in SUBCOMMANDS.items() for guard in row[4].split()])
+    def test_s_outside_a_guard_is_usage_error(self, capsys, command, guard):
+        argv, named = GUARD_ARGV[guard]
+        err = usage_error([command, *argv], capsys)
+        assert named in err
+        assert not any(other in err for _, other in GUARD_ARGV.values()
+                       if other != named)
+
+    @pytest.mark.parametrize("command", [
+        c for c, row in SUBCOMMANDS.items() if "s" in row[1].split() and not row[4]])
+    def test_unguarded_command_takes_any_s(self, tmp_path, command):
+        argv, _ = GUARD_ARGV["asymptotic"]
+        assert run_cli([command, *argv, "--max-m", "0", "--radii", "0.5",
+                        "--out", str(tmp_path / "x.csv")]) == 0
+
 
 # Option values for the argv fuzz: in range, out of range, non-finite and
 # unparsable, always passed as --name=value so negative numbers parse.
@@ -214,6 +297,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_cli(["key-lemma", "--n", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, out):
+        # a missing directory and a directory: the path, not a check, fails
+        path = tmp_path / out
+        assert run_cli(["e9", "--out", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and f"cannot write {path}" in lines[0]
 
     def test_numerical_guard(self, tmp_path, capsys):
         # an oversized finite-difference step pushes probes out of the ball
