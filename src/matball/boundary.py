@@ -8,14 +8,15 @@ the probability Haar measure as
 
     int f dU = (1/(n! N^n)) sum_nodes A(z) conj a_delta(z),
 
-so the Vandermonde denominator of a character never has to be divided out.
+so the Vandermonde denominator of a character never has to be divided out;
+the K-type norms sum |A_f / a_delta|^p |a_delta|^2 on this grid.
 The quadrature oracle for Phi_{s,m} sums kernel x a_{m+delta} x conj(a_delta)
 node by node, and the kernel mass sums weight x |a_delta|^2 the same way;
 both sum on one tanh-sinh grid after the disk automorphism.  Every such
 integrand is symmetric in a node's indices and nodes with two equal indices
 add zero, so the walk visits only the C(N, n) nodes a_1 > a_2 > ... > a_n
 and multiplies by n!.
-Neither sum is reduced to one-dimensional integrals (Andreief/Heine): the
+No sum is reduced to one-dimensional integrals (Andreief/Heine): the
 reduction is the determinant formula the oracle is there to check.
 """
 
@@ -36,9 +37,9 @@ from .special import SpectralParams
 from .spherical import (phi_scalar_core, validate_radius, validate_signature,
                         weyl_dimension)
 
-# The rank-3 N = 160 grid-refinement gate of the oracle is the largest grid a
-# shipped check builds; the limit bounds the run time of a torus sum, not its
-# memory, which the blocks of at most _BLOCK_BUDGET products keep small.
+# Bounds N^n, though the walk visits only C(N, n) nodes: the run time of a
+# torus sum, not its memory, which blocks of _BLOCK_BUDGET products bound.
+# The largest grid a shipped check builds is criterion 1's rank-3 N = 160.
 MAX_GRID_NODES = 1 << 24
 
 
@@ -66,13 +67,13 @@ def ball_margin(Z: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Midpoint-offset uniform product grid on [0, 2pi)^n.
-
-    Nodes are theta_j = 2 pi (j + 1/2) / N per dimension; the trapezoidal
-    weight (2 pi / N)^n integrates trigonometric polynomials of per-variable
-    degree < N exactly.  The K-type norms sum on this grid;
-    :func:`spherical_oracles` and :func:`kernel_mass` put N tanh-sinh nodes
-    on each axis instead (:func:`_disk_axis`), at every radius.
+    """The validated rank n and nodes per axis N of a torus sum; it holds
+    no nodes.  :func:`ktype_norms` puts the uniform midpoint nodes
+    theta_j = 2 pi (j + 1/2) / N on each axis (:func:`_torus_axis`, which
+    :func:`fourier_mode_check` sums on too), whose trapezoidal weight
+    integrates trigonometric polynomials of per-variable degree < N
+    exactly; :func:`spherical_oracles` and :func:`kernel_mass` put N
+    tanh-sinh nodes on each axis (:func:`_disk_axis`), at every radius.
     """
 
     n: int
@@ -131,16 +132,6 @@ def poisson_kernel(p: SpectralParams, Z: np.ndarray,
     values = [cmath.exp(sigma * math.log(a / abs(w) ** 2)) * w ** (-nu)
               for a, w in zip(np.ravel(detA).tolist(), np.ravel(detW).tolist())]
     return values[0] if Z.ndim == 2 else np.array(values)
-
-
-def _kernel_factor(p: SpectralParams, z: complex, theta: np.ndarray,
-                   log_scale: complex = 0.0) -> np.ndarray:
-    """Per-angle factor g of the kernel at Z = z I without its (1-|z|^2)^sigma
-    part: |w|^(-2 sigma) w^(-nu) with w = 1 - z e^{-i th} and
-    sigma = (s+n-nu)/2, times e^{log_scale}."""
-    w = 1.0 - z * np.exp(-1j * theta)
-    sigma = (p.s + p.n - p.nu) / 2.0
-    return np.exp(-2.0 * sigma * np.log(np.abs(w)) + log_scale) * w ** (-p.nu)
 
 
 @functools.cache
@@ -402,6 +393,61 @@ def kernel_mass(p: SpectralParams, r: float, grid: TorusGrid) -> float:
     return total.real / math.factorial(n)
 
 
+def ktype_norms(coefficient_rows, pexp: float, grid: TorusGrid) -> list:
+    """L^p norms (int |f|^p dU)^(1/p) on the grid of K-type functions f,
+    from one walk of the grid, in numerator form.  Each f is given by its
+    sorted (signature, coefficient) pairs, as ``KTypeFunction.items``
+    returns them: signatures already validated, of one rank per f.
+
+    With A_f = sum_m (c_m/d_m) a_{m+delta} at each node, f = A_f / a_delta
+    and the Haar weight is |a_delta|^2, so the sum over the N^n midpoint
+    nodes is of |A_f / a_delta|^p |a_delta|^2, divided by n! N^n.  The
+    walk visits only the nodes a_1 > ... > a_n and multiplies by n!, so it
+    never meets a coincident-angle node, where a_delta = 0.  The quotient
+    is taken before the power: |A_f|^p alone overflows long before |f|^p
+    does.  Per block the integrand of every f is one row of a (functions
+    x nodes) array; each f sums its own terms in its own sorted order, and
+    each row sum is the 1-D sum of that row, so its norm does not depend
+    on the other functions.
+    """
+    if not (math.isfinite(pexp) and pexp >= 1.0):
+        raise DomainError(f"norm exponent must be a finite number >= 1, got {pexp}")
+    if any(len(items[0][0]) != grid.n for items in coefficient_rows):
+        raise DomainError(f"grid rank {grid.n} != K-type rank of some f")
+    n, N = grid.n, grid.points_per_dim
+    sigs = sorted({m for items in coefficient_rows for m, _ in items})
+    dims = {m: weyl_dimension(m) for m in sigs}
+    rows = [[(sigs.index(m), c / dims[m]) for m, c in items]
+            for items in coefficient_rows]
+
+    def integrand(alternants):
+        base, *alts = alternants
+        weight = np.abs(base) ** 2
+        # the rows of several f form one (functions x nodes) array of at
+        # most _BLOCK_BUDGET entries, and every step runs in place on it:
+        # fresh temporaries per step cost more than the per-f loop they
+        # replace
+        per = max(1, _BLOCK_BUDGET // base.size)
+        sums = []
+        for part in (rows[i:i + per] for i in range(0, len(rows), per)):
+            A = np.zeros((len(part), base.size), dtype=complex)
+            for A_f, row in zip(A, part):
+                for i, w in row:
+                    A_f += w * alts[i]
+            A /= base
+            terms = np.abs(A)
+            terms **= pexp
+            terms *= weight
+            sums.append(terms.sum(axis=1))
+        return np.concatenate(sums)
+
+    z = np.exp(1j * _torus_axis(N))
+    totals = _grid_sum(integrand, _power_table(z, (0,) * n),
+                       *(_power_table(z, m) for m in sigs))
+    return [(float(t) / (math.factorial(n) * N ** n)) ** (1.0 / pexp)
+            for t in totals]
+
+
 def fourier_mode_check(p: SpectralParams, k: int, r: float, N: int) -> CheckReport:
     """Compare the k-th Fourier coefficient of the per-angle kernel factor
 
@@ -415,7 +461,10 @@ def fourier_mode_check(p: SpectralParams, k: int, r: float, N: int) -> CheckRepo
     if not isinstance(N, int) or N < 8:
         raise DomainError(f"need an integer N >= 8 quadrature points, got {N!r}")
     theta = _torus_axis(N)
-    quad = complex(np.mean(_kernel_factor(p, r, theta) * np.exp(1j * k * theta)))
+    w = 1.0 - r * np.exp(-1j * theta)
+    sigma = (p.s + p.n - p.nu) / 2.0
+    g = np.exp(-2.0 * sigma * np.log(np.abs(w))) * w ** (-p.nu)
+    quad = complex(np.mean(g * np.exp(1j * k * theta)))
     closed = phi_scalar_core(p, k, r)
     return make_report(f"fourier_mode k={k}", quad, closed, 1e-9,
                        n=p.n, nu=p.nu, s=p.s, r=r, N=N)

@@ -104,14 +104,15 @@ OPTIONS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a prefix is refused: lemma-a --s must not run as lemma-a --seed
     ap = argparse.ArgumentParser(
-        prog="matball",
+        prog="matball", allow_abbrev=False,
         description="Poisson kernels, Hua operators and hypergeometric "
                     "determinants on the matrix ball (desk scale).")
     ap.add_argument("--version", action="version", version=f"matball {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
     for command, (help_text, options, defaults, _, _) in SUBCOMMANDS.items():
-        sp = sub.add_parser(command, help=help_text)
+        sp = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for name in options.split():
             sp.add_argument(f"--{name}", **OPTIONS[name])
         sp.add_argument("--out", default="-", metavar="PATH",

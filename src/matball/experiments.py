@@ -1,6 +1,7 @@
 """Desk-scale reproductions of the boundary-value theory: asymptotic-ratio
 sweeps, kernel mass growth, the two-sided norm estimate for Poisson
-extensions and the inversion formula.
+extensions and the inversion formula.  The torus sums they read, the
+kernel mass and the K-type norms, are :mod:`matball.boundary`'s.
 
 Sweeps are deterministic given (params, seed, grids); rows are emitted in a
 fixed order so repeated runs are bit-identical.
@@ -11,10 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .boundary import (_BLOCK_BUDGET, TorusGrid, _grid_sum, _power_table,
-                       _torus_axis, kernel_mass)
+from .boundary import TorusGrid, kernel_mass, ktype_norms
 from .errors import DomainError
 from .special import SpectralParams, c_function
 from .spherical import (_require_asymptotic, _require_asymptotic_range,
@@ -68,61 +66,6 @@ class KTypeFunction:
         """Exact L^2 norm on the boundary: sqrt(sum |c_m|^2 / d_m^2)."""
         return math.sqrt(sum(abs(c) ** 2 / weyl_dimension(m) ** 2
                              for m, c in self.items()))
-
-
-def _norms(coefficient_rows, pexp: float, grid: TorusGrid) -> list:
-    """L^p norms (int |f|^p dU)^(1/p) on the grid of K-type functions f,
-    from one walk of the grid, in numerator form.  Each f is given by its
-    sorted (signature, coefficient) pairs, as ``KTypeFunction.items``
-    returns them: signatures already validated, of one rank per f.
-
-    With A_f = sum_m (c_m/d_m) a_{m+delta} at each node, f = A_f / a_delta
-    and the Haar weight is |a_delta|^2, so the sum over the N^n grid is of
-    |A_f / a_delta|^p |a_delta|^2, divided by n! N^n.  The walk visits
-    only the nodes a_1 > ... > a_n and multiplies by n!, so it never meets
-    a coincident-angle node, where a_delta = 0.  The quotient is taken
-    before the power: |A_f|^p alone overflows long before |f|^p does.  Per
-    block the integrand of every f is one row of a (functions x nodes)
-    array; each f sums its own terms in its own sorted order, and each row
-    sum is the 1-D sum of that row, so its norm does not depend on the
-    other functions.
-    """
-    if not (math.isfinite(pexp) and pexp >= 1.0):
-        raise DomainError(f"norm exponent must be a finite number >= 1, got {pexp}")
-    if any(len(items[0][0]) != grid.n for items in coefficient_rows):
-        raise DomainError(f"grid rank {grid.n} != K-type rank of some f")
-    n, N = grid.n, grid.points_per_dim
-    sigs = sorted({m for items in coefficient_rows for m, _ in items})
-    dims = {m: weyl_dimension(m) for m in sigs}
-    rows = [[(sigs.index(m), c / dims[m]) for m, c in items]
-            for items in coefficient_rows]
-
-    def integrand(alternants):
-        base, *alts = alternants
-        weight = np.abs(base) ** 2
-        # the rows of several f form one (functions x nodes) array of at
-        # most _BLOCK_BUDGET entries, and every step runs in place on it:
-        # fresh temporaries per step cost more than the per-f loop they
-        # replace
-        per = max(1, _BLOCK_BUDGET // base.size)
-        sums = []
-        for part in (rows[i:i + per] for i in range(0, len(rows), per)):
-            A = np.zeros((len(part), base.size), dtype=complex)
-            for A_f, row in zip(A, part):
-                for i, w in row:
-                    A_f += w * alts[i]
-            A /= base
-            terms = np.abs(A)
-            terms **= pexp
-            terms *= weight
-            sums.append(terms.sum(axis=1))
-        return np.concatenate(sums)
-
-    z = np.exp(1j * _torus_axis(N))
-    totals = _grid_sum(integrand, _power_table(z, (0,) * n),
-                       *(_power_table(z, m) for m in sigs))
-    return [(float(t) / (math.factorial(n) * N ** n)) ** (1.0 / pexp)
-            for t in totals]
 
 
 def key_lemma_sweep(p: SpectralParams, sigs, radii) -> SweepResult:
@@ -193,7 +136,8 @@ def norm_sandwiches(p: SpectralParams, fs, pexp: float, radii=DEFAULT_RADII,
     The sup over r is replaced by the max over the radius grid.  The lower
     bound is asserted with a 1e-3 slack; the upper ratio is reported (no
     reference constant is available for it).  All fs share one
-    :func:`phi_bigs` call for all radii and one walk of the grid.
+    :func:`phi_bigs` call for all radii and one :func:`ktype_norms` walk
+    of the grid.
     """
     _require_asymptotic(p)
     if any(f.rank != p.n for f in fs):
@@ -211,7 +155,7 @@ def norm_sandwiches(p: SpectralParams, fs, pexp: float, radii=DEFAULT_RADII,
         phi = dict(zip(sigs, row))
         slices += [[(m, complex(c * phi[m])) for m, c in f_items]
                    for f_items in items]
-    norms = _norms(items + slices, pexp, grid)
+    norms = ktype_norms(items + slices, pexp, grid)
     weights = [math.exp(-log_boundary_weight(p, r).real) for r in radii]
     cmod = abs(c_function(p))
     out = []

@@ -14,9 +14,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from matball import boundary, experiments
+from matball import boundary
 from matball.boundary import (TorusGrid, fourier_mode_check, kernel_mass,
-                              poisson_kernel, spherical_oracle,
+                              ktype_norms, poisson_kernel, spherical_oracle,
                               spherical_oracles, validate_ball_point)
 from matball.errors import DomainError, SingularError
 from matball.experiments import (KTypeFunction, forelli_rudin_growth,
@@ -524,7 +524,6 @@ class TestGridWalk:
     def reference(monkeypatch, compute, walk=tensordot_grid_sum):
         with monkeypatch.context() as patch:
             patch.setattr(boundary, "_grid_sum", walk)
-            patch.setattr(experiments, "_grid_sum", walk)
             return compute()
 
     @pytest.mark.parametrize("n,N,nodes", [
@@ -578,7 +577,7 @@ class TestGridWalk:
             masses = [kernel_mass(SpectralParams(n, nu, s), r, grid)
                       for nu, s in ((0, n + 0.75), (1, n - 0.5 + 0.3j))
                       for r in (0.0, 0.5, 0.9, 0.999)]
-            norms = [experiments._norms([f.items() for f in fs], pexp, grid)
+            norms = [ktype_norms([f.items() for f in fs], pexp, grid)
                      for pexp in (1.0, 2.0, 3.5)]
             return np.concatenate([np.ravel(oracles), masses, np.ravel(norms)])
         got = compute()
@@ -598,7 +597,7 @@ class TestGridWalk:
                 spherical_oracles(SpectralParams(3, 1, 4.5), ORACLE_SIGS[3],
                                   0.4, grid),
                 [kernel_mass(SpectralParams(3, 0, 3.75), 0.9, grid)],
-                experiments._norms([f.items() for f in fs], 3.5, grid)])
+                ktype_norms([f.items() for f in fs], 3.5, grid)])
         monkeypatch.setattr(boundary, "_BLOCK_BUDGET", 64)
         boundary._walk_plan.cache_clear()
         try:
@@ -639,8 +638,7 @@ class TestGridWalk:
               KTypeFunction({(2,) + rest: 0.3j, (-1,) * n: 0.2})]
 
         def compute():
-            return [experiments._norms([f.items() for f in fs], pexp,
-                                       TorusGrid(n, N))
+            return [ktype_norms([f.items() for f in fs], pexp, TorusGrid(n, N))
                     for pexp in (1.0, 2.0, 3.5)]
         assert compute() == self.reference(monkeypatch, compute)
 

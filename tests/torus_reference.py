@@ -14,9 +14,8 @@ import math
 
 import numpy as np
 
-from matball.boundary import (TorusGrid, _disk_axis, _grid_sum,
-                              _kernel_factor, _oracle_rows, _power_table,
-                              _torus_axis, _walk_plan)
+from matball.boundary import (TorusGrid, _disk_axis, _grid_sum, _oracle_rows,
+                              _power_table, _torus_axis, _walk_plan)
 from matball.errors import DomainError
 from matball.special import SpectralParams
 from matball.spherical import validate_signature, weyl_dimension
@@ -105,8 +104,11 @@ def poisson_kernel_torus(p: SpectralParams, z: complex, angles: np.ndarray) -> n
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
     if angles.shape[1] != p.n:
         raise DomainError(f"angle rows have length {angles.shape[1]}, expected {p.n}")
-    log_scale = (p.s + p.n - p.nu) / 2.0 * math.log1p(-abs(z) ** 2)
-    return np.prod(_kernel_factor(p, z, angles, log_scale), axis=1)
+    sigma = (p.s + p.n - p.nu) / 2.0
+    log_scale = sigma * math.log1p(-abs(z) ** 2)
+    w = 1.0 - z * np.exp(-1j * angles)
+    return np.prod(np.exp(-2.0 * sigma * np.log(np.abs(w)) + log_scale)
+                   * w ** (-p.nu), axis=1)
 
 
 def _check_angle_gaps(angles: np.ndarray) -> None:
