@@ -38,37 +38,54 @@ class HuaResult:
     bottom: np.ndarray
 
 
+def _probes(Z: np.ndarray, h: float):
+    """The distinct probes of the stencils at Z as an (M, n, n) stack, in
+    order of first use, and the index of each move's probe.  The moves are
+    the 4 n^2 gradient shifts (by entry, axis x/y, step +h/-h), then the
+    16 n^4 cross shifts (by entries u, v, axes xx..yy, steps ++..--), one
+    row each of one array; the first shifts and then the second are added
+    in place, each to its own entry only, as W[entry] += step (x) or
+    1j*step (y) would.  Rows are told apart by their exact bytes."""
+    n = Z.shape[0]
+    nn = n * n
+    # the shifts of one entry, by index 2 * axis + sign: +h and -h along x,
+    # then along y
+    steps = np.array([h, -h, 1j * h, 1j * -h], dtype=complex)
+    grad = np.arange(4 * nn)
+    u, v, au, bv, su, sv = (i.ravel() for i in np.indices((nn, nn, 2, 2, 2, 2)))
+    rows = np.tile(Z.ravel(), (grad.size + u.size, 1))
+    moves = np.arange(len(rows))
+    rows[moves, np.concatenate([grad // 4, u])] += steps[
+        np.concatenate([grad % 4, 2 * au + su])]
+    rows[moves[grad.size:], v] += steps[2 * bv + sv]
+    width = nn * rows.itemsize
+    flat = rows.tobytes()
+    index = {}
+    keys = [index.setdefault(flat[i:i + width], len(index))
+            for i in range(0, len(flat), width)]
+    points = np.frombuffer(b"".join(index), dtype=complex).reshape(-1, n, n)
+    return points, keys
+
+
 def _derivatives(F, Z: np.ndarray, h: float):
     """Wirtinger derivatives dbarF_{ij} = dF/dzbar_{ij} by central
     differences and the cross stencils H[a, b, q, c] = d^2 F/(dzbar_{ab}
     dz_{qc}) in the real and imaginary parts: f(+,+) - f(+,-) - f(-,+) +
     f(-,-) over 4 h^2, valid also when the two entries coincide.  F is
-    called once, on the (M, n, n) stack of the distinct probes (to their
-    exact bytes); differences are taken in Python complex arithmetic, whose
-    last bits numpy's do not match.
+    called once, on the (M, n, n) stack of the distinct probes (see
+    :func:`_probes`); differences are taken in Python complex arithmetic,
+    whose last bits numpy's do not match.
     """
     n = Z.shape[0]
-    entries = list(itertools.product(range(n), repeat=2))
-    moves = itertools.chain(
-        ([(u, axis, step)] for u in entries for axis in "xy" for step in (h, -h)),
-        ([(u, au, su), (v, bv, sv)] for u in entries for v in entries
-         for au, bv in (("x", "x"), ("x", "y"), ("y", "x"), ("y", "y"))
-         for su, sv in ((h, h), (h, -h), (-h, h), (-h, -h))))
-    index, keys = {}, []
-    for shifts in moves:
-        W = Z
-        for entry, axis, step in shifts:
-            W = W.copy()
-            W[entry] += step if axis == "x" else 1j * step
-        keys.append(index.setdefault(W.tobytes(), len(index)))
-    points = np.frombuffer(b"".join(index), dtype=complex).reshape(-1, n, n)
+    points, keys = _probes(Z, h)
     vals = np.asarray(F(points), dtype=complex)
     if vals.shape != (len(points),):
         raise DomainError(f"field must map an (M, n, n) stack to M values; "
                           f"got shape {vals.shape} for M = {len(points)}")
     grad, cross = np.split(vals[keys], [4 * n * n])
     dbarF = np.empty((n, n), dtype=complex)
-    for (i, j), (xp, xm, yp, ym) in zip(entries, grad.reshape(-1, 4).tolist()):
+    for (i, j), (xp, xm, yp, ym) in zip(itertools.product(range(n), repeat=2),
+                                        grad.reshape(-1, 4).tolist()):
         fx = (xp - xm) / (2.0 * h)
         fy = (yp - ym) / (2.0 * h)
         dbarF[i, j] = 0.5 * (fx + 1j * fy)

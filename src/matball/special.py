@@ -35,6 +35,8 @@ _LANCZOS_COEFFS = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+_L0, _L1, _L2, _L3, _L4, _L5, _L6, _L7, _L8 = _LANCZOS_COEFFS
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SERIES_TOL = 1e-14
 _SERIES_MAX_TERMS = 2000
 
@@ -70,21 +72,25 @@ def gamma(z: complex) -> complex:
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _gamma_memo(bits: bytes) -> complex:
     z = complex(*_BITS.unpack(bits))
-    if _near_nonpositive_integer(z):
-        raise PoleError(f"Gamma pole at z={z}")
-    if z.real < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z).  It reads the
-        # memo directly, so a call of the public gamma is one call whatever
-        # the memo holds.
-        w = 1.0 - z
-        return math.pi / (cmath.sin(math.pi * z)
-                          * _gamma_memo(_BITS.pack(w.real, w.imag)))
+    # a pole lies only where Re z < 1/2; a NaN or infinite real part takes
+    # the pole test too, whose round() raises on it
+    if not 0.5 <= z.real < math.inf:
+        if _near_nonpositive_integer(z):
+            raise PoleError(f"Gamma pole at z={z}")
+        if z.real < 0.5:
+            # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z).  It reads
+            # the memo directly, so a call of the public gamma is one call
+            # whatever the memo holds.
+            w = 1.0 - z
+            return math.pi / (cmath.sin(math.pi * z)
+                              * _gamma_memo(_BITS.pack(w.real, w.imag)))
     w = z - 1.0
-    x = complex(_LANCZOS_COEFFS[0])
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        x += c / (w + i)
+    # the Lanczos sum, added left to right from complex(_L0)
+    x = (complex(_L0) + _L1 / (w + 1) + _L2 / (w + 2) + _L3 / (w + 3)
+         + _L4 / (w + 4) + _L5 / (w + 5) + _L6 / (w + 6) + _L7 / (w + 7)
+         + _L8 / (w + 8))
     t = w + _LANCZOS_G
-    return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * x
+    return _SQRT_2PI * t ** (w + 0.5) * cmath.exp(-t) * x
 
 
 def reciprocal_gamma(z: complex) -> complex:
@@ -118,7 +124,7 @@ def _gamma_array(z) -> np.ndarray:
     for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
         x = x + c / (w + i)
     t = w + _LANCZOS_G
-    out = math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * np.exp(-t) * x
+    out = _SQRT_2PI * t ** (w + 0.5) * np.exp(-t) * x
     out[refl] = math.pi / (np.sin(math.pi * z[refl]) * out[refl])
     return out
 
@@ -328,9 +334,10 @@ def gauss_2f1(a: complex, b: complex, c: complex, x: float) -> complex:
     return _gauss_2f1_xs(a, b, c, (x,))[0]
 
 
-def _below_tol(term, total, tol):
-    """The series stop test |term| <= tol |total|, entry by entry."""
-    return np.abs(term) <= tol * np.abs(total)
+def _below_tol(term, total, tol, t=None):
+    """The series stop test |term| <= tol |total|, entry by entry; t is
+    |term| where the caller has taken it already."""
+    return (np.abs(term) if t is None else t) <= tol * np.abs(total)
 
 
 # The relative band around tol inside which a long-double stop is decided
@@ -340,22 +347,19 @@ _SCREEN_BAND = 1e-12
 _TINY = np.finfo(float).tiny
 
 
-def _small_terms(term, total, tol, settled):
-    """:func:`_below_tol` for the entries not marked in ``settled`` (those
-    already stopped by a zero term, whose result is not read).
+def _small_terms(term, total, tol, settled, t):
+    """:func:`_below_tol` for the long-double entries not marked in
+    ``settled`` (those stopped by a zero term, whose result is not read),
+    given t = |term| in complex128.
 
-    A long-double entry whose ratio |term| / |total| lies more than
-    _SCREEN_BAND (relative) from tol is decided from complex128
-    magnitudes, which give the same answer and skip long double's slow
-    hypot.  The exact test runs on the rest: entries inside the band, and
-    entries whose cast leaves double's normal range (non-finite, zero or
-    subnormal), since long double reaches beyond it.  complex128 stacks
-    take the exact test throughout; a screen is slower there.
+    An entry whose ratio |term| / |total| lies more than _SCREEN_BAND
+    (relative) from tol is decided from complex128 magnitudes, which give
+    the same answer and skip long double's slow hypot.  The exact test runs
+    on the rest: entries inside the band, and entries whose cast leaves
+    double's normal range (non-finite, zero or subnormal), since long
+    double reaches beyond it.
     """
-    if term.dtype != np.clongdouble:
-        return _below_tol(term, total, tol)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t = np.abs(term.astype(complex))
         s = np.abs(total.astype(complex))
         ratio = t / s
     small = ratio <= tol * (1.0 - _SCREEN_BAND)
@@ -367,6 +371,30 @@ def _small_terms(term, total, tol, settled):
     return small
 
 
+def _stops(term, total, tol, k):
+    """The entries whose series stops at this term: a zero term, or from
+    k = 3 on |term| <= tol |total|.  One magnitude serves both tests:
+    |term| is 0 exactly when term is, also for NaN, inf and subnormal
+    parts.  A long-double term is measured by its complex128 cast, and
+    compared with 0 in long double only where the cast is 0, since a
+    nonzero long double can cast to 0."""
+    if term.dtype != np.clongdouble:
+        t = np.abs(term)
+        stop = t == 0
+        if k > 2:
+            stop |= _below_tol(term, total, tol, t)
+        return stop
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = np.abs(term.astype(complex))
+    stop = t == 0
+    zero = np.flatnonzero(stop)
+    if zero.size:
+        stop[zero] = term[zero] == 0
+    if k > 2:
+        stop |= _small_terms(term, total, tol, stop, t)
+    return stop
+
+
 def _series_2f1_array(a, b, c, x, tol):
     """Power series of 2F1 over broadcast arrays of complex or clongdouble
     parameters a, b, c and of real or same-dtype arguments x.  Each entry
@@ -376,7 +404,8 @@ def _series_2f1_array(a, b, c, x, tol):
     a, b, c, x = np.broadcast_arrays(a, b, c, x)
     sums = np.ones(a.shape, dtype=a.dtype)
     live = np.arange(a.size)
-    a, b, c, x = a.ravel(), b.ravel(), c.ravel(), x.ravel()
+    # x is cast once to the terms' dtype, as each product would cast it
+    a, b, c, x = a.ravel(), b.ravel(), c.ravel(), x.astype(a.dtype).ravel()
     term = np.ones_like(a)
     total = np.ones_like(a)
     stopped = np.zeros(a.size, dtype=bool)
@@ -389,22 +418,19 @@ def _series_2f1_array(a, b, c, x, tol):
         term *= b + k
         term *= x
         term /= (c + k) * (k + 1)
-        total = total + term
-        stop = term == 0
-        if k > 2:
-            stop |= _small_terms(term, total, tol, stop)
-        new = stop & ~stopped
-        if new.any():
+        total += term
+        new = np.flatnonzero(_stops(term, total, tol, k) & ~stopped)
+        if new.size:
             # an entry's sum is taken at its own stop term; its zeroed term
             # then rides along until a quarter of the arrays has stopped and
             # they are compacted, rather than re-indexed at every stop
             sums.flat[live[new]] = total[new]
             term[new] = 0
-            stopped |= new
+            stopped[new] = True
             if 4 * np.count_nonzero(stopped) >= live.size:
-                keep = ~stopped
+                keep = np.flatnonzero(~stopped)
                 live, a, b, c, x, term, total, stopped = (
-                    v[keep] for v in (live, a, b, c, x, term, total, stopped))
+                    v.take(keep) for v in (live, a, b, c, x, term, total, stopped))
     done = np.ones(sums.shape, dtype=bool)
     done.flat[live[~stopped]] = False
     return sums, done

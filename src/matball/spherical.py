@@ -114,7 +114,9 @@ def phi_bigs(p: SpectralParams, sigs, radii) -> list:
     normalized so that Phi_{s,0}(0) = 1 under probability Haar measure on
     the boundary (the determinant at m = 0, r = 0 is that of the identity).
     Each distinct scalar profile phi_{s,k} is evaluated once per call, for
-    all radii together.
+    all radii together, and one np.linalg.det call takes every table: it
+    runs the same LU on each matrix of the (radius, signature, n, n) stack
+    as on that matrix alone.
     """
     sigs = [validate_signature(m, p.n) for m in sigs]
     radii = [validate_radius(r) for r in radii]
@@ -126,9 +128,12 @@ def phi_bigs(p: SpectralParams, sigs, radii) -> list:
     if n == 1:
         return [[phis[m[0]][t] for m in sigs] for t in range(len(radii))]
     dims = [weyl_dimension(m) for m in sigs]
-    return [[complex(np.linalg.det(np.array(
-        [[phis[m[i] - i + j][t] for j in range(n)] for i in range(n)], complex)))
-        / d for m, d in zip(sigs, dims)] for t in range(len(radii))]
+    tables = np.array([[[[phis[m[i] - i + j][t] for j in range(n)] for i in range(n)]
+                        for m in sigs] for t in range(len(radii))], dtype=complex)
+    # an explicit shape, which np.array cannot infer when sigs or radii is
+    # empty; det then returns an empty stack
+    dets = np.linalg.det(tables.reshape(len(radii), len(sigs), n, n))
+    return [[v / d for v, d in zip(row, dims)] for row in dets.tolist()]
 
 
 def phi_big(p: SpectralParams, m, r: float) -> complex:

@@ -4,8 +4,12 @@ that the stacked stencils of ``matball.hua`` replace.
 Every probe is a separate call of a field ``F`` that maps one n x n point
 to one complex value, and every difference is taken where the probe is
 made.  The tests compare the library's stencils with these bit for bit.
+``stencil_probes`` lists the stacked stencils' probes with one copy of Z
+per move, the form that the single probe array of ``matball.hua``
+replaces.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -108,3 +112,26 @@ def hua_apply(p: SpectralParams, F, Z: np.ndarray,
     if nu != 0:
         bottom = bottom + nu * np.einsum("pa,bq,ab->pq", Zs, B, dbarF)
     return HuaResult(top=top, bottom=bottom)
+
+
+def stencil_probes(Z: np.ndarray, h: float):
+    """The distinct probes of the stacked stencils, one copy of Z per move:
+    the 4 n^2 gradient shifts, then the 16 n^4 cross shifts, each added in
+    place to its own entry.  Returns the (M, n, n) stack of distinct probes
+    in order of first use and, for each move, the index of its probe."""
+    n = Z.shape[0]
+    entries = list(itertools.product(range(n), repeat=2))
+    moves = itertools.chain(
+        ([(u, axis, step)] for u in entries for axis in "xy" for step in (h, -h)),
+        ([(u, au, su), (v, bv, sv)] for u in entries for v in entries
+         for au, bv in (("x", "x"), ("x", "y"), ("y", "x"), ("y", "y"))
+         for su, sv in ((h, h), (h, -h), (-h, h), (-h, -h))))
+    index, keys = {}, []
+    for shifts in moves:
+        W = Z
+        for entry, axis, step in shifts:
+            W = W.copy()
+            W[entry] += step if axis == "x" else 1j * step
+        keys.append(index.setdefault(W.tobytes(), len(index)))
+    points = np.frombuffer(b"".join(index), dtype=complex).reshape(-1, n, n)
+    return points, keys

@@ -4,7 +4,8 @@ time, which the radius-batched forms of ``matball`` replace.
 
 Every Gamma prefactor, digamma list and connection coefficient is formed
 again for each x, on every entry of the broadcast parameters; the series
-take the exact stop test |term| <= tol |total| at every entry; the Lemma A
+take the plain stop tests, term == 0 and |term| <= tol |total|, on every
+entry in its own dtype, with no complex128 screen; the Lemma A
 prefactor is formed whole for each draw and x; and ``weyl_dimension`` is
 taken in exact fractions.  The tests compare the library's batched forms
 with these bit for bit.
@@ -126,21 +127,28 @@ def gauss_2f1(a: complex, b: complex, c: complex, x: float) -> complex:
     return term1 + term2
 
 
-def _series_2f1_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, x, tol):
-    """Power series of 2F1 over same-shape arrays of complex or clongdouble
-    parameters at one argument x of their dtype.  Each entry stops at the
-    term where the scalar loops stop: a zero term, or from k = 3 on a term
-    of at most tol times the sum.  Returns (sums, done); done is False where
+def _series_2f1_array(a, b, c, x, tol):
+    """Power series of 2F1 over broadcast arrays of complex or clongdouble
+    parameters a, b, c and of real or same-dtype arguments x.  Each entry
+    stops at the term where the scalar loops stop: a zero term, or from
+    k = 3 on a term of at most tol times the sum, both tested on the term
+    itself in its own dtype.  Returns (sums, done); done is False where
     _SERIES_MAX_TERMS terms did not suffice."""
-    sums = np.ones_like(a)
+    a, b, c, x = np.broadcast_arrays(a, b, c, x)
+    sums = np.ones(a.shape, dtype=a.dtype)
     live = np.arange(a.size)
-    a, b, c = a.ravel(), b.ravel(), c.ravel()
+    a, b, c, x = a.ravel(), b.ravel(), c.ravel(), x.ravel()
     term = np.ones_like(a)
     total = np.ones_like(a)
     for k in range(_SERIES_MAX_TERMS):
         if not live.size:
             break
-        term = term * (a + k) * (b + k) * x / ((c + k) * (k + 1))
+        # in place, so that each product keeps its operand order on a
+        # stack of any size
+        term *= a + k
+        term *= b + k
+        term *= x
+        term /= (c + k) * (k + 1)
         total = total + term
         stop = term == 0
         if k > 2:
@@ -148,8 +156,8 @@ def _series_2f1_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, x, tol):
         if stop.any():
             sums.flat[live[stop]] = total[stop]
             keep = ~stop
-            live, a, b, c, term, total = (
-                v[keep] for v in (live, a, b, c, term, total))
+            live, a, b, c, x, term, total = (
+                v[keep] for v in (live, a, b, c, x, term, total))
     done = np.ones(sums.shape, dtype=bool)
     done.flat[live] = False
     return sums, done

@@ -152,6 +152,28 @@ class TestStackedStencil:
             assert np.array_equal(dbar(F, Z, h),
                                   hua_reference.wirtinger_dbar(F, Z, h))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("h", [1e-3, 5e-4, 4e-4])
+    def test_probe_array_matches_per_move_copies(self, n, h):
+        # the probes built as one array against one copy of Z per move:
+        # the same distinct points in the same first-use order, and the same
+        # key for every move, those that shift one entry twice (u = v)
+        # included.  Signed zeros and dyadic entries make a shift that
+        # touched any other entry, or a step rounded another way, show up
+        rng = np.random.default_rng(n)
+        random = random_interior_point(rng, n)
+        signed = np.zeros((n, n), dtype=complex)
+        signed.real[0, 0], signed.imag[-1, -1] = -0.0, -0.0
+        signed.imag[0, -1] = -0.0
+        dyadic = np.full((n, n), 0.0625 - 0.03125j)
+        for Z in (random, signed, dyadic, random.conj()):
+            points, keys = hua._probes(Z, h)
+            ref_points, ref_keys = hua_reference.stencil_probes(Z, h)
+            assert points.shape == ref_points.shape
+            assert points.tobytes() == ref_points.tobytes()
+            assert keys == ref_keys
+            assert len(keys) == 4 * n * n + 16 * n ** 4
+
     @pytest.mark.parametrize("n, grad_points, points", [(1, 4, 13), (2, 16, 145),
                                                         (3, 36, 685)])
     def test_field_is_called_once_on_the_distinct_probes(self, n, grad_points, points):

@@ -215,6 +215,95 @@ class TestScreenedStop:
             assert _ld_entries(seen) == 0
 
 
+def _kernel_cases():
+    """(a, b, c, x) in long double for the series kernel's stop tests."""
+    rng = np.random.default_rng(23)
+
+    def draw(size, lo=-2.0, hi=3.0):
+        return _ld(rng.uniform(lo, hi, size) + 1j * rng.uniform(-1, 1, size))
+
+    a, b, c = draw(30), draw(30), draw(30, 0.5, 4.0)
+    # a = -1 + eps i: 1 + a b x / c cancels to eps i exactly, and every
+    # later term is of size eps.  In long double those terms are nonzero
+    # but cast to 0 in complex128, so they must not stop on the zero test;
+    # in complex128 eps is 0 and a = -1 ends the series at k = 1
+    eps = np.ldexp(np.longdouble(1), -1200)
+    tiny_a = _ld([-1.0 + 0j] * 6) + _ld(1j) * eps * np.arange(1, 7)
+    huge = np.ldexp(np.longdouble(1), 16000)
+    # in the first three, c + k = 0 at the step after the zero term, so a
+    # series that ran on past it would turn NaN
+    pole = np.concatenate([_ld([-1.0, -2.0, -3.0]), c[3:]])
+    return {
+        # integer a: exact zero terms at k = 0, 1, 2, and at k = 3 .. 8,
+        # where the terms of a large b are still far above tol |total|
+        "zero_early": (_ld([0.0, -1.0, -2.0] * 10), b, pole, _ld(0.45)),
+        "zero_late": (_ld(np.arange(-3.0, -9.0, -1.0).repeat(5)),
+                      b * 40.0, c, _ld(0.45)),
+        "below_double": (tiny_a, _ld(2.0), _ld(1.0), _ld(0.5)),
+        # totals that overflow complex128 (1e300 squared), long double
+        # (2^16000 squared) or start out infinite or NaN
+        "non_finite": (_ld([1e300, 1e300j, np.inf, np.nan, 1.0, 2.0]),
+                       _ld([1e300, 1e300, 1.0, 1.0, huge, huge * 1j]),
+                       _ld(2.5), _ld(0.3)),
+        "regular": (a, b, c, _ld([[0.05], [0.3], [0.45]])),
+    }
+
+
+class TestSeriesKernel:
+    """The library's series kernel against the plain-stop-test copy in
+    ``radius_reference``, sums and done flags bit for bit, in both dtypes."""
+
+    @staticmethod
+    def _same(got, want):
+        """Equal values with equal signs of zero, NaN where NaN."""
+        return all(np.array_equal(f(got), f(want), equal_nan=True)
+                   for f in (np.real, np.imag,
+                             lambda v: np.signbit(v.real),
+                             lambda v: np.signbit(v.imag)))
+
+    def _check(self, a, b, c, x, dtype):
+        tol = (special._SERIES_TOL if dtype == complex
+               else identities._LD_SERIES_TOL)
+        with np.errstate(all="ignore"):
+            a, b, c = (np.asarray(v).astype(dtype) for v in (a, b, c))
+            # x is real, as both callers pass it
+            x = np.asarray(x).real.astype(
+                float if dtype == complex else np.longdouble)
+            got, done = special._series_2f1_array(a, b, c, x, tol)
+            want, want_done = ref._series_2f1_array(a, b, c, x, tol)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert self._same(got, want)
+        assert np.array_equal(done, want_done)
+        return got, done
+
+    @pytest.mark.parametrize("case", _kernel_cases())
+    @pytest.mark.parametrize("dtype", [complex, np.clongdouble],
+                             ids=["complex128", "clongdouble"])
+    def test_bit_identical_to_plain_stop_tests(self, case, dtype):
+        got, done = self._check(*_kernel_cases()[case], dtype)
+        if case == "non_finite":
+            assert not done.all()
+        else:
+            assert done.all()
+        if case == "below_double" and dtype == np.clongdouble:
+            # the sums keep terms that complex128 cannot hold
+            assert (got.astype(complex) == 0).all() and (got != 0).all()
+
+    @pytest.mark.parametrize("dtype", [complex, np.clongdouble],
+                             ids=["complex128", "clongdouble"])
+    def test_stack_above_the_elision_size(self, dtype):
+        # 2 x 9,000 entries, past numpy's 16,384-entry temporary-elision
+        # size in complex128; integer a mixes zero-term stops into the
+        # relative ones
+        rng = np.random.default_rng(29)
+        a, b, c = (rng.uniform(-2, 3, 9000) + 1j * rng.uniform(-1, 1, 9000)
+                   for _ in range(3))
+        a[::7] = -(np.arange(a[::7].size) % 9)
+        got, done = self._check(a, b, c + 1.0, np.array([[0.2], [0.45]]),
+                                dtype)
+        assert got.shape == (2, 9000) and done.all()
+
+
 class TestStackSize:
     def test_entry_bits_do_not_depend_on_the_stack(self):
         # 20,000 entries: the Gamma arrays, the connection products and the

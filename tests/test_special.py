@@ -559,6 +559,37 @@ class TestMemo:
                     public(z)
         assert memo.cache_info().currsize == 0
 
+    def test_gamma_bits_equal_the_loop_form_over_a_sweep(self):
+        # the written-out Lanczos sum, with the pole test only where
+        # Re z < 1/2, against the loop-form body: the reflection half-plane,
+        # both signs of a zero imaginary part, points 1e-13 (a pole) and
+        # 1e-11 (not one) off the poles, and non-finite parts, which give or
+        # raise the same
+        rng = np.random.default_rng(31)
+        zs = [complex(x, y) for x, y in zip(rng.uniform(-30, 30, 600),
+                                            rng.uniform(-8, 8, 600))]
+        zs += [complex(x, sign * 0.0) for x in rng.uniform(-30, 30, 200)
+               for sign in (1, -1)]
+        zs += [complex(-k + d, im) for k in range(12)
+               for d in (0.0, 1e-13, -1e-13, 1e-11, -1e-11)
+               for im in (0.0, -0.0, 1e-13, -1e-13)]
+        zs += [complex(x, im) for x in (0.5, math.nextafter(0.5, 0), 1.0, 2.0)
+               for im in (0.0, -0.0)]
+        zs += [complex(x, im) for x in (math.inf, -math.inf, math.nan)
+               for im in (0.0, -0.0, 1.0)]
+        zs += [complex(1.0, math.nan), complex(-2.0, math.inf)]
+
+        def outcome(f, z):
+            try:
+                return _bits(f(z))
+            except Exception as exc:     # noqa: BLE001 - the type is compared
+                return type(exc)
+
+        special._gamma_memo.cache_clear()
+        got = [outcome(gamma, z) for z in zs]
+        assert got == [outcome(_gamma_body, z) for z in zs]
+        assert {PoleError, ValueError, OverflowError} <= set(got)
+
     def test_size_is_the_module_constant(self):
         for memo, _ in self.MEMOS.values():
             assert memo.cache_info().maxsize == special._MEMO_SIZE

@@ -147,6 +147,31 @@ class TestPhiBigs:
             assert phi_bigs(p, sigs, (r,))[0] == expected
             assert [phi_big(p, m, r) for m in sigs] == expected
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stacked_determinants_keep_single_table_bits(self, n):
+        # one np.linalg.det call on the (radius, signature, n, n) stack
+        # against one call per table, over every signature with parts in
+        # -2..2 (35 at rank 3)
+        p = SpectralParams(n, 1, complex(n + 0.5, 0.75))
+        sigs = list(signatures_up_to(n, 2))
+        radii = (0.0, 0.3, 0.9, 0.99)
+        assert len(sigs) == {2: 15, 3: 35}[n]
+        got = phi_bigs(p, sigs, radii)
+        for row, r in zip(got, radii):
+            phi = {k: phi_scalar(p, k, r) for k in range(-4, 5)}
+            want = [complex(np.linalg.det(np.array(
+                [[phi[m[i] - i + j] for j in range(n)] for i in range(n)])))
+                / weyl_dimension(m) for m in sigs]
+            assert np.array(row).view(np.uint64).tolist() == \
+                np.array(want).view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_empty_signatures_or_radii(self, n):
+        p = SpectralParams(n, 0, n + 1.5)
+        assert phi_bigs(p, [], (0.2, 0.5, 0.9)) == [[], [], []]
+        assert phi_bigs(p, [(0,) * n, (1,) + (0,) * (n - 1)], ()) == []
+        assert phi_bigs(p, [], ()) == []
+
     def test_each_scalar_profile_once(self, monkeypatch):
         # m = 0 at rank 3 needs k = m_i - i + j in -2..2 only, not 9 entries
         calls = []
