@@ -205,6 +205,17 @@ def _block_nodes(n: int, lo: int, hi: int, c0: int, c1: int) -> np.ndarray:
     return nodes
 
 
+def _pairing(x: np.ndarray, y: np.ndarray) -> complex:
+    """sum conj(x) y in one order whatever the BLAS thread count: OpenBLAS
+    threads ``np.vdot`` only above 10,000 entries, and up to 20,000 (not at
+    20,001) sums the first ceil(n/2) entries and the rest apart, as this
+    does above 10,000; _BLOCK_BUDGET caps a walk's block at 16,384 nodes."""
+    if x.size <= 10_000:
+        return np.vdot(x, y)
+    h = (x.size + 1) // 2
+    return np.vdot(x[:h], y[:h]) + np.vdot(x[h:], y[h:])
+
+
 def _grid_sum(integrand, *tables):
     """Sum integrand(alternants) over the nodes (a_1, ..., a_n) of the N^n
     grid with a_1 > a_2 > ... > a_n, block by block, and return that sum
@@ -226,11 +237,13 @@ def _grid_sum(integrand, *tables):
 
     This is the one walk over the torus grid: every torus sum forms its
     integrand from these alternants node by node, never reducing it to
-    one-dimensional integrals (Andreief/Heine).  The alternants are views
-    of the walk's own buffers, one dense block and one gather buffer per
-    table of _BLOCK_BUDGET entries each, allocated once per call, which
-    the next block overwrites: an integrand must not keep one, or a view
-    of one, after it returns, but it may start a walk of its own.
+    one-dimensional integrals (Andreief/Heine); the kernel sums pair the
+    alternants of a block by :func:`_pairing`, in an order its size fixes.
+    The alternants are views of the walk's own buffers, one dense block
+    and one gather buffer per table of _BLOCK_BUDGET entries each,
+    allocated once per call, which the next block overwrites: an integrand
+    must not keep one, or a view of one, after it returns, but it may
+    start a walk of its own.
     """
     N, n = tables[0].shape
     columns, blocks = _walk_plan(N, n)
@@ -328,7 +341,7 @@ def spherical_oracles(p: SpectralParams, sigs, r: float,
     totals = []
     for i in range(0, len(sigs), step):
         totals.extend(_grid_sum(
-            lambda alts: np.array([np.vdot(alts[0], a) for a in alts[1:]]),
+            lambda alts: np.array([_pairing(alts[0], a) for a in alts[1:]]),
             base, *(c * _power_table(z, m) for m in sigs[i:i + step])))
     return [complex(t) / (math.factorial(p.n) * weyl_dimension(m))
             for t, m in zip(totals, sigs)]
@@ -389,7 +402,7 @@ def kernel_mass(p: SpectralParams, r: float, grid: TorusGrid) -> float:
     log_c = (log_weight + (p.s.real - n) * log_dist
              + (n - p.nu - p.s.real) / 2.0 * math.log((1.0 - r) * (1.0 + r)))
     table = np.exp(log_c / 2.0)[:, None] * _power_table(v, (0,) * n)
-    total = _grid_sum(lambda alts: complex(np.vdot(alts[0], alts[0])), table)
+    total = _grid_sum(lambda alts: complex(_pairing(alts[0], alts[0])), table)
     return total.real / math.factorial(n)
 
 

@@ -41,12 +41,14 @@ _SERIES_TOL = 1e-14
 _SERIES_MAX_TERMS = 2000
 
 
-def _near_nonpositive_integer(z: complex, tol: float = _INT_TOL) -> bool:
+def _near_nonpositive_integer(z: complex) -> bool:
     z = complex(z)
-    if abs(z.imag) > tol:
+    if not cmath.isfinite(z):
+        raise DomainError(f"argument {z} is not finite")
+    if abs(z.imag) > _INT_TOL:
         return False
     k = round(z.real)
-    return k <= 0 and abs(z.real - k) <= tol
+    return k <= 0 and abs(z.real - k) <= _INT_TOL
 
 
 # gamma and digamma sit behind bounded LRU memos: one library call repeats
@@ -63,27 +65,25 @@ _BITS = struct.Struct("2d")
 def gamma(z: complex) -> complex:
     """Gamma function for complex argument (Lanczos sum plus reflection).
 
-    Raises PoleError within 1e-12 of a non-positive integer.
+    Raises PoleError within 1e-12 of a pole, DomainError at a non-finite z.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"Gamma argument {z} is not finite")
     return _gamma_memo(_BITS.pack(z.real, z.imag))
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _gamma_memo(bits: bytes) -> complex:
     z = complex(*_BITS.unpack(bits))
-    # a pole lies only where Re z < 1/2; a NaN or infinite real part takes
-    # the pole test too, whose round() raises on it
-    if not 0.5 <= z.real < math.inf:
+    if z.real < 0.5:  # where every pole lies
         if _near_nonpositive_integer(z):
             raise PoleError(f"Gamma pole at z={z}")
-        if z.real < 0.5:
-            # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z).  It reads
-            # the memo directly, so a call of the public gamma is one call
-            # whatever the memo holds.
-            w = 1.0 - z
-            return math.pi / (cmath.sin(math.pi * z)
-                              * _gamma_memo(_BITS.pack(w.real, w.imag)))
+        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z), read from the
+        # memo, so that a call of gamma is one call whatever the memo holds
+        w = 1.0 - z
+        return math.pi / (cmath.sin(math.pi * z)
+                          * _gamma_memo(_BITS.pack(w.real, w.imag)))
     w = z - 1.0
     # the Lanczos sum, added left to right from complex(_L0)
     x = (complex(_L0) + _L1 / (w + 1) + _L2 / (w + 2) + _L3 / (w + 3)
@@ -553,15 +553,9 @@ class SpectralParams:
 
     @property
     def in_generic_set(self) -> bool:
-        s = self.s
-        if abs(s.imag) > _INT_TOL:
-            return True
-        for sign in (1, -1):
-            t = (s.real - (self.n - 2) - sign * self.nu) / 2.0
-            k = round(t)
-            if k <= 0 and abs(t - k) <= _INT_TOL:
-                return False
-        return True
+        return not any(_near_nonpositive_integer(complex(
+            (self.s.real - (self.n - 2) - sign * self.nu) / 2.0, self.s.imag))
+            for sign in (1, -1))
 
     @property
     def in_asymptotic_range(self) -> bool:

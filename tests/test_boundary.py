@@ -8,6 +8,9 @@ numerator-form sums are checked."""
 import cmath
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath as mp
@@ -650,6 +653,42 @@ class TestGridWalk:
             return spherical_oracles(SpectralParams(n, 1, n + 1.5), sigs, 0.7,
                                      TorusGrid(n, N))
         assert compute() == self.reference(monkeypatch, compute)
+
+
+class TestPairing:
+    """The block reduction of the kernel sums, in one order whatever the
+    BLAS thread count."""
+
+    @pytest.mark.parametrize("size", [1, 9_999, 10_000, 10_001, 13_560, 16_384])
+    def test_one_vdot_up_to_ten_thousand_entries_else_two_halves(self, size):
+        rng = np.random.default_rng(size)
+        x, y = (rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                for _ in range(2))
+        h = (size + 1) // 2
+        want = (np.vdot(x, y) if size <= 10_000
+                else np.vdot(x[:h], y[:h]) + np.vdot(x[h:], y[h:]))
+        assert boundary._pairing(x, y) == want
+
+    def test_sums_do_not_depend_on_the_blas_thread_count(self):
+        # the rank-3 N = 80 and N = 64 walks hold blocks of 10,808 to 13,560
+        # nodes, more than the 10,000 entries above which OpenBLAS splits a
+        # complex dot product across its threads
+        code = "; ".join([
+            "from matball.boundary import TorusGrid as G, kernel_mass, "
+            "spherical_oracles",
+            "from matball.special import SpectralParams as P",
+            "print(repr(spherical_oracles(P(3, 1, 4.5), [(0, 0, 0), "
+            "(2, 1, -1)], 0.5, G(3, 80))))",
+            "print(repr(kernel_mass(P(3, 0, 3.75), 0.9, G(3, 64))))"])
+        src = os.path.dirname(os.path.dirname(boundary.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outs = [subprocess.run([sys.executable, "-c", code], check=True,
+                               capture_output=True, text=True, timeout=120,
+                               env=dict(env, OPENBLAS_NUM_THREADS=threads)).stdout
+                for threads in ("1", "2")]
+        assert len(outs[0].splitlines()) == 2
+        assert outs[0] == outs[1]
 
 
 class TestKernelMass:
