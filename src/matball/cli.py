@@ -280,9 +280,9 @@ def cmd_sandwich(args, p) -> SweepResult:
 
 
 def cmd_verify_all(args, p) -> SweepResult:
-    results, elapsed = run_all(extended=args.extended,
-                               emit=lambda line: print(line, file=sys.stderr))
-    print(f"suite finished in {elapsed:.1f}s", file=sys.stderr)
+    results, elapsed, procs = run_all(args.extended, lambda s: print(s, file=sys.stderr))
+    print(f"suite finished in {elapsed:.1f}s on {procs} process"
+          f"{'es' if procs > 1 else ''}", file=sys.stderr)
     rows = [(res.name, res.passed,
              "; ".join(f"{k}={v}" for k, v in res.details.items()))
             for res in results]

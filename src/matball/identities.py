@@ -6,12 +6,13 @@ the closed-form factorization of the c-function constant.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentError, GuardError, PoleError
+from .errors import CoincidentError, DomainError, GuardError, PoleError
 from .report import CheckReport, make_report
 from .special import (SpectralParams, _gauss_2f1_array,
                       _near_nonpositive_integer,
@@ -120,7 +121,7 @@ def _det_ld_batch(M: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class AppendixParams:
     """Rank n, complex parameters alpha, beta and a complex n-tuple p for
-    the determinant identities.
+    the determinant identities, all finite (DomainError otherwise).
 
     Identity guard:    alpha, alpha+beta not in {1-k : 1 <= k <= n-1}.
     Asymptotic guard:  beta not in {1-k : 1 <= k <= n-1} and
@@ -141,6 +142,8 @@ class AppendixParams:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "p", tuple(complex(v) for v in self.p))
+        if not all(map(cmath.isfinite, (self.alpha, self.beta) + self.p)):
+            raise DomainError(f"a parameter of {self} is not finite")
 
 
 def _check_excluded(value: complex, points, what: str) -> None:

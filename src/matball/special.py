@@ -113,8 +113,10 @@ def _near_nonpositive_integer_array(z: np.ndarray) -> np.ndarray:
 
 def _gamma_array(z) -> np.ndarray:
     """:func:`gamma` over an array, with the reflection taken through a
-    mask.  Raises PoleError wherever the scalar function does."""
+    mask.  Raises PoleError and DomainError where :func:`gamma` does."""
     z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise DomainError(f"Gamma argument {z[~np.isfinite(z)][0]} is not finite")
     pole = _near_nonpositive_integer_array(z)
     if pole.any():
         raise PoleError(f"Gamma pole at z={z[pole][0]}")

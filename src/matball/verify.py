@@ -9,6 +9,9 @@ oracle, normalization and Lemma B criteria.
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass
 
@@ -378,19 +381,59 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(extended: bool = False, emit=None):
-    """Run every criterion; returns (results, elapsed_seconds).  ``emit``
-    receives each criterion's line with its wall time appended."""
-    t0 = time.perf_counter()
-    results = []
-    for crit in ALL_CRITERIA:
-        start = time.perf_counter()
+def _drain(queue: int, extended: bool) -> dict:
+    """{index: (result, seconds)} of the criteria taken from the queue pipe."""
+    done = {}
+    while byte := os.read(queue, 1):
+        crit, start = ALL_CRITERIA[byte[0]], time.perf_counter()
         try:
             res = crit(extended=extended)
         except MatballError as exc:
             res = CriterionResult(crit.__name__, False,
                                   {"error": f"{type(exc).__name__}: {exc}"})
-        results.append(res)
+        except Exception as exc:   # raised by run_all, in criterion order
+            done[byte[0]] = exc, time.perf_counter() - start
+            break
+        done[byte[0]] = res, time.perf_counter() - start
+    return done
+
+
+def run_all(extended: bool = False, emit=None):
+    """Run every criterion, in this process and in a worker forked per further
+    CPU it may use; returns (results, elapsed_seconds, processes) and passes
+    ``emit`` each criterion's line with its wall time, in ALL_CRITERIA order."""
+    t0 = time.perf_counter()
+    cpus = sorted(getattr(os, "sched_getaffinity", lambda pid: {0})(0))
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(ALL_CRITERIA))))
+    os.close(feed)
+    children = {}   # pid: the worker's result pipe, open for reading
+    try:
+        for cpu in cpus[1:len(ALL_CRITERIA)]:
+            back, out = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    # a CPU of its own: the scheduler may keep it on ours
+                    os.sched_setaffinity(0, {cpu})
+                    os.write(out, pickle.dumps(_drain(queue, extended)))
+                finally:
+                    os._exit(0)
+            os.close(out)
+            children[pid] = open(back, "rb")
+        done = _drain(queue, extended)
+        for data in (fh.read() for fh in children.values()):
+            done.update(pickle.loads(data) if data else {})
+    finally:
+        os.close(queue)
+        for pid, fh in children.items():   # an exited worker stays a
+            fh.close()                     # zombie until reaped here
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for i in range(len(ALL_CRITERIA)):   # a worker that died sent nothing
+        res, seconds = done.get(i) or (ChildProcessError(f"criterion {i} lost"), 0)
+        if isinstance(res, Exception):
+            raise res
         if emit is not None:
-            emit(f"{res.line()}  [{time.perf_counter() - start:.2f}s]")
-    return results, time.perf_counter() - t0
+            emit(f"{res.line()}  [{seconds:.2f}s]")
+    return ([done[i][0] for i in range(len(done))],
+            time.perf_counter() - t0, len(children) + 1)

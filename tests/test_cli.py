@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -423,7 +424,8 @@ class TestCommands:
     def test_verify_all_lines_carry_criterion_time(self, tmp_path, capsys,
                                                    monkeypatch):
         # run_all reads perf_counter around each criterion; the time goes to
-        # stderr only, so the CSV holds the results alone
+        # stderr only, so the CSV holds the results alone.  One CPU, so that
+        # no forked worker reads its own copy of the fake clock
         def first(extended=False):
             return verify.CriterionResult("first", True, {"x": 1})
 
@@ -434,14 +436,146 @@ class TestCommands:
         monkeypatch.setattr(verify, "ALL_CRITERIA", (first, second))
         monkeypatch.setattr(verify, "time",
                             SimpleNamespace(perf_counter=lambda: next(ticks)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
         out = tmp_path / "va.csv"
         assert run_cli(["verify-all", "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "[PASS] first: x=1  [0.25s]",
             "[FAIL] second: y=2  [0.50s]",
-            "suite finished in 3.0s",
+            "suite finished in 3.0s on 1 process",
         ]
         rows = [ln for ln in out.read_text().splitlines()
                 if not ln.startswith("#")]
         assert rows == ["criterion,passed,details", "first,1,x=1",
                         "second,0,y=2"]
+
+
+def _wait_for(path: Path, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="needs os.fork and CPU affinity")
+class TestVerifyAllProcesses:
+    """verify-all's criteria run in this process and in forked workers; the
+    outcome must not depend on which process ran which criterion."""
+
+    @staticmethod
+    def _forking(monkeypatch, taken: Path) -> int:
+        """Fork at least one worker, unpinned on a one-CPU machine; workers
+        take criteria only once ``taken`` exists, so the criterion that
+        creates it runs here.  Returns the process count for five criteria."""
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid == 0:
+                _wait_for(taken)
+            return pid
+
+        if len(os.sched_getaffinity(0)) < 2:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+        monkeypatch.setattr(os, "fork", fork)
+        return min(len(os.sched_getaffinity(0)), 5)
+
+    @pytest.mark.parametrize("extra", [[], ["--extended"]])
+    def test_csv_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, extra):
+        one_cpu = ("import os, sys; "
+                   "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                   "from matball.cli import main; sys.exit(main(sys.argv[1:]))")
+        runs = {}
+        for name, cmd in (("one", ["-c", one_cpu]), ("all", ["-m", "matball"])):
+            out = tmp_path / f"{name}.csv"
+            proc = subprocess.run(
+                [sys.executable, *cmd, "verify-all", *extra, "--out", str(out)],
+                capture_output=True, text=True, env=_child_env(), timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            runs[name] = out.read_bytes(), proc.stderr.splitlines()[-1]
+        assert runs["one"][0] == runs["all"][0]
+        procs = min(len(os.sched_getaffinity(0)), len(verify.ALL_CRITERIA))
+        assert runs["one"][1].endswith(" on 1 process")
+        assert runs["all"][1].endswith(
+            f" on {procs} process" + "es" * (procs > 1))
+
+    def test_worker_overflow_exits_3_after_the_earlier_lines(
+            self, tmp_path, capsys, monkeypatch):
+        def first(extended=False):
+            (tmp_path / "first").touch()
+            _wait_for(tmp_path / "second")
+            return verify.CriterionResult("first", True, {"x": 1})
+
+        def second(extended=False):
+            (tmp_path / "second").write_text(str(os.getpid()))
+            raise OverflowError("in a worker")
+
+        def third(extended=False):
+            return verify.CriterionResult("third", True, {})
+
+        self._forking(monkeypatch, tmp_path / "first")
+        monkeypatch.setattr(verify, "ALL_CRITERIA", (first, second, third))
+        out = tmp_path / "va.csv"
+        assert run_cli(["verify-all", "--out", str(out)]) == 3
+        assert int((tmp_path / "second").read_text()) != os.getpid()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("[PASS] first: x=1  [")
+        assert err[1] == "numerical guard: OverflowError: in a worker"
+        assert not out.exists()
+        _assert_no_child_left()
+
+    def test_rows_keep_their_order_when_the_first_is_slowest(
+            self, tmp_path, capsys, monkeypatch):
+        def slowest(extended=False):
+            (tmp_path / "0").touch()
+            _wait_for(tmp_path / "4")
+            return verify.CriterionResult("c0", True, {"pid": "parent"})
+
+        def fast(i):
+            def crit(extended=False):
+                (tmp_path / str(i)).touch()
+                return verify.CriterionResult(f"c{i}", i % 2 == 1, {"i": i})
+            return crit
+
+        procs = self._forking(monkeypatch, tmp_path / "0")
+        monkeypatch.setattr(verify, "ALL_CRITERIA",
+                            (slowest, *(fast(i) for i in range(1, 5))))
+        out = tmp_path / "va.csv"
+        cpus = os.sched_getaffinity(0)
+        assert run_cli(["verify-all", "--out", str(out)]) == 1
+        assert os.sched_getaffinity(0) == cpus   # only workers are pinned
+        rows = [ln for ln in out.read_text().splitlines()
+                if not ln.startswith("#")]
+        assert rows == ["criterion,passed,details", "c0,1,pid=parent",
+                        "c1,1,i=1", "c2,0,i=2", "c3,1,i=3", "c4,0,i=4"]
+        err = capsys.readouterr().err.splitlines()
+        assert [ln.split(":")[0] for ln in err[:-1]] == [
+            "[PASS] c0", "[PASS] c1", "[FAIL] c2", "[PASS] c3", "[FAIL] c4"]
+        assert err[-1].endswith(f" on {procs} processes")
+        _assert_no_child_left()
+
+    def test_interrupt_kills_and_reaps_the_workers(self, tmp_path,
+                                                   monkeypatch):
+        def first(extended=False):
+            (tmp_path / "first").touch()
+            _wait_for(tmp_path / "second")
+            raise KeyboardInterrupt
+
+        def second(extended=False):
+            (tmp_path / "second").touch()
+            time.sleep(60)
+
+        self._forking(monkeypatch, tmp_path / "first")
+        monkeypatch.setattr(verify, "ALL_CRITERIA", (first, second))
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            verify.run_all()
+        assert time.monotonic() - t0 < 30
+        _assert_no_child_left()

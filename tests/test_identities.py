@@ -182,7 +182,7 @@ class TestLemmaACriterion:
         with pytest.raises(GuardError, match="relative error undefined"):
             verify.lemma_a_identity()
         monkeypatch.setattr(verify, "ALL_CRITERIA", (verify.lemma_a_identity,))
-        (res,), _ = verify.run_all()
+        (res,), *_ = verify.run_all()
         assert not res.passed and "GuardError" in res.details["error"]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -8,6 +8,7 @@ with mpmath at test time.
 import cmath
 import math
 import struct
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -75,13 +76,30 @@ class TestGamma:
         lambda: gamma(math.inf),
         lambda: gauss_2f1(1, 1, math.inf, 0.3),
         lambda: gamma(complex(1.0, math.nan)),
+        lambda: _gamma_array([math.nan, 1 + 1j]),
+        lambda: _gamma_array([complex(1.0, math.nan), math.inf]),
+        lambda: _rgamma_array([2.5, math.nan]),
+        lambda: identities.lemma_a_sides_batch([identities.AppendixParams(
+            2, math.nan, 0.5, (0.1, 0.7))], (0.9,)),
+        lambda: identities.lemma_a_sides_batch([identities.AppendixParams(
+            2, math.nan, 0.5, (0.1, 0.7))], (0.3,)),
+        lambda: identities.lemma_a_sides(identities.AppendixParams(
+            2, 0.4 + 0.5j, 0.3 - 0.6j, (0.2, math.inf)), 0.9),
+        lambda: identities.lemma_b_ratio(identities.AppendixParams(
+            2, 0.4 + 0.5j, 0.3 - 0.6j, (0.2, math.nan)), 0.99),
     ], ids=["gamma-nan", "digamma-nan", "rgamma-nan", "2f1-a-nan",
-            "lemma-a-alpha-nan", "gamma-inf", "2f1-c-inf", "gamma-1+nanj"])
+            "lemma-a-alpha-nan", "gamma-inf", "2f1-c-inf", "gamma-1+nanj",
+            "gamma-array-nan", "gamma-array-1+nanj-inf", "rgamma-array-nan",
+            "lemma-a-batch-alpha-nan-r0.9", "lemma-a-batch-alpha-nan-r0.3",
+            "lemma-a-p-inf-r0.9", "lemma-b-p-nan"])
     def test_non_finite_arguments_are_refused(self, call):
         # a MatballError, which the CLI maps to an exit code, rather than
-        # an error from round() or a silent nan
-        with pytest.raises(DomainError, match="not finite"):
-            call()
+        # an error from round(), a stalled series or a silent nan; and
+        # refused before any numpy RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                call()
 
     def test_digamma_against_mpmath(self):
         rng = np.random.default_rng(3)

@@ -11,7 +11,9 @@ never ran is not listed again.
     python tools/unreached.py
 
 The CSVs go to a temporary directory; the commands' stdout and stderr are
-discarded.
+discarded.  The process pins itself to one CPU before it imports matball,
+so that ``verify-all`` forks no workers: ``sys.settrace`` sees only this
+process, and the statements only a worker runs are listed as unreached.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import ast
 import contextlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -49,6 +52,8 @@ def run_commands(argvs) -> dict:
         seen.setdefault(name, set()).add(frame.f_lineno)
         return local
 
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, str(SRC))
     sys.settrace(global_)
     try:
