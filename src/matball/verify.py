@@ -2,8 +2,11 @@
 returning a (name, passed, details) triple.  The CLI command ``verify-all``
 and the acceptance test module both run these.
 
-The default suite covers ranks n <= 2; ``extended=True`` adds rank 3 to the
-oracle, normalization and Lemma B criteria.
+Most criteria run ranks n <= 2.  Criterion 5 (Lemma A) runs ranks 2 to 4,
+and criterion 7 (the small identities) reaches rank 5: the c-function
+factorization at n <= 3, the Pochhammer product at n in {1, 3, 5} and the
+induction identity at n in {1, 2, 4}.  ``extended=True`` adds rank 3 to the
+oracle, normalization and Lemma B criteria (1, 2 and 6).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import pickle
 import signal
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -203,29 +207,45 @@ def draw_appendix_params(rng: np.random.Generator, n: int) -> AppendixParams:
     return draw_appendix_params_batch(rng, n, 1)[0]
 
 
-def lemma_a_identity(extended: bool = False) -> CriterionResult:
-    """Column-shift determinant identity to <= 1e-8 relative on 100 seeded
-    guarded draws per rank for n in {2, 3, 4}, r in {0.3, 0.6, 0.9}.  The
-    draws of one rank are evaluated together at all three radii; a zero or
-    non-finite side is refused with GuardError, since the relative error is
-    then undefined."""
-    draws = 100
+_LEMMA_A_DRAWS = 100
+
+
+def _lemma_a_worst(n: int) -> float:
+    """Worst relative error of Lemma A over rank n's 100 draws at
+    r in {0.3, 0.6, 0.9}, evaluated together.  The ranks 2, 3, 4 share one
+    seed-42 stream in that order, so the lower ranks' uniform arrays are drawn
+    and discarded first.  A zero or non-finite side is refused with
+    GuardError, since the relative error is then undefined."""
     rng = np.random.default_rng(42)
+    for k in range(2, n):
+        rng.uniform(size=(_LEMMA_A_DRAWS, 2 * k + 4))
+    aps = draw_appendix_params_batch(rng, n, _LEMMA_A_DRAWS)
     worst = 0.0
     radii = (0.3, 0.6, 0.9)
-    for n in (2, 3, 4):
-        aps = draw_appendix_params_batch(rng, n, draws)
-        for r, lhs, rhs in zip(radii, *lemma_a_sides_batch(aps, radii)):
-            bad = ~(np.isfinite(lhs) & np.isfinite(rhs) & (lhs != 0))
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise GuardError(
-                    f"Lemma A sides lhs={lhs[i]}, rhs={rhs[i]} of {aps[i]} at "
-                    f"r={r} leave the relative error undefined")
-            worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.abs(lhs))))
+    for r, lhs, rhs in zip(radii, *lemma_a_sides_batch(aps, radii)):
+        bad = ~(np.isfinite(lhs) & np.isfinite(rhs) & (lhs != 0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise GuardError(
+                f"Lemma A sides lhs={lhs[i]}, rhs={rhs[i]} of {aps[i]} at "
+                f"r={r} leave the relative error undefined")
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.abs(lhs))))
+    return worst
+
+
+def lemma_a_identity(extended: bool = False, worsts=None) -> CriterionResult:
+    """Column-shift determinant identity to <= 1e-8 relative on 100 seeded
+    guarded draws per rank for n in {2, 3, 4}, r in {0.3, 0.6, 0.9}.  Each
+    rank is one of its ``tasks``: ``run_all`` passes their worst errors as
+    ``worsts``; without them the ranks run here, in order."""
+    worst = max(worsts if worsts is not None
+                else [task() for task in lemma_a_identity.tasks])
     return CriterionResult(
         "lemma_a_identity", worst <= 1e-8,
-        {"worst_rel": _fmt(worst), "draws_per_rank": draws})
+        {"worst_rel": _fmt(worst), "draws_per_rank": _LEMMA_A_DRAWS})
+
+
+lemma_a_identity.tasks = tuple(partial(_lemma_a_worst, n) for n in (2, 3, 4))
 
 
 def lemma_b_asymptotics(extended: bool = False) -> CriterionResult:
@@ -381,17 +401,26 @@ ALL_CRITERIA = (
 )
 
 
-def _drain(queue: int, extended: bool) -> dict:
-    """{index: (result, seconds)} of the criteria taken from the queue pipe."""
+def _tasks() -> list:
+    """The queue's (criterion index, call) pairs in ALL_CRITERIA order: one
+    per criterion, whose call is None, or one per entry of its ``tasks``
+    attribute, whose results the criterion then merges as ``worsts``."""
+    return [(i, task) for i, crit in enumerate(ALL_CRITERIA)
+            for task in getattr(crit, "tasks", (None,))]
+
+
+def _drain(queue: int, tasks: list, extended: bool) -> dict:
+    """{task index: (result, seconds)} of the tasks taken from the queue pipe."""
     done = {}
     while byte := os.read(queue, 1):
-        crit, start = ALL_CRITERIA[byte[0]], time.perf_counter()
+        i, task = tasks[byte[0]]
+        crit, start = ALL_CRITERIA[i], time.perf_counter()
         try:
-            res = crit(extended=extended)
+            res = crit(extended=extended) if task is None else task()
         except MatballError as exc:
             res = CriterionResult(crit.__name__, False,
                                   {"error": f"{type(exc).__name__}: {exc}"})
-        except Exception as exc:   # raised by run_all, in criterion order
+        except Exception as exc:   # raised by run_all, in task order
             done[byte[0]] = exc, time.perf_counter() - start
             break
         done[byte[0]] = res, time.perf_counter() - start
@@ -401,26 +430,27 @@ def _drain(queue: int, extended: bool) -> dict:
 def run_all(extended: bool = False, emit=None):
     """Run every criterion, in this process and in a worker forked per further
     CPU it may use; returns (results, elapsed_seconds, processes) and passes
-    ``emit`` each criterion's line with its wall time, in ALL_CRITERIA order."""
+    ``emit`` each criterion's line with its tasks' summed wall time."""
     t0 = time.perf_counter()
     cpus = sorted(getattr(os, "sched_getaffinity", lambda pid: {0})(0))
+    tasks = _tasks()
     queue, feed = os.pipe()
-    os.write(feed, bytes(range(len(ALL_CRITERIA))))
+    os.write(feed, bytes(range(len(tasks))))
     os.close(feed)
     children = {}   # pid: the worker's result pipe, open for reading
     try:
-        for cpu in cpus[1:len(ALL_CRITERIA)]:
+        for cpu in cpus[1:len(tasks)]:
             back, out = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
                     # a CPU of its own: the scheduler may keep it on ours
                     os.sched_setaffinity(0, {cpu})
-                    os.write(out, pickle.dumps(_drain(queue, extended)))
+                    os.write(out, pickle.dumps(_drain(queue, tasks, extended)))
                 finally:
                     os._exit(0)
             os.close(out)
             children[pid] = open(back, "rb")
-        done = _drain(queue, extended)
+        done = _drain(queue, tasks, extended)
         for data in (fh.read() for fh in children.values()):
             done.update(pickle.loads(data) if data else {})
     finally:
@@ -429,11 +459,19 @@ def run_all(extended: bool = False, emit=None):
             fh.close()                     # zombie until reaped here
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    for i in range(len(ALL_CRITERIA)):   # a worker that died sent nothing
-        res, seconds = done.get(i) or (ChildProcessError(f"criterion {i} lost"), 0)
+    results = []
+    for i, group in itertools.groupby(range(len(tasks)), lambda t: tasks[t][0]):
+        # the first task with an error row or an exception decides, where a
+        # serial loop would stop; a worker that died sent nothing
+        outs, seconds = zip(*(done.get(t) or (ChildProcessError(
+            f"task {t} lost"), 0) for t in group))
+        res = next((out for out in outs
+                    if isinstance(out, (CriterionResult, Exception))), None)
         if isinstance(res, Exception):
             raise res
+        if res is None:
+            res = ALL_CRITERIA[i](extended=extended, worsts=list(outs))
         if emit is not None:
-            emit(f"{res.line()}  [{seconds:.2f}s]")
-    return ([done[i][0] for i in range(len(done))],
-            time.perf_counter() - t0, len(children) + 1)
+            emit(f"{res.line()}  [{sum(seconds):.2f}s]")
+        results.append(res)
+    return results, time.perf_counter() - t0, len(children) + 1

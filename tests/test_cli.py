@@ -19,6 +19,8 @@ import matball
 from matball import cli, verify
 from matball.cli import (OPTIONS, SUBCOMMANDS, build_parser, main,
                          parse_complex, parse_radii)
+from matball.errors import GuardError
+from matball.identities import AppendixParams
 
 
 def run_cli(args):
@@ -450,11 +452,66 @@ class TestCommands:
         assert rows == ["criterion,passed,details", "first,1,x=1",
                         "second,0,y=2"]
 
+    def test_split_criterion_line_sums_its_task_times(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # a criterion with ``tasks`` runs them as queue tasks and merges
+        # their results; its line carries their summed time
+        def split(extended=False, worsts=None):
+            return verify.CriterionResult("split", True, {"worsts": worsts})
+
+        split.tasks = (lambda: 1.0, lambda: 2.0)
+        ticks = iter([0.0, 1.0, 1.25, 2.0, 2.5, 3.0])
+        monkeypatch.setattr(verify, "ALL_CRITERIA", (split,))
+        monkeypatch.setattr(verify, "time",
+                            SimpleNamespace(perf_counter=lambda: next(ticks)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert run_cli(["verify-all", "--out", str(tmp_path / "va.csv")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "[PASS] split: worsts=[1.0, 2.0]  [0.75s]",
+            "suite finished in 3.0s on 1 process",
+        ]
+
+    @pytest.mark.parametrize("order", ["guard_first", "overflow_first"])
+    def test_first_failing_task_decides_the_criterion(self, monkeypatch,
+                                                      order):
+        # as in a serial loop over the tasks: a MatballError before any
+        # other exception is the criterion's error row, and an exception
+        # before any MatballError is raised
+        def guard():
+            raise GuardError("low rank")
+
+        def overflow():
+            raise OverflowError("high rank")
+
+        def split(extended=False, worsts=None):
+            raise AssertionError("merged despite a failed task")
+
+        failing = (guard, overflow) if order == "guard_first" else (
+            overflow, guard)
+        split.tasks = (lambda: 1.0, *failing)
+        monkeypatch.setattr(verify, "ALL_CRITERIA", (split,))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        if order == "overflow_first":
+            with pytest.raises(OverflowError, match="high rank"):
+                verify.run_all()
+            return
+        (res,), _, procs = verify.run_all()
+        assert procs == 1
+        assert res.name == "split" and not res.passed
+        assert res.details == {"error": "GuardError: low rank"}
+
 
 def _wait_for(path: Path, timeout: float = 10.0) -> None:
     deadline = time.monotonic() + timeout
     while not path.exists() and time.monotonic() < deadline:
         time.sleep(0.001)
+
+
+def _untimed(lines):
+    """stderr lines without the criterion times."""
+    return [re.sub(r"  \[[0-9.]+s\]$", "", ln) for ln in lines]
 
 
 def _assert_no_child_left():
@@ -499,12 +556,57 @@ class TestVerifyAllProcesses:
                 [sys.executable, *cmd, "verify-all", *extra, "--out", str(out)],
                 capture_output=True, text=True, env=_child_env(), timeout=600)
             assert proc.returncode == 0, proc.stderr
-            runs[name] = out.read_bytes(), proc.stderr.splitlines()[-1]
+            runs[name] = out.read_bytes(), proc.stderr.splitlines()
         assert runs["one"][0] == runs["all"][0]
-        procs = min(len(os.sched_getaffinity(0)), len(verify.ALL_CRITERIA))
-        assert runs["one"][1].endswith(" on 1 process")
-        assert runs["all"][1].endswith(
-            f" on {procs} process" + "es" * (procs > 1))
+        one, every = (_untimed(runs[name][1]) for name in ("one", "all"))
+        assert one[:-1] == every[:-1]
+        assert len(one) == len(verify.ALL_CRITERIA) + 1
+        procs = min(len(os.sched_getaffinity(0)), len(verify._tasks()))
+        assert one[-1].endswith(" on 1 process")
+        assert every[-1].endswith(f" on {procs} process" + "es" * (procs > 1))
+
+    @pytest.mark.parametrize("failing", [(3,), (3, 4)])
+    def test_lowest_failing_rank_names_the_error(self, tmp_path, capsys,
+                                                 monkeypatch, failing):
+        # a singular draw (two equal p entries) at the failing ranks; with
+        # two processes rank 3 fails only after rank 4's task has drawn, and
+        # still names the error, as the serial loop did
+        real_draw = verify.draw_appendix_params_batch
+        drawn4 = tmp_path / "drawn4"
+
+        def draw(rng, n, draws):
+            if n == 4:
+                drawn4.touch()
+            elif n == 3 and wait:
+                _wait_for(drawn4)
+            aps = real_draw(rng, n, draws)
+            if n in failing:
+                ap = aps[7]
+                aps[7] = AppendixParams(n, ap.alpha, ap.beta,
+                                        (ap.p[0],) * 2 + ap.p[2:])
+            return aps
+
+        monkeypatch.setattr(verify, "draw_appendix_params_batch", draw)
+        real = sorted(os.sched_getaffinity(0))
+        if len(real) < 2:
+            monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+            real = [0, 1]
+        runs = []
+        for cpus, wait in (({real[0]}, False), (set(real[:2]), True)):
+            drawn4.unlink(missing_ok=True)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            out = tmp_path / f"{len(cpus)}.csv"
+            assert run_cli(["verify-all", "--out", str(out)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            runs.append((out.read_bytes(), _untimed(err[:-1])))
+            assert err[-1].endswith(f" on {len(cpus)} process"
+                                    + "es" * (len(cpus) > 1))
+        assert runs[0] == runs[1]
+        row, = [ln for ln in runs[0][0].decode().splitlines()
+                if ln.startswith("lemma_a_identity,")]
+        assert row.startswith("lemma_a_identity,0,error=GuardError: Lemma A ")
+        assert "AppendixParams(n=3," in row
+        _assert_no_child_left()
 
     def test_worker_overflow_exits_3_after_the_earlier_lines(
             self, tmp_path, capsys, monkeypatch):

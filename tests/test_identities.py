@@ -202,6 +202,27 @@ class TestLemmaACriterion:
             assert repr([draw_appendix_params(single, n) for _ in range(20)]) == want
             assert ref.random() == batch.random() == single.random()
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rank_task_continues_the_seed_42_stream(self, monkeypatch, n):
+        # each rank's task starts its own generator and discards the lower
+        # ranks' arrays: its draws are those of one seed-42 stream drawn over
+        # ranks 2, 3, 4 in turn, exactly
+        class Drawn(Exception):
+            pass
+
+        rng = np.random.default_rng(42)
+        want = {k: draw_appendix_params_batch(rng, k, 100) for k in (2, 3, 4)}
+        got = []
+
+        def draw(rng, k, draws):
+            got.append(draw_appendix_params_batch(rng, k, draws))
+            raise Drawn
+
+        monkeypatch.setattr(verify, "draw_appendix_params_batch", draw)
+        with pytest.raises(Drawn):
+            verify._lemma_a_worst(n)
+        assert repr(got) == repr([want[n]])
+
 
 class TestDpFactor:
     def test_small_cases(self):
