@@ -24,7 +24,7 @@ from .report import CheckReport
 from .special import (SpectralParams, c_function, gamma, gauss_2f1,
                       gindikin_gamma, pochhammer)
 from .spherical import (gamma_constant, key_lemma_ratio, phi_big, phi_bigs,
-                        phi_scalar, weyl_dimension)
+                        weyl_dimension)
 
 __all__ = [
     "AppendixParams", "CheckReport", "CoincidentError", "ConvergenceError",
@@ -36,7 +36,7 @@ __all__ = [
     "gindikin_gamma", "hua_apply", "hua_residual", "induction_identity_check",
     "inversion_experiment", "kernel_mass", "key_lemma_ratio",
     "key_lemma_sweep", "lemma_a_sides", "lemma_b_ratio", "norm_sandwiches",
-    "phi_big", "phi_bigs", "phi_scalar", "pochhammer",
+    "phi_big", "phi_bigs", "pochhammer",
     "pochhammer_product_check", "poisson_kernel", "spherical_oracle",
     "spherical_oracles", "weyl_dimension",
 ]

@@ -44,13 +44,15 @@ MAX_GRID_NODES = 1 << 24
 
 
 def validate_ball_point(Z: np.ndarray, stack: bool = False) -> np.ndarray:
-    """Check that I - Z Z* is positive definite (Cholesky succeeds) for one
-    n x n point or, with ``stack``, also for every point of an (M, n, n)
-    stack."""
+    """Check that Z is finite and I - Z Z* positive definite (Cholesky
+    succeeds) for one n x n point or, with ``stack``, also for every point
+    of an (M, n, n) stack."""
     Z = np.asarray(Z, dtype=complex)
     if Z.ndim not in ((2, 3) if stack else (2,)) or Z.shape[-1] != Z.shape[-2]:
         raise DomainError(f"ball point has shape {Z.shape}; expected n x n"
                           + (" or (M, n, n)" if stack else ""))
+    if not np.isfinite(Z).all():
+        raise DomainError("ball point has a non-finite entry")
     A = np.eye(Z.shape[-1]) - Z @ Z.conj().swapaxes(-1, -2)
     try:
         np.linalg.cholesky((A + A.conj().swapaxes(-1, -2)) / 2.0)
@@ -122,6 +124,8 @@ def poisson_kernel(p: SpectralParams, Z: np.ndarray,
     U = np.asarray(U, dtype=complex)
     if U.shape != (n, n):
         raise DomainError(f"boundary matrix must be {n}x{n}, got {U.shape}")
+    if not np.isfinite(U).all():
+        raise DomainError("boundary matrix has a non-finite entry")
     if np.max(np.abs(U @ U.conj().T - np.eye(n))) > 1e-12:
         raise DomainError("boundary matrix is not unitary to 1e-12")
     detA = np.linalg.det(np.eye(n) - Z @ Z.conj().swapaxes(-1, -2)).real

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 
 import numpy as np
 
@@ -18,7 +19,13 @@ MAX_SIGNATURE_PART = 50
 
 def validate_signature(m, n: int | None = None) -> tuple[int, ...]:
     """Check that m is a weakly decreasing integer tuple (of rank n if given)."""
-    m = tuple(int(v) for v in m)
+    m = tuple(m)
+    # plain ints first: the ABC test alone would double the check's cost
+    bad = [v for v in m if type(v) is not int and not (
+        isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer())]
+    if bad:
+        raise DomainError(f"signature part {bad[0]!r} is not an integer")
+    m = tuple(map(int, m))
     if n is not None and len(m) != n:
         raise DomainError(f"signature {m} has rank {len(m)}, expected {n}")
     if any(m[i] < m[i + 1] for i in range(len(m) - 1)):
@@ -80,29 +87,17 @@ def _phi_scalar_cores(p: SpectralParams, k: int, radii) -> list:
 
 
 def _radial_weight(p: SpectralParams, r: float) -> complex:
-    """(1-r^2)^((s+n-nu)/2), the factor phi_scalar puts on phi_scalar_core;
-    it does not depend on k."""
+    """(1-r^2)^((s+n-nu)/2), which turns phi_scalar_core into the scalar
+    profile phi_{s,k}(r) of phi_bigs; it does not depend on k."""
     n, nu, s = p.n, p.nu, p.s
     return cmath.exp((s + n - nu) / 2.0 * math.log1p(-r * r)) if r > 0 else 1.0
 
 
 def phi_scalar_core(p: SpectralParams, k: int, r: float) -> complex:
-    """r^|k| ((s+n+eps*nu)/2)_|k| / (1)_|k| * 2F1(...) -- the Fourier-mode
-    profile of the kernel without the (1-r^2)^((s+n-nu)/2) factor."""
+    """r^|k| ((s+n+eps*nu)/2)_|k| / (1)_|k| 2F1((s+n-eps*nu)/2, (s+n+eps*nu)/2
+    + |k|; 1+|k|; r^2), eps = _epsilon(k): the Fourier-mode profile of the
+    kernel, phi_{s,k}(r) without its (1-r^2)^((s+n-nu)/2) factor."""
     return _phi_scalar_cores(p, k, (validate_radius(r),))[0]
-
-
-def phi_scalar(p: SpectralParams, k: int, r: float) -> complex:
-    """Scalar radial profile
-
-        phi_{s,k}(r) = r^|k| (1-r^2)^((s+n-nu)/2)
-                       ((s+n+eps(k)nu)/2)_|k| / (1)_|k|
-                       2F1((s+n-eps(k)nu)/2, (s+n+eps(k)nu)/2 + |k|; 1+|k|; r^2)
-
-    with eps(k) = +1 for k >= 0 and -1 for k < 0, s = i*lambda.
-    """
-    r = validate_radius(r)
-    return _radial_weight(p, r) * phi_scalar_core(p, k, r)
 
 
 def phi_bigs(p: SpectralParams, sigs, radii) -> list:

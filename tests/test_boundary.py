@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -25,8 +26,9 @@ from matball.errors import DomainError, SingularError
 from matball.experiments import (KTypeFunction, forelli_rudin_growth,
                                  norm_sandwiches)
 from matball.special import SpectralParams
-from matball.spherical import phi_big, phi_bigs, phi_scalar, weyl_dimension
+from matball.spherical import phi_big, phi_bigs, weyl_dimension
 from matball.verify import signatures_up_to
+from radius_reference import phi_scalar
 from torus_reference import (disk_weyl_integrate, einsum_cofactors,
                              full_grid_sum, kernel_projection,
                              poisson_kernel_torus, schur_character,
@@ -280,6 +282,23 @@ class TestStackedKernel:
         # a stack is accepted only where it is asked for
         with pytest.raises(DomainError):
             validate_ball_point(np.zeros((4, 2, 2)))
+
+    @pytest.mark.parametrize("Z, U", [
+        (np.array([[np.nan, 0.0], [0.0, 0.2]]), np.eye(2)),
+        (np.array([[0.1, 0.0], [complex(0.0, np.nan), 0.2]]), np.eye(2)),
+        (np.array([0.3 * np.eye(2), np.diag([0.2, np.inf])]), np.eye(2)),
+        (0.3 * np.eye(2), np.diag([1.0, np.nan])),
+        (0.3 * np.eye(2), np.diag([np.inf, 1.0])),
+    ], ids=["point-nan", "point-nanj", "stack-inf", "boundary-nan",
+            "boundary-inf"])
+    def test_non_finite_entries_are_refused(self, Z, U):
+        # Cholesky and the unitarity test let them through: the kernel was
+        # nan+nanj after numpy RuntimeWarnings
+        p = SpectralParams(2, 1, 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite"):
+                poisson_kernel(p, Z, U)
 
 
 def brute_force_schur_210(z):

@@ -43,6 +43,11 @@ class TestKTypeFunction:
         with pytest.raises(DomainError):
             KTypeFunction({(0, 1): 1.0})
 
+    def test_non_integer_signature_is_refused(self):
+        # int() made this the trivial K-type
+        with pytest.raises(DomainError, match="part 0.9 is not an integer"):
+            KTypeFunction({(0.9, 0): 1.0})
+
     def test_norm_matches_quadrature(self):
         f = KTypeFunction({(0, 0): 1.0, (1, 0): 0.5 - 0.25j, (2, 1): 0.3j})
         g = TorusGrid(2, 24)

@@ -1,6 +1,8 @@
 """Tests for the Wirtinger finite differences, the matrix operator blocks
 and the kernel eigen-equation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,25 @@ class TestHuaApply:
         with pytest.raises(DomainError):
             hua_apply(SpectralParams(2, 1, 3.0), lambda W: 1.0,
                       0.1 * np.eye(2), h)
+
+    @pytest.mark.parametrize("Z, U", [
+        (np.diag([0.2, np.nan]), np.eye(2)),
+        (0.2 * np.eye(2), np.diag([np.inf, 1.0])),
+    ], ids=["point-nan", "boundary-inf"])
+    @pytest.mark.parametrize("residual", [False, True],
+                             ids=["apply", "residual"])
+    def test_non_finite_point_or_boundary_matrix_is_refused(self, Z, U,
+                                                             residual):
+        # not a bare LinAlgError from the probes' SVD, nor a RangeError
+        # that blames the kernel's size, and before any numpy RuntimeWarning
+        p = SpectralParams(2, 1, 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite"):
+                if residual:
+                    hua_residual(p, Z, U)
+                else:
+                    hua_apply(p, lambda W: poisson_kernel(p, W, U), Z)
 
 
 class TestStackedStencil:

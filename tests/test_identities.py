@@ -65,7 +65,9 @@ class TestLemmaA:
 
 
 def _seed42_draws(draws):
-    """The first draws of each rank, in the order criterion 5 takes them."""
+    """``draws`` seeded draws at each rank 2, 3, 4, in turn from one
+    ``default_rng(42)`` stream.  Only rank 2's are criterion 5's first
+    draws: criterion 5 takes 100 per rank before it moves on."""
     rng = np.random.default_rng(42)
     return {n: [draw_appendix_params(rng, n) for _ in range(draws)]
             for n in (2, 3, 4)}

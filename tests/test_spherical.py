@@ -1,6 +1,8 @@
 """Tests for the radial profiles, their determinant aggregates and the
 boundary-asymptotic ratio."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,10 @@ from matball.errors import DomainError
 from matball.special import (SpectralParams, c_function, gauss_2f1,
                              pochhammer)
 from matball.spherical import (boundary_weight, gamma_constant,
-                               key_lemma_ratio, phi_big, phi_bigs, phi_scalar,
+                               key_lemma_ratio, phi_big, phi_bigs,
                                phi_scalar_core, weyl_dimension)
 from matball.verify import signatures_up_to
+from radius_reference import phi_scalar
 
 
 def rel(a, b):
@@ -43,18 +46,25 @@ class TestWeylDimension:
 
 
 class TestPhiScalar:
+    # the library's scalar profile phi_{s,k}(r) is phi_bigs at rank 1, and
+    # _radial_weight times phi_scalar_core at any rank
     def test_at_origin(self):
-        p = SpectralParams(2, 1, 2.5)
-        assert phi_scalar(p, 0, 0.0) == 1.0
-        for k in (1, -1, 3):
-            assert phi_scalar(p, k, 0.0) == 0.0
+        for n in (1, 2):
+            p = SpectralParams(n, 1, 2.5)
+            assert phi_scalar_core(p, 0, 0.0) == 1.0
+            for k in (1, -1, 3):
+                assert phi_scalar_core(p, k, 0.0) == 0.0
+        p = SpectralParams(1, 1, 2.5)
+        assert phi_bigs(p, [(0,), (1,), (-1,), (3,)], (0.0,)) == [[1, 0, 0, 0]]
 
     def test_disk_case(self):
         # n=1, nu=0, s=1: the profile collapses to r^|k|
         p = SpectralParams(1, 0, 1.0)
-        for k in (-3, -1, 0, 1, 2, 5):
-            for r in (0.2, 0.5, 0.9):
-                assert rel(phi_scalar(p, k, r), r ** abs(k)) < 1e-13
+        ks = (-3, -1, 0, 1, 2, 5)
+        radii = (0.2, 0.5, 0.9)
+        for r, row in zip(radii, phi_bigs(p, [(k,) for k in ks], radii)):
+            for k, got in zip(ks, row):
+                assert rel(got, r ** abs(k)) < 1e-13
 
     def test_zero_mode_sign_convention_free(self):
         # at k = 0 the two sign conventions give the same value because the
@@ -62,17 +72,16 @@ class TestPhiScalar:
         p = SpectralParams(2, 3, 2.7 + 0.4j)
         n, nu, s = p.n, p.nu, p.s
         for r in (0.3, 0.8):
-            plus = phi_scalar(p, 0, r)
-            minus_core = gauss_2f1((s + n + nu) / 2.0, (s + n - nu) / 2.0,
-                                   1.0, r * r)
-            minus = (1 - r * r) ** ((s + n - nu) / 2.0) * minus_core
+            plus = phi_scalar_core(p, 0, r)
+            minus = gauss_2f1((s + n + nu) / 2.0, (s + n - nu) / 2.0, 1.0, r * r)
             assert abs(plus - minus) < 1e-12 * abs(plus)
 
     def test_core_strips_weight(self):
-        p = SpectralParams(2, 1, 3.0)
+        p = SpectralParams(1, 1, 3.0)
         r = 0.6
         w = (1 - r * r) ** ((p.s + p.n - p.nu) / 2.0)
-        assert rel(phi_scalar(p, 2, r), w * phi_scalar_core(p, 2, r)) < 1e-14
+        got = phi_bigs(p, [(2,)], (r,))[0][0]
+        assert rel(got, w * phi_scalar_core(p, 2, r)) < 1e-14
 
 
 class TestPhiBig:
@@ -118,8 +127,9 @@ class TestPhiBig:
 
 
 def reference_phi_big(p, m, r):
-    """det(phi_scalar(p, m_i - i + j, r)) / d_m, entry by entry; at rank 1
-    the determinant is its one entry (numpy's 1x1 det is not exact)."""
+    """det(phi_scalar(p, m_i - i + j, r)) / d_m, entry by entry from the
+    scalar profile of ``radius_reference``; at rank 1 the determinant is
+    its one entry (numpy's 1x1 det is not exact)."""
     n = p.n
     if n == 1:
         return phi_scalar(p, m[0], r)
@@ -193,6 +203,18 @@ class TestPhiBigs:
             phi_bigs(p, [(1, 0, 0)], (0.5,))
         with pytest.raises(DomainError):
             phi_bigs(p, [(1, 0)], (1.0,))
+
+    @pytest.mark.parametrize("part", [1.5, math.nan, math.inf])
+    def test_non_integer_parts_are_refused(self, part):
+        # int() made (1.5, 0) the signature (1, 0); nan and inf raised a
+        # bare ValueError and OverflowError
+        with pytest.raises(DomainError, match=f"part {part} is not an integer"):
+            phi_bigs(SpectralParams(2, 0, 3.0), [(part, 0)], (0.5,))
+
+    def test_integral_parts_of_any_type_are_accepted(self):
+        p = SpectralParams(2, 0, 3.0)
+        assert phi_bigs(p, [(1.0, np.int64(0))], (0.5,)) == \
+            phi_bigs(p, [(1, 0)], (0.5,))
 
 
 def generalized_pochhammer(x, mu):
