@@ -168,9 +168,8 @@ def norm_sandwiches(p: SpectralParams, fs, pexp: float, radii=DEFAULT_RADII,
         upper_ratio = best / fnorm if fnorm > 0 else math.inf
         out.append(SweepResult(
             columns=("r", "weighted_slice_norm"), rows=rows, passed=lower_ok,
-            metadata={"n": p.n, "nu": p.nu, "s": p.s, "p_exponent": pexp,
-                      "boundary_norm": fnorm, "hardy_norm": best,
-                      "c_modulus": cmod, "lower_bound_holds": lower_ok,
+            metadata={"n": p.n, "nu": p.nu, "s": p.s, "boundary_norm": fnorm,
+                      "hardy_norm": best, "c_modulus": cmod,
                       "upper_ratio": upper_ratio}))
     return out
 

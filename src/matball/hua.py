@@ -24,7 +24,8 @@ from .errors import DomainError, MarginError, RangeError
 from .report import CheckReport
 from .special import SpectralParams
 
-DEFAULT_FD_STEP = 1e-3
+# 1e-3 fails hua_residual's tolerance at ordinary rank-3 points (up to 2e-4)
+DEFAULT_FD_STEP = 4e-4
 # Below this kernel value the residual entries, of size ~|P| eps, reach
 # sqrt(tiny) and the sum of their squares in the Frobenius norm underflows.
 MIN_KERNEL = math.sqrt(np.finfo(float).tiny) / np.finfo(float).eps

@@ -264,33 +264,21 @@ def dp_factor(p) -> complex:
     return out
 
 
-def lemma_b_printed_sign(n: int) -> int:
-    """The candidate sign (-1)^((n^2+3n-8)/2) for the asymptotic constant,
-    recorded alongside the resolved one; the exponent is an integer for
-    every n >= 1 (n^2 + 3n = n(n+3) is always even)."""
-    e = n * n + 3 * n - 8
-    assert e % 2 == 0, f"sign exponent (n^2+3n-8)/2 must be an integer, n={n}"
-    return (-1) ** ((e // 2) % 2)
-
-
-def lemma_b_resolved_sign(n: int) -> int:
-    """The sign the determinant ratio actually attains: +1 for every n.
-    The candidate sign above differs by (-1)^(n(n-1)/2), so it disagrees for
-    n = 2, 3 mod 4; resolved against exact low-order expansions and
-    high-precision evaluation."""
-    return 1
-
-
 def lemma_b_reference(ap: AppendixParams, r: float) -> complex:
-    """Asymptotic reference value, with the resolved sign:
+    """Asymptotic reference value of the determinant ratio:
 
-        sign * prod_{k=1}^{n-1}(n-k)! * (1-r^2)^(n(n-1)/2)
-             * prod_{k=1}^{n-1} (beta+k-1)^(n-k)
-                 / prod_{j=1}^{n-k} (alpha+beta+n+k-j-2)_2
+        prod_{k=1}^{n-1}(n-k)! * (1-r^2)^(n(n-1)/2)
+            * prod_{k=1}^{n-1} (beta+k-1)^(n-k)
+                / prod_{j=1}^{n-k} (alpha+beta+n+k-j-2)_2
+
+    with sign +1 at every n.  The paper's candidate sign
+    (-1)^((n^2+3n-8)/2) differs from it by (-1)^(n(n-1)/2), so it is wrong
+    at n = 2, 3 mod 4, as exact low-order expansions and high-precision
+    evaluation show.
     """
     n, alpha, beta = ap.n, ap.alpha, ap.beta
     x = 1.0 - r * r
-    out = complex(lemma_b_resolved_sign(n)) * x ** (n * (n - 1) // 2)
+    out = complex(x ** (n * (n - 1) // 2))
     for k in range(1, n):
         out *= math.factorial(n - k)
         num = (beta + k - 1) ** (n - k)

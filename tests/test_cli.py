@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matball
-from matball import cli, verify
+from matball import cli, hua, verify
 from matball.cli import (OPTIONS, SUBCOMMANDS, build_parser, main,
                          parse_complex, parse_radii)
 from matball.errors import GuardError
@@ -89,6 +89,12 @@ class TestOptionTable:
             expected = {f"--{name}" for name in names.split()} | {"--out"}
             assert subcommand_options(command) == expected, command
         assert sum(len(subcommand_options(c)) for c in self.EXPECTED) == 56
+
+    def test_hua_check_step_is_the_library_default(self):
+        # the option reads hua's constant, so the two cannot drift apart
+        assert OPTIONS["fd-step"]["default"] is hua.DEFAULT_FD_STEP
+        args = build_parser().parse_args(["hua-check"])
+        assert args.fd_step == hua.DEFAULT_FD_STEP
 
     def test_forelli_rudin_runs_the_grid_it_is_given(self, tmp_path):
         out = tmp_path / "fr.csv"
@@ -367,7 +373,7 @@ class TestExitCodes:
     def test_guard_is_the_only_stderr_line(self, tmp_path, argv):
         # numpy's overflow warnings stay silent; the guard alone reports
         proc = subprocess.run(
-            [sys.executable, "-m", "matball.cli", *argv,
+            [sys.executable, "-m", "matball", *argv,
              "--out", str(tmp_path / "x.csv")],
             capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 3
@@ -375,9 +381,9 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("numerical guard:")
 
     def test_subprocess_entry_point(self, tmp_path):
-        # the installed console script mirrors main()
+        # the process exits with main()'s code
         proc = subprocess.run(
-            [sys.executable, "-m", "matball.cli", "kernel", "--n", "1",
+            [sys.executable, "-m", "matball", "kernel", "--n", "1",
              "--nu", "1", "--s", "2.0", "--out", str(tmp_path / "k.csv")],
             capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
@@ -526,22 +532,13 @@ class TestVerifyAllProcesses:
     outcome must not depend on which process ran which criterion."""
 
     @staticmethod
-    def _forking(monkeypatch, taken: Path) -> int:
-        """Fork at least one worker, unpinned on a one-CPU machine; workers
-        take criteria only once ``taken`` exists, so the criterion that
-        creates it runs here.  Returns the process count for five criteria."""
-        real_fork = os.fork
-
-        def fork():
-            pid = real_fork()
-            if pid == 0:
-                _wait_for(taken)
-            return pid
-
+    def _forking(monkeypatch) -> int:
+        """Fork at least one worker, unpinned on a one-CPU machine; this
+        process runs the first criterion.  Returns the process count for
+        five criteria."""
         if len(os.sched_getaffinity(0)) < 2:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
             monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
-        monkeypatch.setattr(os, "fork", fork)
         return min(len(os.sched_getaffinity(0)), 5)
 
     @pytest.mark.parametrize("extra", [[], ["--extended"]])
@@ -611,7 +608,6 @@ class TestVerifyAllProcesses:
     def test_worker_overflow_exits_3_after_the_earlier_lines(
             self, tmp_path, capsys, monkeypatch):
         def first(extended=False):
-            (tmp_path / "first").touch()
             _wait_for(tmp_path / "second")
             return verify.CriterionResult("first", True, {"x": 1})
 
@@ -622,7 +618,7 @@ class TestVerifyAllProcesses:
         def third(extended=False):
             return verify.CriterionResult("third", True, {})
 
-        self._forking(monkeypatch, tmp_path / "first")
+        self._forking(monkeypatch)
         monkeypatch.setattr(verify, "ALL_CRITERIA", (first, second, third))
         out = tmp_path / "va.csv"
         assert run_cli(["verify-all", "--out", str(out)]) == 3
@@ -636,7 +632,6 @@ class TestVerifyAllProcesses:
     def test_rows_keep_their_order_when_the_first_is_slowest(
             self, tmp_path, capsys, monkeypatch):
         def slowest(extended=False):
-            (tmp_path / "0").touch()
             _wait_for(tmp_path / "4")
             return verify.CriterionResult("c0", True, {"pid": "parent"})
 
@@ -646,7 +641,7 @@ class TestVerifyAllProcesses:
                 return verify.CriterionResult(f"c{i}", i % 2 == 1, {"i": i})
             return crit
 
-        procs = self._forking(monkeypatch, tmp_path / "0")
+        procs = self._forking(monkeypatch)
         monkeypatch.setattr(verify, "ALL_CRITERIA",
                             (slowest, *(fast(i) for i in range(1, 5))))
         out = tmp_path / "va.csv"
@@ -663,10 +658,35 @@ class TestVerifyAllProcesses:
         assert err[-1].endswith(f" on {procs} processes")
         _assert_no_child_left()
 
+    def test_caller_runs_criterion_1(self, monkeypatch):
+        # even when the caller reaches the queue after its worker, as a
+        # pinned worker would crowd criterion 1's BLAS threads onto one CPU
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs two CPUs")
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                time.sleep(0.2)
+            return pid
+
+        def first(extended=False):
+            return verify.CriterionResult("first", True, {"pid": os.getpid()})
+
+        def other(extended=False):
+            return verify.CriterionResult("other", True, {})
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(verify, "ALL_CRITERIA", (first, other, other))
+        results, _, procs = verify.run_all()
+        assert procs > 1
+        assert results[0].details == {"pid": os.getpid()}
+        _assert_no_child_left()
+
     def test_interrupt_kills_and_reaps_the_workers(self, tmp_path,
                                                    monkeypatch):
         def first(extended=False):
-            (tmp_path / "first").touch()
             _wait_for(tmp_path / "second")
             raise KeyboardInterrupt
 
@@ -674,7 +694,7 @@ class TestVerifyAllProcesses:
             (tmp_path / "second").touch()
             time.sleep(60)
 
-        self._forking(monkeypatch, tmp_path / "first")
+        self._forking(monkeypatch)
         monkeypatch.setattr(verify, "ALL_CRITERIA", (first, second))
         t0 = time.monotonic()
         with pytest.raises(KeyboardInterrupt):

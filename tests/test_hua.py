@@ -345,15 +345,22 @@ class TestHuaResidual:
                           h=1e-3, tol=1.0)
         assert abs(r1.rel_error - r2.rel_error) <= 1e-4
 
+    @pytest.mark.parametrize("nu, s", [(1, 4.5), (0, 4.5), (1, 3.5), (0, 3.0)])
+    def test_library_defaults_pass_at_rank_three(self, nu, s):
+        # the old default step, 1e-3, gave 1.1e-4 to 2.0e-4 here, above the
+        # default tolerance
+        Z, U = draw_hua_point(np.random.default_rng(5), 3, 0.15)
+        assert hua_residual(SpectralParams(3, nu, s), Z, U).passed
+
     def test_criterion_judges_every_combo(self, monkeypatch):
-        # a residual above 1e-4 at any of the seven combinations fails
-        # criterion 4, the (n, nu) = (2, 2) one included
+        # a residual that fails its report at any of the seven combinations
+        # fails criterion 4, the (n, nu) = (2, 2) one included
         inner = verify.hua_residual
 
         def residual(p, Z, U, h):
             rep = inner(p, Z, U, h=h)
             if (p.n, p.nu) == (2, 2):
-                rep.rel_error = 2e-4
+                rep.rel_error, rep.passed = 2e-4, False
             return rep
 
         monkeypatch.setattr(verify, "hua_residual", residual)

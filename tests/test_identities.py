@@ -13,9 +13,7 @@ from matball.identities import (AppendixParams, _det_ld, _det_ld_batch,
                                 _eval_2f1_ld, _eval_2f1_ld_array, dp_factor,
                                 e9_identity_check, induction_identity_check,
                                 lemma_a_sides, lemma_a_sides_batch,
-                                lemma_b_printed_sign, lemma_b_ratio,
-                                lemma_b_resolved_sign,
-                                pochhammer_product_check)
+                                lemma_b_ratio, pochhammer_product_check)
 from matball.special import SpectralParams, gauss_2f1
 from matball.spherical import weyl_dimension
 from matball.verify import draw_appendix_params, draw_appendix_params_batch
@@ -286,11 +284,8 @@ class TestLemmaB:
             assert ds[2] <= 10.0 * abs(predicted)
 
     def test_sign_resolution(self):
-        # the printed sign is wrong for n = 2, 3 (mod 4); the resolved
+        # the paper's candidate sign is -1 at n = 2, 3 (mod 4); the
         # reference uses +1, and the ratio tends to +1, not -1
-        assert [lemma_b_printed_sign(n) for n in (1, 2, 3, 4, 5)] == \
-            [1, -1, -1, 1, 1]
-        assert all(lemma_b_resolved_sign(n) == 1 for n in (1, 2, 3, 4, 5))
         rng = np.random.default_rng(39)
         for n in (2, 3):
             ap = draw_appendix_params(rng, n)

@@ -15,6 +15,7 @@ from matball.spherical import (boundary_weight, gamma_constant,
                                key_lemma_ratio, phi_big, phi_bigs,
                                phi_scalar_core, weyl_dimension)
 from matball.verify import signatures_up_to
+from mp_reference import mp_phi_big
 from radius_reference import phi_scalar
 
 
@@ -117,6 +118,20 @@ class TestPhiBig:
                              for j in range(n)] for i in range(n)])
         transposed = complex(np.linalg.det(entries)) / weyl_dimension(m)
         assert rel(phi_big(p, m, r), transposed) < 1e-12
+
+    @pytest.mark.parametrize("n, r", [(1, 0.5), (1, 0.9), (1, 0.99),
+                                      (2, 0.5), (2, 0.9), (2, 0.99),
+                                      (3, 0.5), (3, 0.9)])
+    def test_sixty_digit_reference(self, n, r):
+        # every third signature with parts in [-2, 2] ([-1, 1] at rank 3);
+        # rank 3 at r >= 0.99 loses digits to cancellation and is not pinned
+        sigs = list(signatures_up_to(n, 1 if n == 3 else 2))[::3]
+        for nu in (-1, 0, 1):
+            for s in (n - 0.5, n + 0.5, n + 2.5, complex(n + 1, 1)):
+                p = SpectralParams(n, nu, s)
+                for m in sigs:
+                    ref = complex(mp_phi_big(n, nu, s, m, r))
+                    assert rel(phi_big(p, m, r), ref) <= 1e-8, (nu, s, m)
 
     def test_signature_validation(self):
         p = SpectralParams(2, 0, 3.0)
