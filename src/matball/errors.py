@@ -22,6 +22,10 @@ class DomainError(MatballError):
     """An argument violates a documented domain restriction."""
 
 
+class HypothesisError(DomainError):
+    """s lies outside a hypothesis of a theorem; the message names it."""
+
+
 class SingularError(MatballError):
     """det(I - Z U*) vanished; the point lies on the singular set."""
 

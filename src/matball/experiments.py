@@ -1,7 +1,7 @@
-"""Desk-scale reproductions of the boundary-value theory: asymptotic-ratio
-sweeps, kernel mass growth, the two-sided norm estimate for Poisson
-extensions and the inversion formula.  The torus sums they read, the
-kernel mass and the K-type norms, are :mod:`matball.boundary`'s.
+"""Desk-scale reproductions of the boundary-value theory: the profiles
+against their quadrature, asymptotic-ratio sweeps, kernel mass growth, the
+two-sided norm estimate for Poisson extensions and the inversion formula.
+The torus sums they read are :mod:`matball.boundary`'s.
 
 Sweeps are deterministic given (params, seed, grids); rows are emitted in a
 fixed order so repeated runs are bit-identical.
@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .boundary import TorusGrid, kernel_mass, ktype_norms
+from .boundary import TorusGrid, kernel_mass, ktype_norms, spherical_oracles
 from .errors import DomainError
 from .special import SpectralParams, c_function
-from .spherical import (_require_asymptotic, _require_asymptotic_range,
-                        boundary_weight, log_boundary_weight, phi_bigs,
-                        validate_radius, validate_signature, weyl_dimension)
+from .spherical import (_require_asymptotic, boundary_weight,
+                        log_boundary_weight, phi_bigs, validate_radius,
+                        validate_signature, weyl_dimension)
 
 DEFAULT_RADII = tuple(1.0 - 2.0 ** (-j) for j in range(1, 15))
 
@@ -68,6 +68,24 @@ class KTypeFunction:
                              for m, c in self.items()))
 
 
+def oracle_comparison(p: SpectralParams, sigs, radii,
+                      grid: TorusGrid) -> SweepResult:
+    """Phi_{s,m}(r) against its quadrature on grid, in signature-major rows
+    (m, r, Phi, oracle, relative error, passed); a row passes when
+    |Phi - oracle| <= 1e-6 max(|Phi|, 1e-30).  One :func:`phi_bigs` call
+    serves every radius, one :func:`spherical_oracles` walk every m at one."""
+    by_radius = [(r, phis, spherical_oracles(p, sigs, r, grid))
+                 for r, phis in zip(radii, phi_bigs(p, sigs, radii))]
+    rows = []
+    for i, m in enumerate(sigs):
+        for r, phis, orcs in by_radius:
+            rel = abs(phis[i] - orcs[i]) / max(abs(phis[i]), 1e-30)
+            rows.append((";".join(map(str, m)), r, phis[i], orcs[i], rel,
+                         rel <= 1e-6))
+    return SweepResult(("m", "r", "profile", "oracle", "rel_error", "passed"),
+                       rows, passed=all(row[-1] for row in rows))
+
+
 def key_lemma_sweep(p: SpectralParams, sigs, radii) -> SweepResult:
     """Ratios Phi_m(r) / [c(s) (1-r^2)^(n(n-nu-s)/2)] over (m, r).
 
@@ -100,15 +118,17 @@ def key_lemma_sweep(p: SpectralParams, sigs, radii) -> SweepResult:
                   "deviations_decreasing": decreasing})
 
 
-def forelli_rudin_growth(p: SpectralParams, radii, grid: TorusGrid) -> SweepResult:
+def forelli_rudin_growth(p: SpectralParams, radii, grid: TorusGrid | int) -> SweepResult:
     """Kernel mass against its predicted growth rate: rows of
 
         (r, int |P(rI, U)| dU, (1-r^2)^(n(n-nu-Re s)/2), ratio)
 
-    Every radius uses the grid's N (see :func:`kernel_mass`).  Passes when
-    the ratio stays within a factor-10 band over the radii.
+    Every radius uses the grid's N (see :func:`kernel_mass`), given as an int
+    or a TorusGrid.  Passes when the ratio stays in a factor-10 band.
     """
-    _require_asymptotic_range(p)
+    _require_asymptotic(p, generic=False)
+    if isinstance(grid, int):
+        grid = TorusGrid(p.n, grid)
     radii = [validate_radius(r) for r in radii]
     rows = []
     ratios = []
@@ -127,7 +147,7 @@ def forelli_rudin_growth(p: SpectralParams, radii, grid: TorusGrid) -> SweepResu
 
 
 def norm_sandwiches(p: SpectralParams, fs, pexp: float, radii=DEFAULT_RADII,
-                    grid: TorusGrid | None = None) -> list:
+                    grid: TorusGrid | int = 32) -> list:
     """Two-sided estimate for the Poisson extension of each K-type function
     f in fs:
 
@@ -137,13 +157,13 @@ def norm_sandwiches(p: SpectralParams, fs, pexp: float, radii=DEFAULT_RADII,
     bound is asserted with a 1e-3 slack; the upper ratio is reported (no
     reference constant is available for it).  All fs share one
     :func:`phi_bigs` call for all radii and one :func:`ktype_norms` walk
-    of the grid.
+    of the grid, given as an int N or a TorusGrid.
     """
     _require_asymptotic(p)
     if any(f.rank != p.n for f in fs):
         raise DomainError(f"K-type rank of some f != params rank {p.n}")
-    if grid is None:
-        grid = TorusGrid(p.n, 32)
+    if isinstance(grid, int):
+        grid = TorusGrid(p.n, grid)
     radii = [validate_radius(r) for r in radii]
     sigs = sorted({m for f in fs for m in f.coeffs})
     # the Poisson extension of each f at each radius, sum_m c_m Phi_m(r)

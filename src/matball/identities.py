@@ -21,6 +21,8 @@ from .special import (SpectralParams, _gauss_2f1_array,
 from .spherical import gamma_constant, validate_radius
 
 GUARD_RADIUS = 1e-6
+# pass gates of Lemma A's |lhs - rhs| / |lhs| and Lemma B's final |ratio - 1|
+LEMMA_A_TOL, LEMMA_B_TOL = 1e-8, 5e-2
 
 # The determinants below cancel to depth (1-r^2)^(n(n-1)) at small 1-r^2,
 # so entries and determinants are evaluated in extended precision

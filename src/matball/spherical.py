@@ -11,7 +11,7 @@ import numbers
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, HypothesisError, PoleError
 from .special import SpectralParams, _gauss_2f1_xs, c_function, gauss_2f1
 
 MAX_SIGNATURE_PART = 50
@@ -147,18 +147,16 @@ def boundary_weight(p: SpectralParams, r: float) -> complex:
     return cmath.exp(log_boundary_weight(p, r))
 
 
-def _require_asymptotic_range(p: SpectralParams) -> None:
+def _require_asymptotic(p: SpectralParams, generic: bool = True) -> None:
+    """Refuse s outside Re(s) > n - 1 or, if generic, on the excluded
+    lattice: the hypotheses of the boundary asymptotics of Phi_{s,m}."""
     if not p.in_asymptotic_range:
-        raise DomainError(
-            f"requires Re(s) > n-1 (asymptotic range), got s={p.s}, n={p.n}")
-
-
-def _require_asymptotic(p: SpectralParams) -> None:
-    """Refuse s on the excluded spectral lattice or outside Re(s) > n - 1,
-    where the boundary asymptotics Phi_{s,m} ~ c(s) (1-r^2)^(...) fail."""
-    if not p.in_generic_set:
-        raise DomainError(f"s={p.s} lies on the excluded spectral lattice")
-    _require_asymptotic_range(p)
+        raise HypothesisError(f"s={p.s} violates Re(s) > n-1 at n={p.n} "
+                              "(asymptotic range guard)")
+    if generic and not p.in_generic_set:
+        raise HypothesisError(
+            f"s={p.s} lies on the excluded lattice n-2+/-nu-2k at n={p.n}, "
+            f"nu={p.nu} (generic-set guard)")
 
 
 def key_lemma_ratio(p: SpectralParams, m, r: float) -> complex:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matball
-from matball import cli, hua, verify
+from matball import experiments, hua, verify
 from matball.cli import (OPTIONS, SUBCOMMANDS, build_parser, main,
                          parse_complex, parse_radii)
 from matball.errors import GuardError
@@ -49,9 +49,7 @@ class TestParsing:
             parse_radii("0.5,1.5")
 
     def test_usage_error_names_guard(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["key-lemma", "--n", "2", "--s", "0.5"])
-        assert exc.value.code == 2
+        assert run_cli(["key-lemma", "--n", "2", "--s", "0.5"]) == 2
         assert "asymptotic range" in capsys.readouterr().err
 
     def test_valid_config_runs(self, tmp_path):
@@ -117,7 +115,7 @@ class TestOptionTable:
             seen.append((r, len(sigs), grid.points_per_dim))
             return [1.0] * len(sigs)
 
-        monkeypatch.setattr(cli, "spherical_oracles", spy)
+        monkeypatch.setattr(experiments, "spherical_oracles", spy)
         run_cli(["phi", "--n", "1", "--max-m", "1", "--radii", "0.3,0.7",
                  *argv, "--out", str(tmp_path / "phi.csv")])
         assert seen == [(0.3, 3, grids[0]), (0.7, 3, grids[1])]
@@ -143,11 +141,23 @@ BOUNDS = {"n": ("0", "1"), "grid": ("7", "8"), "max-m": ("-1", "0"),
           "seed": ("-1", "0"), "pexp": ("0.999", "1"), "fd-step": ("0", "1e-300")}
 BOUNDED = [(c, name) for c, row in SUBCOMMANDS.items()
            for name in row[1].split() if name in BOUNDS]
-# an s outside one guard only, and the name the refusal gives that guard
+# an s outside one hypothesis only, and the name the refusal gives it
 GUARD_ARGV = {
     "asymptotic": (["--n", "2", "--s", "0.5"], "asymptotic range guard"),
     "generic": (["--n", "1", "--nu", "2", "--s", "1"], "generic-set guard"),
 }
+# each command whose library call refuses an s outside a hypothesis, with
+# each hypothesis it refuses
+OUTSIDE_HYPOTHESIS = [
+    ("key-lemma", "asymptotic"), ("key-lemma", "generic"),
+    ("forelli-rudin", "asymptotic"),
+    ("sandwich", "asymptotic"), ("sandwich", "generic"),
+    ("invert", "asymptotic"), ("invert", "generic"),
+]
+# the other commands that take --s, which run at any s, with options that
+# keep them short
+ANY_S = {"phi": ["--max-m", "0", "--radii", "0.5"],
+         "kernel": ["--max-m", "0", "--radii", "0.5"], "hua-check": []}
 
 
 def usage_error(argv, capsys) -> str:
@@ -159,13 +169,11 @@ def usage_error(argv, capsys) -> str:
 
 
 class TestAcceptedDomain:
-    """Every bound and guard of SUBCOMMANDS and OPTIONS, one case each."""
+    """Every bound of OPTIONS and every hypothesis on s, one case each."""
 
     def test_guarded_subcommands(self):
-        assert {c: row[4] for c, row in SUBCOMMANDS.items() if row[4]} == {
-            "hua-check": "generic", "key-lemma": "asymptotic generic",
-            "forelli-rudin": "asymptotic", "sandwich": "asymptotic generic",
-            "invert": "asymptotic generic"}
+        takes_s = {c for c, row in SUBCOMMANDS.items() if "s" in row[1].split()}
+        assert takes_s == {c for c, _ in OUTSIDE_HYPOTHESIS} | set(ANY_S)
 
     def test_every_bounded_option_has_a_case(self):
         plain = (None, int, parse_complex, parse_radii)
@@ -188,21 +196,34 @@ class TestAcceptedDomain:
         err = usage_error([command, f"--{name}={value}"], capsys)
         assert f"--{name} must be" in err and "and finite" in err
 
-    @pytest.mark.parametrize("command, guard", [
-        (c, guard) for c, row in SUBCOMMANDS.items() for guard in row[4].split()])
-    def test_s_outside_a_guard_is_usage_error(self, capsys, command, guard):
+    @pytest.mark.parametrize("command, guard", OUTSIDE_HYPOTHESIS,
+                             ids=[f"{c}-{g}" for c, g in OUTSIDE_HYPOTHESIS])
+    def test_s_outside_a_guard_is_usage_error(self, tmp_path, capsys, command,
+                                              guard):
+        # the library's refusal, as one line naming the hypothesis; no CSV
         argv, named = GUARD_ARGV[guard]
-        err = usage_error([command, *argv], capsys)
-        assert named in err
-        assert not any(other in err for _, other in GUARD_ARGV.values()
+        out = tmp_path / "x.csv"
+        assert run_cli([command, *argv, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and named in lines[0]
+        assert not any(other in lines[0] for _, other in GUARD_ARGV.values()
                        if other != named)
+        assert not out.exists()
 
-    @pytest.mark.parametrize("command", [
-        c for c, row in SUBCOMMANDS.items() if "s" in row[1].split() and not row[4]])
+    @pytest.mark.parametrize("argv", [
+        ["forelli-rudin", "--n", "5"], ["sandwich", "--n", "3", "--grid", "512"]])
+    def test_hypothesis_is_checked_before_the_grid(self, capsys, argv):
+        # both grids exceed the node limit, which would exit 3
+        assert run_cli([*argv, "--s", "0.5", "--out", os.devnull]) == 2
+        assert "asymptotic range guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ANY_S)
     def test_unguarded_command_takes_any_s(self, tmp_path, command):
-        argv, _ = GUARD_ARGV["asymptotic"]
-        assert run_cli([command, *argv, "--max-m", "0", "--radii", "0.5",
-                        "--out", str(tmp_path / "x.csv")]) == 0
+        # hua-check's eigen-equation holds on the excluded lattice too
+        # (hua-check --n 1 --nu 2 --s 1)
+        for argv, _ in GUARD_ARGV.values():
+            assert run_cli([command, *argv, *ANY_S[command],
+                            "--out", str(tmp_path / "x.csv")]) == 0, argv
 
 
 # Option values for the argv fuzz: in range, out of range, non-finite and
@@ -381,18 +402,25 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("numerical guard:")
 
     def test_subprocess_entry_point(self, tmp_path):
-        # the process exits with main()'s code
+        # `python -m matball` exits with main()'s code, and writes the CSV
+        out = tmp_path / "k.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "matball", "kernel", "--n", "1",
-             "--nu", "1", "--s", "2.0", "--out", str(tmp_path / "k.csv")],
+             "--nu", "1", "--s", "2.0", "--out", str(out)],
             capture_output=True, text=True, env=_child_env())
-        assert proc.returncode == 0
-
-
-    def test_package_runs_as_module(self):
-        proc = subprocess.run([sys.executable, "-m", "matball", "e9"],
-                              capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0, proc.stderr
+        assert out.read_text().startswith("# matball ")
+
+    def test_cli_module_form_is_refused(self, tmp_path):
+        # `python -m matball.cli` would run no command; it exits 2 naming
+        # the entry point instead of reading as a success
+        out = tmp_path / "va.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "matball.cli", "verify-all", "--out", str(out)],
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 2
+        assert proc.stdout == "" and not out.exists()
+        assert proc.stderr.splitlines() == ["matball: run 'python -m matball'"]
 
     def test_hua_check_underflow_is_a_guard(self, tmp_path, capsys):
         # draw 4 of seed 42 has a kernel of ~3e-153 at s = 2000

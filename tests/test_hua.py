@@ -352,6 +352,18 @@ class TestHuaResidual:
         Z, U = draw_hua_point(np.random.default_rng(5), 3, 0.15)
         assert hua_residual(SpectralParams(3, nu, s), Z, U).passed
 
+    @pytest.mark.parametrize("n, nu, s", [
+        (1, 2, 1.0), (1, 3, 0.0), (2, 2, 2.0), (2, 1, 1.0), (3, 1, 2.0),
+        (3, 2, 3.0)])
+    def test_eigen_equation_holds_on_the_excluded_lattice(self, n, nu, s):
+        # the lattice is a hypothesis of the Poisson-transform
+        # characterization, not of the eigen-equation, which holds at every
+        # s; these residuals are 3e-6 to 3e-5 against the default 1e-4
+        p = SpectralParams(n, nu, s)
+        assert not p.in_generic_set
+        Z, U = draw_hua_point(np.random.default_rng(1), n, 0.15)
+        assert hua_residual(p, Z, U).passed
+
     def test_criterion_judges_every_combo(self, monkeypatch):
         # a residual that fails its report at any of the seven combinations
         # fails criterion 4, the (n, nu) = (2, 2) one included
