@@ -411,6 +411,15 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert out.read_text().startswith("# matball ")
 
+    def test_package_runs_as_module(self, tmp_path):
+        # a passing criterion run as `python -m matball` exits 0
+        out = tmp_path / "e9.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "matball", "e9", "--out", str(out)],
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert out.exists()
+
     def test_cli_module_form_is_refused(self, tmp_path):
         # `python -m matball.cli` would run no command; it exits 2 naming
         # the entry point instead of reading as a success
