@@ -31,7 +31,8 @@ from .experiments import (DEFAULT_RADII, KTypeFunction, SweepResult,
                           forelli_rudin_growth, inversion_experiment,
                           key_lemma_sweep, norm_sandwiches, oracle_comparison)
 from .hua import DEFAULT_FD_STEP, hua_residual
-from .identities import LEMMA_A_TOL, LEMMA_B_TOL, lemma_a_sides, lemma_b_ratio
+from .identities import (LEMMA_A_TOL, lemma_a_rel_error, lemma_a_sides,
+                         lemma_b_passed, lemma_b_ratio)
 from .special import SpectralParams
 from .verify import (draw_appendix_params, draw_hua_point, e9_sweep,
                      oracle_grid, run_all, signatures_up_to)
@@ -206,23 +207,22 @@ def cmd_lemma_a(args, p) -> SweepResult:
         ap = draw_appendix_params(rng, args.n)
         for r in args.radii:
             lhs, rhs = lemma_a_sides(ap, r)
-            rel = abs(lhs - rhs) / abs(lhs)
+            rel = lemma_a_rel_error(lhs, rhs, (ap,), r)
             rows.append((draw, r, lhs, rhs, rel, rel <= LEMMA_A_TOL))
     return _rowwise(("draw", "r", "lhs", "rhs", "rel_error", "passed"), rows)
 
 
 def cmd_lemma_b(args, p) -> SweepResult:
     rng = np.random.default_rng(args.seed)
+    radii = sorted(args.radii)
     rows = []
     passed = True
     for draw in range(5):
         ap = draw_appendix_params(rng, args.n)
-        devs = []
-        for r in sorted(args.radii):
-            ratio = lemma_b_ratio(ap, r)
-            devs.append(abs(ratio - 1.0))
-            rows.append((draw, r, ratio, devs[-1]))
-        passed &= devs[-1] <= LEMMA_B_TOL and devs[-1] <= devs[0]
+        ratios = [lemma_b_ratio(ap, r) for r in radii]
+        devs = [abs(ratio - 1.0) for ratio in ratios]
+        rows += [(draw, r, q, d) for r, q, d in zip(radii, ratios, devs)]
+        passed &= lemma_b_passed(radii, devs)
     return SweepResult(("draw", "r", "ratio", "deviation"), rows, passed=passed)
 
 

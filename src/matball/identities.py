@@ -251,6 +251,19 @@ def lemma_a_sides_batch(aps, radii):
             np.array(rhs, dtype=complex).reshape(len(xs), len(aps)))
 
 
+def lemma_a_rel_error(lhs, rhs, aps, r):
+    """Lemma A's |lhs - rhs| / |lhs| for the sides at r of the one draw in
+    aps (complex sides) or of each draw of aps (arrays), in either form's
+    bits; a zero or non-finite side is refused with GuardError."""
+    bad = ~(np.isfinite(lhs) & np.isfinite(rhs) & (lhs != 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise GuardError(
+            f"Lemma A sides lhs={np.ravel(lhs)[i]}, rhs={np.ravel(rhs)[i]} of "
+            f"{aps[i]} at r={r} leave the relative error undefined")
+    return abs(lhs - rhs) / abs(lhs)
+
+
 def dp_factor(p) -> complex:
     """prod_{i<j} (p_i - p_j)/(j - i) for a pairwise-distinct complex tuple.
     On the integer tuple (m_i - i) it reproduces the Weyl dimension of m."""
@@ -298,6 +311,20 @@ def lemma_b_ratio(ap: AppendixParams, r: float) -> complex:
     r = validate_radius(r)
     return (_shifted_det(ap, 1.0 - r * r) / dp_factor(ap.p)
             / lemma_b_reference(ap, r))
+
+
+def lemma_b_first_order(radii, devs) -> bool:
+    """Whether one draw's |ratio - 1| at increasing radii falls at first order
+    in 1 - r^2: each step within a factor 2 of the step of 1 - r^2."""
+    xs = [1.0 - r * r for r in radii]
+    return all(0.5 * x1 / x0 * d0 <= d1 <= 2.0 * x1 / x0 * d0
+               for x0, x1, d0, d1 in zip(xs, xs[1:], devs, devs[1:]))
+
+
+def lemma_b_passed(radii, devs) -> bool:
+    """Lemma B's verdict on one draw: the last |ratio - 1| <= LEMMA_B_TOL,
+    reached at first order (:func:`lemma_b_first_order`)."""
+    return devs[-1] <= LEMMA_B_TOL and lemma_b_first_order(radii, devs)
 
 
 def pochhammer_product_check(a: complex, n: int) -> CheckReport:

@@ -13,8 +13,9 @@ Tolerances are pinned here and inside matball.verify:
   5. determinant shift identity <= 1e-8 on 100 seeded draws per
      n in {2,3,4}, r in {0.3,0.6,0.9};
   6. determinant asymptotic ratio within 5e-2 at r = 1-1e-5, first-order
-     convergence in (1-r^2), with the sign +1 at every rank;
-  7. c-function factorization and product identities <= 1e-9;
+     convergence in (1-r^2) at every step, with the sign +1 at every rank;
+  7. c-function factorization <= 1e-9, Pochhammer product <= 1e-11 and
+     induction identity <= 1e-10;
   8. |c| ||f||_2 <= (1+1e-3) ||Pf||_{*,2} on >= 12 configurations; single
      K-type slice ratio within 5e-2 of |c| at r = 0.9999;
   9. inversion error decreasing over r in {0.9,...,0.9999}, final

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matball
-from matball import experiments, hua, verify
+from matball import cli, experiments, hua, verify
 from matball.cli import (OPTIONS, SUBCOMMANDS, build_parser, main,
                          parse_complex, parse_radii)
 from matball.errors import GuardError
@@ -353,6 +353,19 @@ class TestExitCodes:
     def test_non_finite_s_is_a_guard(self, tmp_path, capsys, argv):
         assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 3
         assert "DomainError" in capsys.readouterr().err
+
+    def test_undefined_lemma_a_error_names_the_guard(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # two equal p entries make the left side's determinant exactly 0
+        def singular(rng, n):
+            return AppendixParams(n, 0.4 + 0.5j, 0.3 - 0.6j, (0.2 + 0.1j,) * n)
+
+        monkeypatch.setattr(cli, "draw_appendix_params", singular)
+        out = tmp_path / "la.csv"
+        assert run_cli(["lemma-a", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "GuardError: Lemma A sides lhs=0j" in err
+        assert "relative error undefined" in err and not out.exists()
 
     def test_oversized_grid_is_a_guard(self, tmp_path, capsys):
         # 512^3 nodes exceed the 2^24-node limit; the grid is refused

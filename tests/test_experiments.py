@@ -134,6 +134,31 @@ class TestKeyLemmaSweep:
             key_lemma_sweep(SpectralParams(2, 0, 1.0), [(0, 0)], [0.99])
         with pytest.raises(DomainError):
             key_lemma_sweep(SpectralParams(2, 0, 3.0), [(0, 0)], [0.5, 0.99])
+        with pytest.raises(DomainError, match="needs signatures"):
+            key_lemma_sweep(SpectralParams(2, 0, 3.0), [], [0.99])
+        with pytest.raises(DomainError, match="needs signatures"):
+            key_lemma_sweep(SpectralParams(2, 0, 3.0), [(0, 0)], [])
+
+    def test_uniformity_band(self, monkeypatch):
+        # one signature's final deviation at 1e-2: under 5e-2 and under the
+        # 1.6e-2 worst at r = 0.99, but > 100 x the 3.2e-5 median
+        p, sigs, radii = (SpectralParams(1, 0, 1.5), [(k,) for k in range(-5, 6)],
+                          [0.99, 0.9999])
+        assert key_lemma_sweep(p, sigs, radii).metadata["uniform"]
+        real = experiments.phi_bigs
+
+        def phi_bigs(p, sigs, radii):
+            rows = real(p, sigs, radii)
+            rows[-1][3] *= 1.01
+            return rows
+
+        monkeypatch.setattr(experiments, "phi_bigs", phi_bigs)
+        sw = key_lemma_sweep(p, sigs, radii)
+        final = sorted(sw.column("deviation")[-len(sigs):])
+        assert final[-1] > 100 * final[len(final) // 2]
+        assert sw.metadata["worst_by_radius"][-1] <= 5e-2
+        assert sw.metadata["deviations_decreasing"]
+        assert not sw.metadata["uniform"] and not sw.passed
 
 
 class TestForelliRudin:

@@ -12,8 +12,11 @@ from matball.errors import (CoincidentError, DegenerateConnection,
 from matball.identities import (AppendixParams, _det_ld, _det_ld_batch,
                                 _eval_2f1_ld, _eval_2f1_ld_array, dp_factor,
                                 e9_identity_check, induction_identity_check,
-                                lemma_a_sides, lemma_a_sides_batch,
-                                lemma_b_ratio, pochhammer_product_check)
+                                lemma_a_rel_error, lemma_a_sides,
+                                lemma_a_sides_batch, lemma_b_first_order,
+                                lemma_b_passed, lemma_b_ratio,
+                                pochhammer_product_check)
+from matball.report import make_report
 from matball.special import SpectralParams, gauss_2f1
 from matball.spherical import weyl_dimension
 from matball.verify import draw_appendix_params, draw_appendix_params_batch
@@ -168,6 +171,30 @@ class TestLemmaABatch:
         assert lhs.dtype == rhs.dtype == complex
 
 
+class TestLemmaARelError:
+    def test_one_draw_keeps_the_builtin_bits(self):
+        ap = draw_appendix_params(np.random.default_rng(5), 3)
+        lhs, rhs = lemma_a_sides(ap, 0.6)
+        rel = lemma_a_rel_error(lhs, rhs, (ap,), 0.6)
+        assert type(rel) is float and rel == abs(lhs - rhs) / abs(lhs)
+
+    def test_batch_keeps_the_numpy_bits(self):
+        aps = draw_appendix_params_batch(np.random.default_rng(5), 3, 6)
+        (lhs,), (rhs,) = lemma_a_sides_batch(aps, (0.9,))
+        got = lemma_a_rel_error(lhs, rhs, aps, 0.9)
+        assert np.array_equal(got, np.abs(lhs - rhs) / np.abs(lhs))
+
+    @pytest.mark.parametrize("lhs,rhs", [(0j, 1j), (complex("nan"), 1j),
+                                         (1j, complex("inf"))])
+    def test_undefined_error_is_refused(self, lhs, rhs):
+        ap = draw_appendix_params(np.random.default_rng(5), 2)
+        with pytest.raises(GuardError, match="relative error undefined"):
+            lemma_a_rel_error(lhs, rhs, (ap,), 0.3)
+        with pytest.raises(GuardError, match=r"AppendixParams\(n=2,"):
+            lemma_a_rel_error(np.array([1j, lhs]), np.array([1j, rhs]),
+                              (None, ap), 0.3)
+
+
 class TestLemmaACriterion:
     def test_singular_table_fails_loudly(self, monkeypatch):
         # equal p entries give two equal rows, so lhs = 0 and the relative
@@ -299,6 +326,48 @@ class TestLemmaB:
                           0.999)
 
 
+class TestLemmaBRule:
+    RADII = (1 - 1e-3, 1 - 1e-4, 1 - 1e-5)
+
+    def test_rank_one_draw_passes(self):
+        # criterion 6's rank-1 deviations fall tenfold per step
+        devs = (6.91e-3, 6.89e-4, 6.89e-5)
+        assert lemma_b_first_order(self.RADII, devs)
+        assert lemma_b_passed(self.RADII, devs)
+
+    def test_rank_four_draw_fails(self):
+        # draw 0 of lemma-b --n 4: the last deviation rises instead of
+        # falling, though it stays under the 5e-2 gate
+        devs = (1.87e-2, 1.83e-3, 1.47e-2)
+        assert not lemma_b_first_order(self.RADII, devs)
+        assert not lemma_b_passed(self.RADII, devs)
+
+    @pytest.mark.parametrize("q,first_order", [
+        (0.1, True), (0.06, True), (0.19, True), (0.04, False), (0.25, False)])
+    def test_band_is_a_factor_two_around_the_step_in_one_minus_r2(
+            self, q, first_order):
+        # 1 - r^2 falls by ~0.1 per step at these radii
+        devs = (1e-2, 1e-2 * q, 1e-2 * q * 0.1)
+        assert lemma_b_first_order(self.RADII, devs) is first_order
+        assert lemma_b_passed(self.RADII, devs) is first_order
+
+    def test_last_deviation_gate(self):
+        assert not lemma_b_passed(self.RADII, (6.0, 0.6, 0.06))
+        assert lemma_b_passed(self.RADII, (5.0, 0.5, 0.05))
+
+    def test_one_radius_has_no_step(self):
+        assert lemma_b_passed((0.999,), (0.04,))
+        assert not lemma_b_passed((0.999,), (0.06,))
+
+    def test_unsorted_radii_fail(self):
+        # a deviation that falls while 1 - r^2 grows is not first order
+        assert not lemma_b_first_order(self.RADII[::-1], (6.91e-3, 6.89e-4,
+                                                          6.89e-5))
+
+    def test_nan_deviation_fails(self):
+        assert not lemma_b_passed(self.RADII, (1e-2, float("nan"), 1e-4))
+
+
 class TestProductIdentities:
     def test_pochhammer_product(self):
         assert pochhammer_product_check(1.3 - 0.8j, 1).rel_error == 0.0
@@ -315,6 +384,22 @@ class TestProductIdentities:
     def test_induction_guard(self):
         with pytest.raises(GuardError):
             induction_identity_check(1.0, 3)
+
+    def test_criterion_reads_each_gate(self, monkeypatch):
+        # a Pochhammer report 5e-11 off misses its own 1e-11 gate, though it
+        # stays under the 1e-9 gate of the c-function factorization
+        real = verify.pochhammer_product_check
+
+        def off(a, n):
+            rep = real(a, n)
+            return make_report(rep.label, rep.computed * (1 + 5e-11),
+                               rep.reference, 1e-11, **rep.extras)
+
+        assert verify.small_identities().passed
+        monkeypatch.setattr(verify, "pochhammer_product_check", off)
+        res = verify.small_identities()
+        assert 1e-11 < float(res.details["worst_rel"]) < 1e-9
+        assert not res.passed
 
 
 class TestE9Identity:
