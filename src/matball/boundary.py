@@ -483,5 +483,4 @@ def fourier_mode_check(p: SpectralParams, k: int, r: float, N: int) -> CheckRepo
     g = np.exp(-2.0 * sigma * np.log(np.abs(w))) * w ** (-p.nu)
     quad = complex(np.mean(g * np.exp(1j * k * theta)))
     closed = phi_scalar_core(p, k, r)
-    return make_report(f"fourier_mode k={k}", quad, closed, 1e-9,
-                       n=p.n, nu=p.nu, s=p.s, r=r, N=N)
+    return make_report(quad, closed, 1e-9)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import csv
+import io
 import math
 import sys
 
@@ -27,15 +29,16 @@ import numpy as np
 from . import __version__
 from .boundary import TorusGrid, fourier_mode_check
 from .errors import HypothesisError, MatballError
-from .experiments import (DEFAULT_RADII, KTypeFunction, SweepResult,
+from .experiments import (DEFAULT_RADII, SANDWICH_GRID, KTypeFunction, SweepResult,
                           forelli_rudin_growth, inversion_experiment,
                           key_lemma_sweep, norm_sandwiches, oracle_comparison)
 from .hua import DEFAULT_FD_STEP, hua_residual
 from .identities import (LEMMA_A_TOL, lemma_a_rel_error, lemma_a_sides,
                          lemma_b_passed, lemma_b_ratio)
 from .special import SpectralParams
-from .verify import (draw_appendix_params, draw_hua_point, e9_sweep,
-                     oracle_grid, run_all, signatures_up_to)
+from .verify import (KEY_LEMMA_RADII, LEMMA_A_RADII, LEMMA_B_RADII, MASS_GRID,
+                     MASS_RADII, PHI_RADII, draw_appendix_params, draw_hua_point,
+                     e9_sweep, oracle_grid, run_all, signatures_up_to)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -143,7 +146,11 @@ def write_csv(out_path: str, command: str, config: dict, columns, rows) -> None:
              "# config:" + "".join(f" {k}={v}" for k, v in sorted(config.items()))]
     if "seed" in config:
         lines.append(f"# seed: {config['seed']}")
-    lines.append(",".join(header))
+    text = io.StringIO()
+    text.writelines(line + "\n" for line in lines)
+    # RFC 4180 rows: a field holding a comma is quoted
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
     for row in rows:
         cells = []
         for v, cplx in zip(row, is_complex):
@@ -152,13 +159,12 @@ def write_csv(out_path: str, command: str, config: dict, columns, rows) -> None:
                 cells.extend([format_cell(v.real), format_cell(v.imag)])
             else:
                 cells.append(format_cell(v))
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
+        writer.writerow(cells)
     if out_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(text.getvalue())
     else:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.write(text.getvalue())
 
 
 def _require_finite(rows) -> None:
@@ -260,7 +266,7 @@ def cmd_verify_all(args, p) -> SweepResult:
 # subcommand: (help, its options besides --out, its own defaults, handler)
 SUBCOMMANDS = {
     "phi": ("radial profiles vs quadrature oracle", "n nu s radii grid max-m",
-            dict(radii=(0.1, 0.3, 0.5, 0.7)), lambda args, p: oracle_comparison(
+            dict(radii=PHI_RADII), lambda args, p: oracle_comparison(
                 p, list(signatures_up_to(p.n, args.max_m)), args.radii,
                 # criterion 1's grid unless --grid is given
                 oracle_grid(p.n, max(args.radii)) if args.grid is None
@@ -270,21 +276,21 @@ SUBCOMMANDS = {
     "hua-check": ("operator eigen-equation residuals", "n nu s fd-step seed",
                   {}, cmd_hua_check),
     "lemma-a": ("determinant shift identity", "n radii seed",
-                dict(radii=(0.3, 0.6, 0.9)), cmd_lemma_a),
+                dict(radii=LEMMA_A_RADII), cmd_lemma_a),
     "lemma-b": ("determinant asymptotic ratio", "n radii seed",
-                dict(radii=(1 - 1e-3, 1 - 1e-4, 1 - 1e-5)), cmd_lemma_b),
+                dict(radii=LEMMA_B_RADII), cmd_lemma_b),
     "e9": ("c-function factorization identity", "", {}, cmd_e9),
     "key-lemma": ("boundary asymptotic ratios", "n nu s radii max-m",
-                  dict(radii=(0.9, 0.99, 0.999, 0.9999)), lambda args, p:
+                  dict(radii=KEY_LEMMA_RADII), lambda args, p:
                   key_lemma_sweep(p, list(signatures_up_to(p.n, args.max_m)),
                                   sorted(args.radii))),
     "forelli-rudin": ("kernel mass growth", "n nu s radii grid",
-                      dict(radii=(0.5, 0.9, 0.99), grid=64), lambda args, p:
+                      dict(radii=MASS_RADII, grid=MASS_GRID), lambda args, p:
                       forelli_rudin_growth(p, sorted(args.radii), args.grid)),
     "sandwich": ("two-sided norm estimate", "n nu s radii grid pexp",
-                 dict(radii=DEFAULT_RADII, grid=32), cmd_sandwich),
+                 dict(radii=DEFAULT_RADII, grid=SANDWICH_GRID), cmd_sandwich),
     "invert": ("boundary-value inversion error", "n nu s radii",
-               dict(radii=(0.9, 0.99, 0.999, 0.9999)), lambda args, p:
+               dict(radii=KEY_LEMMA_RADII), lambda args, p:
                inversion_experiment(p, _default_ktype(p.n), sorted(args.radii))),
     "verify-all": ("run the full verification suite", "extended seed", {},
                    cmd_verify_all),

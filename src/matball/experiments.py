@@ -20,6 +20,7 @@ from .spherical import (_require_asymptotic, boundary_weight,
                         validate_signature, weyl_dimension)
 
 DEFAULT_RADII = tuple(1.0 - 2.0 ** (-j) for j in range(1, 15))
+SANDWICH_GRID = 32
 
 
 @dataclass
@@ -74,6 +75,8 @@ def oracle_comparison(p: SpectralParams, sigs, radii,
     (m, r, Phi, oracle, relative error, passed); a row passes when
     |Phi - oracle| <= 1e-6 max(|Phi|, 1e-30).  One :func:`phi_bigs` call
     serves every radius, one :func:`spherical_oracles` walk every m at one."""
+    if not sigs or not radii:
+        raise DomainError("needs signatures and radii")
     by_radius = [(r, phis, spherical_oracles(p, sigs, r, grid))
                  for r, phis in zip(radii, phi_bigs(p, sigs, radii))]
     rows = []
@@ -113,7 +116,7 @@ def key_lemma_sweep(p: SpectralParams, sigs, radii) -> SweepResult:
     passed = worst_by_r[-1] <= 5e-2 and decreasing and uniform
     return SweepResult(
         columns=("m", "r", "ratio", "deviation"), rows=rows, passed=passed,
-        metadata={"n": p.n, "nu": p.nu, "s": p.s, "worst_by_radius": worst_by_r,
+        metadata={"worst_by_radius": worst_by_r,
                   "deviations_decreasing": decreasing, "uniform": uniform})
 
 
@@ -129,6 +132,8 @@ def forelli_rudin_growth(p: SpectralParams, radii, grid: TorusGrid | int) -> Swe
     if isinstance(grid, int):
         grid = TorusGrid(p.n, grid)
     radii = [validate_radius(r) for r in radii]
+    if not radii:
+        raise DomainError("needs radii")
     rows = []
     ratios = []
     for r in radii:
@@ -140,13 +145,11 @@ def forelli_rudin_growth(p: SpectralParams, radii, grid: TorusGrid | int) -> Swe
     passed = max(ratios) / min(ratios) <= 10.0
     return SweepResult(
         columns=("r", "kernel_mass", "reference", "ratio", "grid_points"),
-        rows=rows, passed=passed,
-        metadata={"n": p.n, "nu": p.nu, "s": p.s,
-                  "band": (min(ratios), max(ratios))})
+        rows=rows, passed=passed, metadata={"band": (min(ratios), max(ratios))})
 
 
 def norm_sandwiches(p: SpectralParams, fs, pexp: float, radii=DEFAULT_RADII,
-                    grid: TorusGrid | int = 32) -> list:
+                    grid: TorusGrid | int = SANDWICH_GRID) -> list:
     """Two-sided estimate for the Poisson extension of each K-type function
     f in fs:
 
@@ -164,6 +167,8 @@ def norm_sandwiches(p: SpectralParams, fs, pexp: float, radii=DEFAULT_RADII,
     if isinstance(grid, int):
         grid = TorusGrid(p.n, grid)
     radii = [validate_radius(r) for r in radii]
+    if not fs or not radii:
+        raise DomainError("needs K-type functions and radii")
     sigs = sorted({m for f in fs for m in f.coeffs})
     # the Poisson extension of each f at each radius, sum_m c_m Phi_m(r)
     # phi_m, as the coefficient pairs of a K-type function whose signatures
@@ -187,9 +192,8 @@ def norm_sandwiches(p: SpectralParams, fs, pexp: float, radii=DEFAULT_RADII,
         upper_ratio = best / fnorm if fnorm > 0 else math.inf
         out.append(SweepResult(
             columns=("r", "weighted_slice_norm"), rows=rows, passed=lower_ok,
-            metadata={"n": p.n, "nu": p.nu, "s": p.s, "boundary_norm": fnorm,
-                      "hardy_norm": best, "c_modulus": cmod,
-                      "upper_ratio": upper_ratio}))
+            metadata={"boundary_norm": fnorm, "hardy_norm": best,
+                      "c_modulus": cmod, "upper_ratio": upper_ratio}))
     return out
 
 
@@ -208,8 +212,8 @@ def inversion_experiment(p: SpectralParams, f: KTypeFunction,
     if f.rank != p.n:
         raise DomainError(f"K-type rank {f.rank} != params rank {p.n}")
     radii = [validate_radius(r) for r in radii]
-    if radii != sorted(radii):
-        raise DomainError("radii must be increasing")
+    if not radii or radii != sorted(radii):
+        raise DomainError("needs increasing radii")
     cmod2 = abs(c_function(p)) ** 2
     rows = []
     errs = []
@@ -228,5 +232,5 @@ def inversion_experiment(p: SpectralParams, f: KTypeFunction,
     passed = monotone and errs[-1] <= 1e-2 * fnorm
     return SweepResult(
         columns=("r", "l2_error"), rows=rows, passed=passed,
-        metadata={"n": p.n, "nu": p.nu, "s": p.s, "boundary_norm": fnorm,
-                  "monotone": monotone, "final_error": errs[-1]})
+        metadata={"boundary_norm": fnorm, "monotone": monotone,
+                  "final_error": errs[-1]})

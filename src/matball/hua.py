@@ -171,7 +171,5 @@ def hua_residual(p: SpectralParams, Z: np.ndarray, U: np.ndarray,
     bottom_res = float(np.linalg.norm(res.bottom + mu * P * eye) / abs(P))
     worst = max(top_res, bottom_res)
     return CheckReport(
-        label=f"hua_residual n={p.n} nu={p.nu} s={p.s}",
         computed=worst, reference=0.0, rel_error=worst, passed=worst <= tol,
-        extras={"top_residual": top_res, "bottom_residual": bottom_res,
-                "eigenvalue": mu, "h": h, "kernel_value": P})
+        extras={"top_residual": top_res, "bottom_residual": bottom_res})

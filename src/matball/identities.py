@@ -336,7 +336,7 @@ def pochhammer_product_check(a: complex, n: int) -> CheckReport:
     for k in range(1, n):
         lhs *= (a - k) ** (n - k)
         rhs *= pochhammer(a - k, k)
-    return make_report("pochhammer_product", lhs, rhs, 1e-11, a=a, n=n)
+    return make_report(lhs, rhs, 1e-11)
 
 
 def induction_identity_check(s: complex, n: int) -> CheckReport:
@@ -352,7 +352,7 @@ def induction_identity_check(s: complex, n: int) -> CheckReport:
                 f"denominator factor at k={k} within {GUARD_RADIUS} of zero; "
                 f"move s={s} away from small integers")
         lhs *= pochhammer(s - k, n - 1) / (den1 * den2)
-    return make_report("induction_identity", lhs, 1.0, 1e-10, s=s, n=n)
+    return make_report(lhs, 1.0, 1e-10)
 
 
 def e9_identity_check(p: SpectralParams) -> CheckReport:
@@ -367,5 +367,4 @@ def e9_identity_check(p: SpectralParams) -> CheckReport:
     scalar = gamma(s + n - 1) / (gamma((s + n + nu) / 2.0) * gamma((s + n - nu) / 2.0))
     lhs = scalar ** n * gamma_constant(p)
     rhs = c_function(p)
-    return make_report("c_function_factorization", lhs, rhs, 1e-9,
-                       n=n, nu=nu, s=s)
+    return make_report(lhs, rhs, 1e-9)

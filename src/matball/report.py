@@ -9,11 +9,12 @@ from dataclasses import dataclass, field
 class CheckReport:
     """Outcome of comparing a computed value against a reference.
 
-    ``rel_error`` is |computed - reference| / max(|reference|, tiny); when the
-    reference is exactly zero the absolute error is reported instead.
+    ``rel_error`` is |computed - reference| / |reference|, or the absolute
+    error where the reference is 0; ``passed`` applies the check's own gate.
+    ``extras`` holds values a caller reads (:func:`matball.hua.hua_residual`'s
+    two block residuals), never a copy of the check's inputs.
     """
 
-    label: str
     computed: complex
     reference: complex
     rel_error: float
@@ -21,9 +22,8 @@ class CheckReport:
     extras: dict = field(default_factory=dict)
 
 
-def make_report(label: str, computed: complex, reference: complex,
-                tol: float, **extras) -> CheckReport:
+def make_report(computed: complex, reference: complex, tol: float) -> CheckReport:
     scale = abs(reference)
     err = abs(computed - reference) / scale if scale > 0 else abs(computed - reference)
-    return CheckReport(label=label, computed=computed, reference=reference,
-                       rel_error=err, passed=err <= tol, extras=extras)
+    return CheckReport(computed=computed, reference=reference, rel_error=err,
+                       passed=err <= tol)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -39,6 +40,13 @@ _L0, _L1, _L2, _L3, _L4, _L5, _L6, _L7, _L8 = _LANCZOS_COEFFS
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SERIES_TOL = 1e-14
 _SERIES_MAX_TERMS = 2000
+
+
+def _is_integer(v) -> bool:
+    """The integer rule of a signature part, a Fourier mode and an order:
+    an Integral or an integral float (a plain int skips the slower ABC test)."""
+    return type(v) is int or isinstance(v, numbers.Integral) or (
+        isinstance(v, float) and v.is_integer())
 
 
 def _near_nonpositive_integer(z: complex) -> bool:
@@ -176,12 +184,15 @@ def _digamma_memo(bits: bytes) -> complex:
 
 
 def pochhammer(a: complex, k: int) -> complex:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1."""
-    if k < 0:
-        raise DomainError(f"pochhammer order must be non-negative, got {k}")
+    """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1.  Refuses a
+    non-finite a and an order k that is not a non-negative integer."""
+    if not _is_integer(k) or k < 0:
+        raise DomainError(f"pochhammer order must be an integer >= 0, got {k!r}")
     out = 1.0 + 0.0j
     a = complex(a)
-    for i in range(k):
+    if not cmath.isfinite(a):
+        raise DomainError(f"pochhammer argument {a} is not finite")
+    for i in range(int(k)):
         out *= a + i
     return out
 
@@ -517,11 +528,12 @@ def _gauss_2f1_array(a, b, c, xs) -> np.ndarray:
 
 
 def gindikin_gamma(s: complex, n: int) -> complex:
-    """Gindikin Gamma function: product of Gamma(s - (j-1)) for j = 1..n."""
-    if n < 1:
-        raise DomainError(f"rank must be >= 1, got {n}")
+    """Gindikin Gamma function: product of Gamma(s - (j-1)) for j = 1..n.
+    Refuses a rank n that is not an integer >= 1, and a non-finite s."""
+    if not _is_integer(n) or n < 1:
+        raise DomainError(f"rank must be an integer >= 1, got {n!r}")
     out = 1.0 + 0.0j
-    for j in range(1, n + 1):
+    for j in range(1, int(n) + 1):
         arg = complex(s) - (j - 1)
         if _near_nonpositive_integer(arg):
             raise PoleError(

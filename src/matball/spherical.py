@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 
 import numpy as np
 
 from .errors import DomainError, HypothesisError, PoleError
-from .special import SpectralParams, _gauss_2f1_xs, c_function, gauss_2f1
+from .special import (SpectralParams, _gauss_2f1_xs, _is_integer, c_function,
+                      gauss_2f1)
 
 MAX_SIGNATURE_PART = 50
 
@@ -20,9 +20,7 @@ MAX_SIGNATURE_PART = 50
 def validate_signature(m, n: int | None = None) -> tuple[int, ...]:
     """Check that m is a weakly decreasing integer tuple (of rank n if given)."""
     m = tuple(m)
-    # plain ints first: the ABC test alone would double the check's cost
-    bad = [v for v in m if type(v) is not int and not (
-        isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer())]
+    bad = [v for v in m if not _is_integer(v)]
     if bad:
         raise DomainError(f"signature part {bad[0]!r} is not an integer")
     m = tuple(map(int, m))
@@ -96,7 +94,10 @@ def _radial_weight(p: SpectralParams, r: float) -> complex:
 def phi_scalar_core(p: SpectralParams, k: int, r: float) -> complex:
     """r^|k| ((s+n+eps*nu)/2)_|k| / (1)_|k| 2F1((s+n-eps*nu)/2, (s+n+eps*nu)/2
     + |k|; 1+|k|; r^2), eps = _epsilon(k): the Fourier-mode profile of the
-    kernel, phi_{s,k}(r) without its (1-r^2)^((s+n-nu)/2) factor."""
+    kernel, phi_{s,k}(r) without its (1-r^2)^((s+n-nu)/2) factor.  Refuses
+    a k that is not an integer."""
+    if not _is_integer(k):
+        raise DomainError(f"Fourier mode {k!r} is not an integer")
     return _phi_scalar_cores(p, k, (validate_radius(r),))[0]
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .boundary import TorusGrid, spherical_oracle
 from .errors import GuardError, MatballError, PoleError
-from .experiments import (KTypeFunction, forelli_rudin_growth,
+from .experiments import (SANDWICH_GRID, KTypeFunction, forelli_rudin_growth,
                           inversion_experiment, key_lemma_sweep, norm_sandwiches,
                           oracle_comparison)
 from .hua import hua_residual
@@ -59,6 +59,15 @@ def _fmt(x: float) -> str:
     return f"{x:.2e}"
 
 
+# The radii and grid N that a command's defaults share with its criteria
+PHI_RADII = (0.1, 0.3, 0.5, 0.7)
+KEY_LEMMA_RADII = (0.9, 0.99, 0.999, 0.9999)
+LEMMA_A_RADII = (0.3, 0.6, 0.9)
+LEMMA_B_RADII = (1 - 1e-3, 1 - 1e-4, 1 - 1e-5)
+MASS_RADII = (0.5, 0.9, 0.99)
+MASS_GRID = 64
+
+
 def oracle_grid(n: int, r: float) -> TorusGrid:
     """Grid of the kernel-times-character quadrature: N = 80 tanh-sinh nodes
     per axis after the disk automorphism, at every radius r (see
@@ -70,7 +79,6 @@ def oracle_equivalence(extended: bool = False) -> CriterionResult:
     """Determinant formula vs torus-quadrature oracle (oracle_comparison),
     after a grid self-consistency gate (half-resolution change <= 1e-8)."""
     ranks = (1, 2, 3) if extended else (1, 2)
-    radii = (0.1, 0.3, 0.5, 0.7)
     sigs_by_rank = {
         1: [(0,), (1,), (-1,), (2,), (-3,)],
         2: [(0, 0), (1, 0), (1, 1), (2, 1), (3, -1)],
@@ -82,15 +90,15 @@ def oracle_equivalence(extended: bool = False) -> CriterionResult:
         params = [SpectralParams(n, 0, n + 0.5), SpectralParams(n, 1, n + 1.5),
                   SpectralParams(n, 2, n + 0.5)]
         sigs = sigs_by_rank[n]
-        grid = oracle_grid(n, radii[-1])
-        sweeps += [oracle_comparison(p, sigs, radii, grid) for p in params]
+        grid = oracle_grid(n, PHI_RADII[-1])
+        sweeps += [oracle_comparison(p, sigs, PHI_RADII, grid) for p in params]
         # self-consistency gate at the most demanding radius: doubling the
         # production grid must not move the result by more than 1e-8; the
-        # rows are signature-major, so sigs[3] at radii[-1] ends its block
-        gate = sweeps[-2].column("oracle")[4 * len(radii) - 1]
+        # rows are signature-major, so sigs[3] at the last radius ends its block
+        gate = sweeps[-2].column("oracle")[4 * len(PHI_RADII) - 1]
         doubled = TorusGrid(n, 2 * grid.points_per_dim)
         worst_gate = max(worst_gate, abs(
-            gate - spherical_oracle(params[1], sigs[3], radii[-1], doubled)))
+            gate - spherical_oracle(params[1], sigs[3], PHI_RADII[-1], doubled)))
     rels = [rel for sweep in sweeps for rel in sweep.column("rel_error")]
     return CriterionResult(
         "oracle_equivalence",
@@ -116,10 +124,10 @@ def normalization_anchor(extended: bool = False) -> CriterionResult:
 
 
 def key_lemma_asymptotics(extended: bool = False) -> CriterionResult:
-    """:func:`key_lemma_sweep` over r in {0.9, 0.99, 0.999, 0.9999} on >= 10
-    signatures per configuration: |ratio - 1| <= 5e-2 at r = 0.9999, worst
-    deviations shrinking, and its uniformity band (worst <= 100 x median at
-    the final radius)."""
+    """:func:`key_lemma_sweep` over KEY_LEMMA_RADII on >= 10 signatures per
+    configuration: |ratio - 1| <= 5e-2 at the last radius, worst deviations
+    shrinking, and its uniformity band (worst <= 100 x median at the final
+    radius)."""
     configs = [
         (SpectralParams(1, 0, 1.5), [(k,) for k in range(-5, 6)]),
         (SpectralParams(2, 0, 3.0), [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1),
@@ -128,11 +136,10 @@ def key_lemma_asymptotics(extended: bool = False) -> CriterionResult:
         (SpectralParams(2, 2, 4.0), [(0, 0), (1, 0), (1, 1), (2, 1), (3, 1),
                                      (2, 2), (3, 0), (2, 0), (1, -1), (3, 2)]),
     ]
-    radii = [0.9, 0.99, 0.999, 0.9999]
     ok = True
     details = {}
     for i, (p, sigs) in enumerate(configs):
-        sweep = key_lemma_sweep(p, sigs, radii)
+        sweep = key_lemma_sweep(p, sigs, KEY_LEMMA_RADII)
         ok &= sweep.passed
         details[f"cfg{i}_worst"] = _fmt(sweep.metadata["worst_by_radius"][-1])
         details[f"cfg{i}_uniform"] = sweep.metadata["uniform"]
@@ -207,7 +214,7 @@ _LEMMA_A_DRAWS = 100
 
 def _lemma_a_worst(n: int) -> float:
     """Worst relative error of Lemma A over rank n's 100 draws at
-    r in {0.3, 0.6, 0.9}, evaluated together.  The ranks 2, 3, 4 share one
+    LEMMA_A_RADII, evaluated together.  The ranks 2, 3, 4 share one
     seed-42 stream in that order, so the lower ranks' uniform arrays are drawn
     and discarded first.  A zero or non-finite side is refused with
     GuardError (:func:`lemma_a_rel_error`)."""
@@ -215,14 +222,14 @@ def _lemma_a_worst(n: int) -> float:
     for k in range(2, n):
         rng.uniform(size=(_LEMMA_A_DRAWS, 2 * k + 4))
     aps = draw_appendix_params_batch(rng, n, _LEMMA_A_DRAWS)
-    radii = (0.3, 0.6, 0.9)
     return max(float(np.max(lemma_a_rel_error(lhs, rhs, aps, r)))
-               for r, lhs, rhs in zip(radii, *lemma_a_sides_batch(aps, radii)))
+               for r, lhs, rhs in zip(LEMMA_A_RADII,
+                                      *lemma_a_sides_batch(aps, LEMMA_A_RADII)))
 
 
 def lemma_a_identity(extended: bool = False, worsts=None) -> CriterionResult:
     """Column-shift determinant identity to <= 1e-8 relative on 100 seeded
-    guarded draws per rank for n in {2, 3, 4}, r in {0.3, 0.6, 0.9}.  Each
+    guarded draws per rank for n in {2, 3, 4}, r in LEMMA_A_RADII.  Each
     rank is one of its ``tasks``: ``run_all`` passes their worst errors as
     ``worsts``; without them the ranks run here, in order."""
     worst = max(worsts if worsts is not None
@@ -236,20 +243,19 @@ lemma_a_identity.tasks = tuple(partial(_lemma_a_worst, n) for n in (2, 3, 4))
 
 
 def lemma_b_asymptotics(extended: bool = False) -> CriterionResult:
-    """One seeded draw per rank at r in {1-1e-3, 1-1e-4, 1-1e-5}, judged by
+    """One seeded draw per rank at LEMMA_B_RADII, judged by
     :func:`lemma_b_passed`: |ratio - 1| <= 5e-2 at the last radius (sign
     +1), falling at first order in (1 - r^2) at every step."""
     rng = np.random.default_rng(47)
     ranks = (1, 2, 3) if extended else (1, 2)
-    radii = (1 - 1e-3, 1 - 1e-4, 1 - 1e-5)
     ok = True
     details = {}
     for n in ranks:
         ap = draw_appendix_params(rng, n)
-        devs = [abs(lemma_b_ratio(ap, r) - 1.0) for r in radii]
-        ok &= lemma_b_passed(radii, devs)
+        devs = [abs(lemma_b_ratio(ap, r) - 1.0) for r in LEMMA_B_RADII]
+        ok &= lemma_b_passed(LEMMA_B_RADII, devs)
         details[f"n{n}_final_dev"] = _fmt(devs[-1])
-        details[f"n{n}_first_order"] = lemma_b_first_order(radii, devs)
+        details[f"n{n}_first_order"] = lemma_b_first_order(LEMMA_B_RADII, devs)
     return CriterionResult("lemma_b_asymptotics", ok, details)
 
 
@@ -309,7 +315,7 @@ def norm_lower_bound(extended: bool = False) -> CriterionResult:
     ok = all(sw.passed for p, group in itertools.groupby(configs, lambda c: c[0])
              for sw in norm_sandwiches(p, [f for _, f in group], 2.0))
     worst_gap = 0.0
-    grid = TorusGrid(2, 32)
+    grid = TorusGrid(2, SANDWICH_GRID)
     for nu, s in ((0, 3.0), (1, 3.5)):
         p = SpectralParams(2, nu, s)
         f = KTypeFunction({(1, 0): 1.0})
@@ -324,9 +330,8 @@ def norm_lower_bound(extended: bool = False) -> CriterionResult:
 
 
 def inversion_formula(extended: bool = False) -> CriterionResult:
-    """Recovered-boundary-value error decreasing over
-    r in {0.9, 0.99, 0.999, 0.9999}, ending <= 1e-2 ||f||_2."""
-    radii = [0.9, 0.99, 0.999, 0.9999]
+    """Recovered-boundary-value error decreasing over KEY_LEMMA_RADII,
+    ending <= 1e-2 ||f||_2."""
     configs = [
         (SpectralParams(1, 0, 1.5), KTypeFunction({(0,): 1.0})),
         (SpectralParams(2, 1, 3.0), KTypeFunction({(0, 0): 1.0, (1, 0): 0.7j})),
@@ -335,23 +340,23 @@ def inversion_formula(extended: bool = False) -> CriterionResult:
     ok = True
     worst_final = 0.0
     for p, f in configs:
-        res = inversion_experiment(p, f, radii)
+        res = inversion_experiment(p, f, KEY_LEMMA_RADII)
         ok &= res.passed
-        worst_final = max(worst_final,
-                          res.metadata["final_error"] / f.boundary_norm2())
+        worst_final = max(worst_final, res.metadata["final_error"]
+                          / res.metadata["boundary_norm"])
     return CriterionResult(
         "inversion_formula", ok, {"worst_final_rel": _fmt(worst_final)})
 
 
 def kernel_mass_growth(extended: bool = False) -> CriterionResult:
     """Kernel L^1 mass within a factor-10 band of its growth rate over
-    r in {0.5, 0.9, 0.99} for n in {1, 2}, nu in {0, 1}."""
+    MASS_RADII on the N = MASS_GRID grid for n in {1, 2}, nu in {0, 1}."""
     ok = True
     worst_band = 1.0
     for n in (1, 2):
         for nu in (0, 1):
             p = SpectralParams(n, nu, n + 0.75)
-            res = forelli_rudin_growth(p, [0.5, 0.9, 0.99], TorusGrid(n, 64))
+            res = forelli_rudin_growth(p, MASS_RADII, TorusGrid(n, MASS_GRID))
             lo, hi = res.metadata["band"]
             ok &= res.passed
             worst_band = max(worst_band, hi / lo)

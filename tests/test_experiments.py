@@ -10,7 +10,7 @@ from matball.boundary import TorusGrid, ktype_norms, spherical_oracle
 from matball.errors import DomainError
 from matball.experiments import (KTypeFunction, forelli_rudin_growth,
                                  inversion_experiment, key_lemma_sweep,
-                                 norm_sandwiches)
+                                 norm_sandwiches, oracle_comparison)
 from matball.special import SpectralParams, c_function, gauss_2f1
 from matball.spherical import (key_lemma_ratio, log_boundary_weight, phi_big,
                                phi_bigs, weyl_dimension)
@@ -161,6 +161,15 @@ class TestKeyLemmaSweep:
         assert not sw.metadata["uniform"] and not sw.passed
 
 
+class TestOracleComparison:
+    def test_empty_lists_are_refused(self):
+        # either list empty passed with no rows
+        p = SpectralParams(1, 0, 1.5)
+        for sigs, radii in (([], (0.5,)), ([(0,)], ())):
+            with pytest.raises(DomainError, match="needs signatures and radii"):
+                oracle_comparison(p, sigs, radii, TorusGrid(1, 16))
+
+
 class TestForelliRudin:
     def test_zero_radius_row(self):
         # N = 64 is where the tanh-sinh sum reaches its stated accuracy;
@@ -209,6 +218,11 @@ class TestForelliRudin:
         with pytest.raises(DomainError):
             forelli_rudin_growth(SpectralParams(2, 0, 0.5), [0.5],
                                  TorusGrid(2, 32))
+
+    def test_empty_radii_are_refused(self):
+        # no radius raised a bare ValueError from max()
+        with pytest.raises(DomainError, match="needs radii"):
+            forelli_rudin_growth(SpectralParams(2, 0, 3.0), [], TorusGrid(2, 32))
 
 
 class TestNormSandwich:
@@ -291,6 +305,15 @@ class TestNormSandwich:
         with pytest.raises(DomainError):
             norm_sandwiches(p, fs, 2.0)
 
+    def test_empty_lists_are_refused(self):
+        # no radius returned passed=False (the lower bound against a sup of
+        # 0), and no function an empty list
+        p = SpectralParams(2, 0, 3.0)
+        f = KTypeFunction({(1, 0): 1.0})
+        for fs, radii in (([f], ()), ([], (0.5,))):
+            with pytest.raises(DomainError, match="needs K-type functions and radii"):
+                norm_sandwiches(p, fs, 2.0, radii, 16)
+
     def test_single_type_ratio_tends_to_c(self):
         p = SpectralParams(2, 1, 3.0)
         f = KTypeFunction({(1, 0): 1.0})
@@ -321,6 +344,13 @@ class TestInversion:
         assert sw.passed
         errs = [row[1] for row in sw.rows]
         assert all(b <= a for a, b in zip(errs, errs[1:]))
+
+
+    def test_empty_radii_are_refused(self):
+        # no radius raised a bare IndexError (errs[-1])
+        with pytest.raises(DomainError, match="needs increasing radii"):
+            inversion_experiment(SpectralParams(1, 0, 1.5),
+                                 KTypeFunction({(0,): 1.0}), [])
 
 
 class TestEigenExpansion:

@@ -9,6 +9,7 @@ and names the change in CHANGES.md.  ``verify-all`` is compared inside
 ``test_acceptance.test_criterion_11_verify_all_gate``, which runs it anyway.
 """
 
+import csv
 import json
 import sys
 from pathlib import Path
@@ -51,6 +52,14 @@ def data_lines(path: Path):
     if not path.exists():
         return None
     return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.csv")),
+                         ids=lambda path: path.stem)
+def test_rows_parse_at_the_header_width(path):
+    # a field holding a comma is quoted, so csv.reader splits no field
+    header, *rows = csv.reader(data_lines(path))
+    assert rows and all(len(row) == len(header) for row in rows)
 
 
 def regenerate() -> None:

@@ -131,6 +131,13 @@ class TestPochhammer:
         with pytest.raises(DomainError):
             pochhammer(1.0, -1)
 
+    def test_non_integer_order_and_non_finite_argument_refused(self):
+        # order 2.5 raised a bare TypeError, and a NaN argument gave nan+nanj
+        for a, k in ((1.0, 2.5), (math.nan, 2), (complex(1, math.inf), 0)):
+            with pytest.raises(DomainError):
+                pochhammer(a, k)
+        assert pochhammer(2, 3.0) == pochhammer(2, 3)
+
 
 class TestGauss2F1:
     def test_trivial(self):
@@ -378,6 +385,13 @@ class TestGindikinGamma:
     def test_pole_names_factor(self):
         with pytest.raises(PoleError, match="j=3"):
             gindikin_gamma(2.0, 3)
+
+    def test_non_integer_rank_and_non_finite_argument_refused(self):
+        # rank 2.5 raised a bare TypeError
+        for s, n in ((3.0, 2.5), (math.nan, 2), (complex(math.inf, 0), 1)):
+            with pytest.raises(DomainError):
+                gindikin_gamma(s, n)
+        assert gindikin_gamma(3.0, 2.0) == gindikin_gamma(3.0, 2)
 
 
 class TestSpectralParams:

@@ -77,6 +77,15 @@ class TestPhiScalar:
             minus = gauss_2f1((s + n + nu) / 2.0, (s + n - nu) / 2.0, 1.0, r * r)
             assert abs(plus - minus) < 1e-12 * abs(plus)
 
+    def test_non_integer_mode_is_refused(self):
+        # k = 1.5 returned the k = 1 value 0.938..., so fourier_mode_check
+        # compared a mode-1.5 quadrature against it; 1.0 is mode 1
+        p = SpectralParams(1, 0, 1.5)
+        for k in (1.5, math.nan, math.inf):
+            with pytest.raises(DomainError, match="not an integer"):
+                phi_scalar_core(p, k, 0.5)
+        assert phi_scalar_core(p, 1.0, 0.5) == phi_scalar_core(p, 1, 0.5)
+
     def test_core_strips_weight(self):
         p = SpectralParams(1, 1, 3.0)
         r = 0.6
