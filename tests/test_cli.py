@@ -424,6 +424,15 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert out.read_text().startswith("# matball ")
 
+    def test_package_runs_as_module(self):
+        # without --out, `python -m matball` writes the CSV to its stdout
+        proc = subprocess.run(
+            [sys.executable, "-m", "matball", "e9"],
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("# matball ")
+        assert proc.stdout.splitlines()[1] == "# command: e9"
+
     def test_cli_module_form_is_refused(self, tmp_path):
         # `python -m matball.cli` would run no command; it exits 2 naming
         # the entry point instead of reading as a success
