@@ -118,7 +118,7 @@ def poisson_kernel(p: SpectralParams, Z: np.ndarray,
     whose last bits numpy's do not match.
     """
     Z = validate_ball_point(Z, stack=True)
-    n, nu, s = p.n, p.nu, p.s
+    n, nu = p.n, p.nu
     if Z.shape[-1] != n:
         raise DomainError(f"ball point has size {Z.shape[-1]}, params have n={n}")
     U = np.asarray(U, dtype=complex)
@@ -132,7 +132,7 @@ def poisson_kernel(p: SpectralParams, Z: np.ndarray,
     detW = np.linalg.det(np.eye(n) - Z @ U.conj().T)
     if np.any(detW == 0.0):
         raise SingularError("det(I - Z U*) = 0")
-    sigma = (s + n - nu) / 2.0
+    sigma = p.b
     values = [cmath.exp(sigma * math.log(a / abs(w) ** 2)) * w ** (-nu)
               for a, w in zip(np.ravel(detA).tolist(), np.ravel(detW).tolist())]
     return values[0] if Z.ndim == 2 else np.array(values)
@@ -311,7 +311,7 @@ def spherical_oracles(p: SpectralParams, sigs, r: float,
             conj a_delta(e^{i theta}) dtheta / (2 pi)^n,
 
     with k(th) = (1-r^2)^sigma |w|^(-2 sigma) w^(-nu), w = 1 - r e^{-i th}
-    and sigma = (s+n-nu)/2 the kernel's factor per angle.  Each angle goes
+    and sigma = b = (s+n-nu)/2 the kernel's factor per angle.  Each angle goes
     through the disk automorphism of :func:`kernel_mass` onto the same N
     tanh-sinh nodes per axis, at every radius; row j of each a_{m+delta}
     table carries k times the Jacobian times the node weight
@@ -363,7 +363,7 @@ def _oracle_rows(p: SpectralParams, r: float, N: int):
 
     formed in log form so that no entry overflows where Phi is finite."""
     log_weight, log_dist, v = _disk_axis(N, r)
-    sigma = (p.s + p.n - p.nu) / 2.0
+    sigma = p.b
     # arg (1 + r conj v)^nu = -nu arg(1 + r v); its modulus joins log_dist
     log_c = (log_weight
              + (1.0 - sigma - p.nu) * math.log((1.0 - r) * (1.0 + r))
@@ -471,16 +471,15 @@ def fourier_mode_check(p: SpectralParams, k: int, r: float, N: int) -> CheckRepo
         g(th) = (1 - r e^{-i th})^(-(s+n+nu)/2) (1 - r e^{i th})^(-(s+n-nu)/2)
 
     computed by N-point trapezoidal quadrature of g(th) e^{i k th} against
-    the closed form r^|k| ((s+n+eps(k)nu)/2)_|k| / (1)_|k| 2F1(...), to
-    1e-9 relative.
+    the closed form of :func:`matball.spherical.phi_scalar_core`, to 1e-9
+    relative.
     """
     r = validate_radius(r)
     if not isinstance(N, int) or N < 8:
         raise DomainError(f"need an integer N >= 8 quadrature points, got {N!r}")
     theta = _torus_axis(N)
     w = 1.0 - r * np.exp(-1j * theta)
-    sigma = (p.s + p.n - p.nu) / 2.0
-    g = np.exp(-2.0 * sigma * np.log(np.abs(w))) * w ** (-p.nu)
+    g = np.exp(-2.0 * p.b * np.log(np.abs(w))) * w ** (-p.nu)
     quad = complex(np.mean(g * np.exp(1j * k * theta)))
     closed = phi_scalar_core(p, k, r)
     return make_report(quad, closed, 1e-9)

@@ -363,8 +363,7 @@ def e9_identity_check(p: SpectralParams) -> CheckReport:
 
     with gamma(s, nu) from :func:`matball.spherical.gamma_constant`, to
     1e-9 relative."""
-    n, nu, s = p.n, p.nu, p.s
-    scalar = gamma(s + n - 1) / (gamma((s + n + nu) / 2.0) * gamma((s + n - nu) / 2.0))
-    lhs = scalar ** n * gamma_constant(p)
+    scalar = gamma(p.s + p.n - 1) / (gamma(p.a) * gamma(p.b))
+    lhs = scalar ** p.n * gamma_constant(p)
     rhs = c_function(p)
     return make_report(lhs, rhs, 1e-9)

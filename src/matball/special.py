@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateConnection, DomainError, PoleError
+from .errors import (ConvergenceError, DegenerateConnection, DomainError,
+                     PoleError, RangeError)
 
 _INT_TOL = 1e-12
 # c - a - b this close to an integer (but not within _INT_TOL) leaves the
@@ -73,12 +74,17 @@ _BITS = struct.Struct("2d")
 def gamma(z: complex) -> complex:
     """Gamma function for complex argument (Lanczos sum plus reflection).
 
-    Raises PoleError within 1e-12 of a pole, DomainError at a non-finite z.
+    Raises PoleError within 1e-12 of a pole, DomainError at a non-finite z
+    and RangeError where the Lanczos power or the reflection sine overflows
+    (on the real axis from z = 142.37 up, and below z = -141.37).
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"Gamma argument {z} is not finite")
-    return _gamma_memo(_BITS.pack(z.real, z.imag))
+    try:
+        return _gamma_memo(_BITS.pack(z.real, z.imag))
+    except OverflowError:
+        raise RangeError(f"Gamma({z}) overflows double precision") from None
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -185,7 +191,8 @@ def _digamma_memo(bits: bytes) -> complex:
 
 def pochhammer(a: complex, k: int) -> complex:
     """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1.  Refuses a
-    non-finite a and an order k that is not a non-negative integer."""
+    non-finite a and an order k that is not a non-negative integer, and
+    raises RangeError where the product overflows."""
     if not _is_integer(k) or k < 0:
         raise DomainError(f"pochhammer order must be an integer >= 0, got {k!r}")
     out = 1.0 + 0.0j
@@ -194,6 +201,8 @@ def pochhammer(a: complex, k: int) -> complex:
         raise DomainError(f"pochhammer argument {a} is not finite")
     for i in range(int(k)):
         out *= a + i
+    if not cmath.isfinite(out):
+        raise RangeError(f"pochhammer({a}, {k}) overflows double precision")
     return out
 
 
@@ -529,7 +538,8 @@ def _gauss_2f1_array(a, b, c, xs) -> np.ndarray:
 
 def gindikin_gamma(s: complex, n: int) -> complex:
     """Gindikin Gamma function: product of Gamma(s - (j-1)) for j = 1..n.
-    Refuses a rank n that is not an integer >= 1, and a non-finite s."""
+    Refuses a rank n that is not an integer >= 1, and a non-finite s; raises
+    RangeError where a factor or the product overflows."""
     if not _is_integer(n) or n < 1:
         raise DomainError(f"rank must be an integer >= 1, got {n!r}")
     out = 1.0 + 0.0j
@@ -539,6 +549,8 @@ def gindikin_gamma(s: complex, n: int) -> complex:
             raise PoleError(
                 f"Gindikin Gamma pole: factor j={j} has Gamma argument {arg}")
         out *= gamma(arg)
+    if not cmath.isfinite(out):
+        raise RangeError(f"Gindikin Gamma({s}, {n}) overflows double precision")
     return out
 
 
@@ -566,6 +578,17 @@ class SpectralParams:
         object.__setattr__(self, "s", s)
 
     @property
+    def a(self) -> complex:
+        """a(s) = (s+n+nu)/2, the partner of :attr:`b` in c(s) and the profiles."""
+        return (self.s + self.n + self.nu) / 2.0
+
+    @property
+    def b(self) -> complex:
+        """b(s) = (s+n-nu)/2, the kernel's exponent.  c(s) divides by
+        GindikinGamma(a) GindikinGamma(b), and each profile is a 2F1 in a, b."""
+        return (self.s + self.n - self.nu) / 2.0
+
+    @property
     def in_generic_set(self) -> bool:
         return not any(_near_nonpositive_integer(complex(
             (self.s.real - (self.n - 2) - sign * self.nu) / 2.0, self.s.imag))
@@ -580,16 +603,15 @@ def c_function(p: SpectralParams) -> complex:
     """Spectral c-function
 
         c(s) = GindikinGamma(n) GindikinGamma(s)
-               / [GindikinGamma((s+n+nu)/2) GindikinGamma((s+n-nu)/2)]
+               / [GindikinGamma(a) GindikinGamma(b)],   a, b = p.a, p.b
 
     evaluated at s = i*lambda.  Where a denominator factor has its pole
     and the numerator is finite (s on the excluded lattice) c(s) is exactly
     zero; a numerator pole raises PoleError.
     """
-    n, nu, s = p.n, p.nu, p.s
-    num = gindikin_gamma(complex(n), n) * gindikin_gamma(s, n)
+    num = gindikin_gamma(complex(p.n), p.n) * gindikin_gamma(p.s, p.n)
     try:
-        den = gindikin_gamma((s + n + nu) / 2.0, n) * gindikin_gamma((s + n - nu) / 2.0, n)
+        den = gindikin_gamma(p.a, p.n) * gindikin_gamma(p.b, p.n)
     except PoleError:
         return 0j
     return num / den

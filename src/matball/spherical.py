@@ -57,21 +57,14 @@ def weyl_dimension(m) -> int:
     return dim
 
 
-def _epsilon(k: int) -> int:
-    # +1 for k >= 0, -1 for k < 0; the k = 0 value is convention independent
-    # because 2F1 is symmetric in its first two parameters.
-    return 1 if k >= 0 else -1
-
-
 def _phi_scalar_cores(p: SpectralParams, k: int, radii) -> list:
     """:func:`phi_scalar_core` at each radius of radii (already validated):
     the radius-free parameters and Pochhammer ratio are formed once, and one
     2F1 dispatch serves every radius."""
-    n, nu, s = p.n, p.nu, p.s
     ak = abs(int(k))
-    e = _epsilon(k)
-    a_plus = (s + n + e * nu) / 2.0
-    a_minus = (s + n - e * nu) / 2.0
+    # k < 0 swaps a and b, as nu -> -nu does; at k = 0 either order gives
+    # the same value, because 2F1 is symmetric in its first two parameters
+    a_plus, a_minus = (p.a, p.b) if k >= 0 else (p.b, p.a)
     ratio = 1.0 + 0.0j
     for i in range(ak):
         ratio *= (a_plus + i) / (1.0 + i)
@@ -85,17 +78,16 @@ def _phi_scalar_cores(p: SpectralParams, k: int, radii) -> list:
 
 
 def _radial_weight(p: SpectralParams, r: float) -> complex:
-    """(1-r^2)^((s+n-nu)/2), which turns phi_scalar_core into the scalar
-    profile phi_{s,k}(r) of phi_bigs; it does not depend on k."""
-    n, nu, s = p.n, p.nu, p.s
-    return cmath.exp((s + n - nu) / 2.0 * math.log1p(-r * r)) if r > 0 else 1.0
+    """(1-r^2)^b, b = (s+n-nu)/2, which turns phi_scalar_core into the
+    scalar profile phi_{s,k}(r) of phi_bigs; it does not depend on k."""
+    return cmath.exp(p.b * math.log1p(-r * r)) if r > 0 else 1.0
 
 
 def phi_scalar_core(p: SpectralParams, k: int, r: float) -> complex:
-    """r^|k| ((s+n+eps*nu)/2)_|k| / (1)_|k| 2F1((s+n-eps*nu)/2, (s+n+eps*nu)/2
-    + |k|; 1+|k|; r^2), eps = _epsilon(k): the Fourier-mode profile of the
-    kernel, phi_{s,k}(r) without its (1-r^2)^((s+n-nu)/2) factor.  Refuses
-    a k that is not an integer."""
+    """r^|k| (a')_|k| / (1)_|k| 2F1(b', a' + |k|; 1 + |k|; r^2), (a', b') =
+    (p.a, p.b) for k >= 0 and (p.b, p.a) for k < 0: the Fourier-mode profile
+    of the kernel, phi_{s,k}(r) without its (1-r^2)^b factor.  Refuses a k
+    that is not an integer."""
     if not _is_integer(k):
         raise DomainError(f"Fourier mode {k!r} is not an integer")
     return _phi_scalar_cores(p, k, (validate_radius(r),))[0]

@@ -27,7 +27,7 @@ from matball.special import (_INT_TOL, _RING_TOL, _SERIES_MAX_TERMS,
                              _near_nonpositive_integer_array, _rgamma_array,
                              _series_2f1, _series_2f1_terminating, digamma,
                              gamma, reciprocal_gamma)
-from matball.spherical import _epsilon, validate_radius, validate_signature
+from matball.spherical import validate_radius, validate_signature
 
 
 def _log_case_2f1(a: complex, b: complex, m: int, y: float) -> complex:
@@ -285,11 +285,12 @@ def weyl_dimension(m) -> int:
 
 def phi_scalar_core(p: SpectralParams, k: int, r: float) -> complex:
     """r^|k| ((s+n+eps*nu)/2)_|k| / (1)_|k| * 2F1(...) -- the Fourier-mode
-    profile of the kernel without the (1-r^2)^((s+n-nu)/2) factor."""
+    profile of the kernel without the (1-r^2)^((s+n-nu)/2) factor, with
+    eps = +1 for k >= 0 and -1 for k < 0."""
     r = validate_radius(r)
     n, nu, s = p.n, p.nu, p.s
     ak = abs(int(k))
-    e = _epsilon(k)
+    e = 1 if k >= 0 else -1
     a_plus = (s + n + e * nu) / 2.0
     a_minus = (s + n - e * nu) / 2.0
     ratio = 1.0 + 0.0j

@@ -450,6 +450,13 @@ class TestExitCodes:
                         "--out", str(tmp_path / "h.csv")]) == 3
         assert "RangeError" in capsys.readouterr().err
 
+    def test_gamma_overflow_is_a_range_error(self, tmp_path, capsys):
+        # Gamma(150) overflows the Lanczos power: a named RangeError where a
+        # bare OverflowError ("complex exponentiation") was
+        assert run_cli(["key-lemma", "--n", "2", "--s", "150",
+                        "--out", str(tmp_path / "k.csv")]) == 3
+        assert "RangeError: Gamma((150+0j))" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_phi_oracle_comparison(self, tmp_path):

@@ -7,6 +7,7 @@ with mpmath at test time.
 
 import cmath
 import math
+import re
 import struct
 import warnings
 
@@ -16,7 +17,7 @@ import pytest
 
 from matball import identities, special, spherical
 from matball.errors import (ConvergenceError, DegenerateConnection, DomainError,
-                            PoleError)
+                            PoleError, RangeError)
 from matball.special import (SpectralParams, _gamma_array, _gauss_2f1_array,
                              _rgamma_array, c_function, digamma, gamma,
                              gauss_2f1, gindikin_gamma, pochhammer,
@@ -66,6 +67,14 @@ class TestGamma:
             with pytest.raises(PoleError):
                 gamma(z)
         assert reciprocal_gamma(-4.0) == 0.0
+
+    @pytest.mark.parametrize("z", [180.0, -190.5, -0.5 + 300j])
+    def test_overflow_is_a_range_error(self, z):
+        # the Lanczos power (180; 191.5 after reflection) and the reflection
+        # sine (Im z = 300) overflow: a RangeError naming z, not a bare
+        # OverflowError
+        with pytest.raises(RangeError, match=re.escape(f"Gamma({complex(z)})")):
+            gamma(z)
 
     @pytest.mark.parametrize("call", [
         lambda: gamma(math.nan),
@@ -137,6 +146,11 @@ class TestPochhammer:
             with pytest.raises(DomainError):
                 pochhammer(a, k)
         assert pochhammer(2, 3.0) == pochhammer(2, 3)
+
+    def test_overflow_is_a_range_error(self):
+        # (300)_200 ~ 1e518 gave nan+nanj
+        with pytest.raises(RangeError, match="pochhammer"):
+            pochhammer(300, 200)
 
 
 class TestGauss2F1:
@@ -337,7 +351,7 @@ class TestArrayForms:
         (0.5, 0.7, -2.0, 0.3, PoleError),
         (0.5, 0.7, -2.0, 0.8, PoleError),
         (1.0, 1.0, 2.0 + 1e300, 0.9, ConvergenceError),
-        (0.5, 0.7, 200.3 + 0.1j, 0.8, OverflowError),
+        (0.5, 0.7, 200.3 + 0.1j, 0.8, RangeError),
         (1, 1, 2, 1.0, DomainError),
         (1, 1, 2, -0.1, DomainError),
     ])
@@ -421,6 +435,14 @@ class TestSpectralParams:
         assert SpectralParams(2, 1, 2.0).in_generic_set
         assert SpectralParams(2, 1, 1.0 + 1e-6j).in_generic_set
 
+    @pytest.mark.parametrize("s", [3, 2.5, 2.5 - 1.25j, complex(0.75, -0.0)])
+    @pytest.mark.parametrize("nu", [-3, 0, 2])
+    def test_exponents_a_and_b(self, s, nu):
+        # a = (s+n+nu)/2 and b = (s+n-nu)/2, bit for bit as written out
+        p = SpectralParams(2, nu, s)
+        assert _bits(p.a) == _bits(complex((s + 2 + nu) / 2.0))
+        assert _bits(p.b) == _bits(complex((s + 2 - nu) / 2.0))
+
     def test_asymptotic_range(self):
         assert SpectralParams(2, 0, 1.5).in_asymptotic_range
         assert not SpectralParams(2, 0, 1.0).in_asymptotic_range
@@ -458,6 +480,12 @@ class TestCFunction:
             s = s0 + eps
             ref = complex(mp_c_function(n, nu, s))
             assert rel(c_function(SpectralParams(n, nu, s)), ref) <= 1e-11
+
+    def test_overflow_is_a_range_error(self):
+        # GindikinGamma(100) = Gamma(100) Gamma(99) ~ 9e309 at n = 2: c(s)
+        # was nan+nanj
+        with pytest.raises(RangeError, match="Gindikin"):
+            c_function(SpectralParams(2, 0, 100))
 
     def test_numerator_pole_still_raises(self):
         # s = 0 at n = 1, nu = 2: Gamma(s) has its pole, 1/Gamma(2) is not 0

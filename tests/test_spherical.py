@@ -2,6 +2,7 @@
 boundary-asymptotic ratio."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -76,6 +77,18 @@ class TestPhiScalar:
             plus = phi_scalar_core(p, 0, r)
             minus = gauss_2f1((s + n + nu) / 2.0, (s + n - nu) / 2.0, 1.0, r * r)
             assert abs(plus - minus) < 1e-12 * abs(plus)
+
+    @pytest.mark.parametrize("n, nu, s", [(1, 1, 2.5), (2, 3, 2.7 + 0.4j),
+                                          (3, -2, 3.5 - 1j)])
+    def test_negative_mode_is_negated_weight(self, n, nu, s):
+        # k < 0 reads (b, a) where k > 0 reads (a, b), and nu -> -nu swaps
+        # a and b: the two give the same bits, on both 2F1 branches
+        for k in (1, 2, 5):
+            for r in (0.3, 0.8):
+                got = phi_scalar_core(SpectralParams(n, nu, s), -k, r)
+                want = phi_scalar_core(SpectralParams(n, -nu, s), k, r)
+                assert struct.pack("2d", got.real, got.imag) == struct.pack(
+                    "2d", want.real, want.imag)
 
     def test_non_integer_mode_is_refused(self):
         # k = 1.5 returned the k = 1 value 0.938..., so fourier_mode_check
