@@ -76,15 +76,19 @@ def gamma(z: complex) -> complex:
 
     Raises PoleError within 1e-12 of a pole, DomainError at a non-finite z
     and RangeError where the Lanczos power or the reflection sine overflows
-    (on the real axis from z = 142.37 up, and below z = -141.37).
+    or the value is not finite (on the real axis from z = 142.22 up, and
+    below z = -141.22).
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"Gamma argument {z} is not finite")
     try:
-        return _gamma_memo(_BITS.pack(z.real, z.imag))
+        out = _gamma_memo(_BITS.pack(z.real, z.imag))
     except OverflowError:
-        raise RangeError(f"Gamma({z}) overflows double precision") from None
+        out = math.inf
+    if not cmath.isfinite(out):
+        raise RangeError(f"Gamma({z}) overflows double precision")
+    return out
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -261,7 +265,11 @@ def _log_case_2f1(a: complex, b: complex, m: int, ys) -> list:
             finite += term
             if k < m - 1:
                 term *= (a - m + k) * (b - m + k) * y / ((k + 1.0) * (1.0 - m + k))
-        out.append(pre * y ** (-m) * finite if m > 0 else 0.0 + 0.0j)
+        try:
+            out.append(pre * y ** (-m) * finite if m > 0 else 0.0 + 0.0j)
+        except OverflowError:
+            raise RangeError(
+                f"log-case 2F1 power y^(-m) overflows at y={y}, m={m}") from None
     coef = (-1.0) ** m * gc * reciprocal_gamma(a - m) * reciprocal_gamma(b - m)
     if coef == 0.0:
         return out
@@ -558,9 +566,9 @@ def gindikin_gamma(s: complex, n: int) -> complex:
 class SpectralParams:
     """Rank n, integer weight nu and the spectral variable s = i*lambda.
 
-    The generic set excludes s within 1e-12 of the real lattice
-    n - 2 +/- nu - 2k, k = 0, 1, 2, ...; the asymptotic range is
-    Re(s) > n - 1.
+    The generic set is where neither a - n + 1 nor b - n + 1 lies within
+    1e-12 of a non-positive integer (s off n - 2 +/- nu - 2k, k >= 0): no
+    Gamma factor of c(s)'s denominator has its pole, and c(s) != 0.
     """
 
     n: int
@@ -590,9 +598,8 @@ class SpectralParams:
 
     @property
     def in_generic_set(self) -> bool:
-        return not any(_near_nonpositive_integer(complex(
-            (self.s.real - (self.n - 2) - sign * self.nu) / 2.0, self.s.imag))
-            for sign in (1, -1))
+        return not any(_near_nonpositive_integer(e - (self.n - 1))
+                       for e in (self.a, self.b))
 
     @property
     def in_asymptotic_range(self) -> bool:
@@ -605,13 +612,11 @@ def c_function(p: SpectralParams) -> complex:
         c(s) = GindikinGamma(n) GindikinGamma(s)
                / [GindikinGamma(a) GindikinGamma(b)],   a, b = p.a, p.b
 
-    evaluated at s = i*lambda.  Where a denominator factor has its pole
-    and the numerator is finite (s on the excluded lattice) c(s) is exactly
-    zero; a numerator pole raises PoleError.
+    evaluated at s = i*lambda.  Off the generic set of SpectralParams, where
+    a denominator factor has its pole, c(s) is exactly zero; a numerator
+    pole raises PoleError first.
     """
     num = gindikin_gamma(complex(p.n), p.n) * gindikin_gamma(p.s, p.n)
-    try:
-        den = gindikin_gamma(p.a, p.n) * gindikin_gamma(p.b, p.n)
-    except PoleError:
+    if not p.in_generic_set:
         return 0j
-    return num / den
+    return num / (gindikin_gamma(p.a, p.n) * gindikin_gamma(p.b, p.n))

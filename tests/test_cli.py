@@ -211,6 +211,17 @@ class TestAcceptedDomain:
                        if other != named)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [c for c, g in OUTSIDE_HYPOTHESIS
+                                         if g == "generic"])
+    def test_s_next_to_the_lattice_is_refused(self, tmp_path, capsys, command):
+        # 1.5e-12i from the lattice point s = 1 is within the band where
+        # c(s) = 0: sandwich bounded by 0, invert divided by it
+        out = tmp_path / "x.csv"
+        assert run_cli([command, "--n", "1", "--nu", "2", "--s", "1+1.5e-12i",
+                        "--out", str(out)]) == 2
+        assert "generic-set guard" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["forelli-rudin", "--n", "5"], ["sandwich", "--n", "3", "--grid", "512"]])
     def test_hypothesis_is_checked_before_the_grid(self, capsys, argv):
@@ -456,6 +467,13 @@ class TestExitCodes:
         assert run_cli(["key-lemma", "--n", "2", "--s", "150",
                         "--out", str(tmp_path / "k.csv")]) == 3
         assert "RangeError: Gamma((150+0j))" in capsys.readouterr().err
+
+    def test_log_case_overflow_is_a_range_error(self, tmp_path, capsys):
+        # the log-case 2F1 power y^(-m) at m = 101: a named RangeError where
+        # a bare OverflowError was
+        assert run_cli(["sandwich", "--n", "2", "--s", "100",
+                        "--out", str(tmp_path / "s.csv")]) == 3
+        assert "RangeError: log-case 2F1 power" in capsys.readouterr().err
 
 
 class TestCommands:

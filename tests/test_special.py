@@ -17,7 +17,7 @@ import pytest
 
 from matball import identities, special, spherical
 from matball.errors import (ConvergenceError, DegenerateConnection, DomainError,
-                            PoleError, RangeError)
+                            HypothesisError, PoleError, RangeError)
 from matball.special import (SpectralParams, _gamma_array, _gauss_2f1_array,
                              _rgamma_array, c_function, digamma, gamma,
                              gauss_2f1, gindikin_gamma, pochhammer,
@@ -68,11 +68,14 @@ class TestGamma:
                 gamma(z)
         assert reciprocal_gamma(-4.0) == 0.0
 
-    @pytest.mark.parametrize("z", [180.0, -190.5, -0.5 + 300j])
+    @pytest.mark.parametrize("z", [180.0, -190.5, -0.5 + 300j,
+                                   142.22, 142.3, 142.36, -141.3])
     def test_overflow_is_a_range_error(self, z):
         # the Lanczos power (180; 191.5 after reflection) and the reflection
         # sine (Im z = 300) overflow: a RangeError naming z, not a bare
-        # OverflowError
+        # OverflowError.  From 142.22 the power is inf before exp(-t) scales
+        # it, with no OverflowError: the value was nan+nanj, also after
+        # reflection (-141.3)
         with pytest.raises(RangeError, match=re.escape(f"Gamma({complex(z)})")):
             gamma(z)
 
@@ -248,6 +251,12 @@ class TestGauss2F1:
         with pytest.raises(ConvergenceError):
             gauss_2f1(1e300, 1.0, 1.0, 0.9)
 
+    def test_log_case_power_overflow_is_a_range_error(self):
+        # y^(-m) = 1e400 overflows a float while Gamma(m) is finite
+        # (Gamma refuses first from m ~ 142 on)
+        with pytest.raises(RangeError, match=re.escape("y=0.0001, m=100")):
+            special._log_case_2f1(50.25 + 0.5j, 50.75 - 0.5j, 100, (1e-4,))
+
     def test_degenerate_ring_raises(self):
         # within 1e-9 of an integer but not an exact integer
         with pytest.raises(DegenerateConnection):
@@ -352,6 +361,7 @@ class TestArrayForms:
         (0.5, 0.7, -2.0, 0.8, PoleError),
         (1.0, 1.0, 2.0 + 1e300, 0.9, ConvergenceError),
         (0.5, 0.7, 200.3 + 0.1j, 0.8, RangeError),
+        (0.5, 0.7, 142.3, 0.8, RangeError),
         (1, 1, 2, 1.0, DomainError),
         (1, 1, 2, -0.1, DomainError),
     ])
@@ -486,6 +496,33 @@ class TestCFunction:
         # was nan+nanj
         with pytest.raises(RangeError, match="Gindikin"):
             c_function(SpectralParams(2, 0, 100))
+
+    # the lattice points n - 2 +/- nu - 2k, k <= 3, moved by up to 3e-12 in
+    # the real or the imaginary part of s: a 1e-12 band on a(s) and b(s) is
+    # a 2e-12 band on s
+    LATTICE_OFFSETS = [k * 3e-13 for k in range(-10, 11) if k]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("nu", range(-4, 5))
+    def test_zero_exactly_off_the_generic_set(self, n, nu):
+        for s0 in {n - 2 + sign * nu - 2 * k
+                   for sign in (1, -1) for k in range(4)}:
+            for d in self.LATTICE_OFFSETS:
+                for s in (complex(s0 + d, 0.0), complex(s0, d)):
+                    p = SpectralParams(n, nu, s)
+                    try:
+                        c = c_function(p)
+                    except PoleError:   # GindikinGamma(s) has its pole
+                        continue
+                    assert (c == 0) == (not p.in_generic_set), s
+
+    def test_guard_refuses_where_c_is_zero(self):
+        # Im s = 1.5e-12 is Im a = Im b = 7.5e-13, within the band of the
+        # pole of Gamma(b) at b = 0: key_lemma_ratio would divide by c = 0
+        p = SpectralParams(1, 2, 1 + 1.5e-12j)
+        assert c_function(p) == 0 and not p.in_generic_set
+        with pytest.raises(HypothesisError, match="generic-set guard"):
+            spherical.key_lemma_ratio(p, (0,), 0.99)
 
     def test_numerator_pole_still_raises(self):
         # s = 0 at n = 1, nu = 2: Gamma(s) has its pole, 1/Gamma(2) is not 0
